@@ -73,11 +73,32 @@ impl CliArgs {
     }
 
     /// The value of `--name value` parsed as the requested type, or the
-    /// provided default.
+    /// provided default when the option is absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag when a value is present but does
+    /// not parse (`--cycles 10k`): falling back to the default there would
+    /// silently run a different experiment from the one asked for.
+    pub fn parsed_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.value(name) {
+            None => Ok(default),
+            Some(raw) => raw.parse().map_err(|_| {
+                format!(
+                    "--{name}: cannot parse `{raw}` as {}",
+                    std::any::type_name::<T>()
+                )
+            }),
+        }
+    }
+
+    /// [`Self::parsed_or`] for the harness binaries' `main`: an unparseable
+    /// value prints the error and exits with status 2.
     pub fn value_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.value(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.parsed_or(name, default).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2)
+        })
     }
 }
 
@@ -153,6 +174,17 @@ mod tests {
         assert_eq!(a.value("pattern"), Some("tornado"));
         assert_eq!(a.value_or("workload", 1u32), 2);
         assert_eq!(a.value_or("missing", 7u32), 7);
+    }
+
+    #[test]
+    fn unparseable_value_is_an_error_naming_the_flag() {
+        let a = args(&["--cycles", "10k", "--rate", "0.08"]);
+        let err = a
+            .parsed_or("cycles", 200_000u64)
+            .expect_err("`10k` is not a cycle count");
+        assert!(err.contains("--cycles") && err.contains("10k"), "{err}");
+        assert_eq!(a.parsed_or("rate", 0.5f64), Ok(0.08));
+        assert_eq!(a.parsed_or("missing", 7u32), Ok(7));
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub mod prelude {
     pub use crate::error::{NetsimError, SimError, SpecError};
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan};
     pub use crate::ids::{Cycle, Direction, FlowId, InPortId, NodeId, OutPortId, PacketId, VcId};
-    pub use crate::network::Network;
+    pub use crate::network::{EngineProfile, Network};
     pub use crate::packet::{GeneratedPacket, IdleGenerator, Packet, PacketClass, PacketGenerator};
     pub use crate::qos::{FifoPolicy, QosPolicy, RouterQos};
     pub use crate::sim::{run_closed, run_open_loop, OpenLoopConfig};

@@ -34,7 +34,7 @@ use crate::port::{Feeder, TargetCreditState, Transfer};
 use crate::qos::{QosPolicy, RouterQos};
 use crate::router::{compute_route, resolve_target_idx, RouterState};
 use crate::sink::SinkState;
-use crate::source::{InjectionTransfer, SourceState};
+use crate::source::{InjectionTransfer, SourceState, WakeTimers};
 use crate::spec::{NetworkSpec, TargetEndpoint};
 use crate::stats::NetStats;
 use crate::vc::VcState;
@@ -191,6 +191,31 @@ fn cached_priority(router: &mut RouterState, qos: &dyn RouterQos, flow: FlowId) 
     }
 }
 
+/// Deterministic work counters of the engine: exact integers (same seed,
+/// same counts, on any machine), kept outside [`NetStats`] so engine
+/// equivalence never compares them. They count what each phase *touched*,
+/// so a lost wake-up or a reintroduced scan moves a number a test can pin
+/// instead of hiding in wall-time noise. Read with
+/// [`Network::engine_profile`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineProfile {
+    /// Source visits made by the source phase (the reference engine visits
+    /// every source every cycle).
+    pub sources_visited: u64,
+    /// Sleeping sources woken, by an event or by their timer.
+    pub source_wakes: u64,
+    /// Outputs the allocation phase looked at.
+    pub outputs_walked: u64,
+    /// Outputs whose request list was arbitrated in full.
+    pub outputs_arbitrated: u64,
+    /// Clean blocked outputs whose cached outcome (the preemption probe) was
+    /// replayed instead of arbitrating.
+    pub outputs_replayed: u64,
+    /// Candidates examined by controller reply picks: flows with a reply
+    /// waiting (optimized engine) or waiting replies (reference engine).
+    pub reply_candidates_scanned: u64,
+}
+
 /// Sets router `ri`'s bit in a phase activity mask (see
 /// [`Network::routing_work`] for the eager-set / lazy-clear discipline).
 #[inline]
@@ -255,7 +280,20 @@ pub struct Network {
     alloc_work: Vec<u64>,
     /// Routers holding granted transfers; see [`Self::routing_work`].
     launch_work: Vec<u64>,
-    /// Reusable buffer of candidate router indices for the masked scans.
+    /// Awake sources (optimized engine; one bit per source), in the same
+    /// eager-set / lazy-clear discipline as [`Self::routing_work`]: every
+    /// event that can give a sleeping source work sets its bit
+    /// ([`Self::wake_source`]), and the source phase clears it after a visit
+    /// once the next visit is provably a no-op. See "Who wakes whom" in
+    /// `docs/ARCHITECTURE.md`.
+    source_work: Vec<u64>,
+    /// Wake-up timers of sleeping requester sources (phase changes, request
+    /// deadlines, retry backoffs).
+    source_timers: WakeTimers,
+    /// Deterministic work counters; see [`EngineProfile`].
+    profile: EngineProfile,
+    /// Reusable buffer of candidate router (or source) indices for the
+    /// masked scans.
     router_scan: Vec<u32>,
     /// Reusable buffer for preemption victim candidates.
     probe_scratch: Vec<(PacketId, FlowId, bool)>,
@@ -355,13 +393,8 @@ impl Network {
             for (oi, ospec) in rspec.outputs.iter().enumerate() {
                 for (ti, target) in ospec.targets.iter().enumerate() {
                     if let TargetEndpoint::Router { router, in_port } = target.endpoint {
-                        let slot = &mut routers[router].inputs[in_port.0].feeder;
-                        assert!(
-                            slot.is_none(),
-                            "input port {} of router {router} has two feeders",
-                            in_port.0
-                        );
-                        *slot = Some(Feeder::RouterOutput {
+                        // taqos-lint: allow(panic-index) -- validate() range-checked every target router and port (and rejected doubly-fed ports)
+                        routers[router].inputs[in_port.0].feeder = Some(Feeder::RouterOutput {
                             router: ri,
                             out_port: oi,
                             target_idx: ti,
@@ -371,13 +404,9 @@ impl Network {
             }
         }
         for (si, sspec) in spec.sources.iter().enumerate() {
-            let slot = &mut routers[sspec.router].inputs[sspec.in_port.0].feeder;
-            assert!(
-                slot.is_none(),
-                "injection port of source {} already has a feeder",
-                sspec.name
-            );
-            *slot = Some(Feeder::Source { source: si });
+            // taqos-lint: allow(panic-index) -- validate() range-checked every source's router and port (and rejected shared ports)
+            routers[sspec.router].inputs[sspec.in_port.0].feeder =
+                Some(Feeder::Source { source: si });
         }
 
         let qos: Vec<Box<dyn RouterQos>> = spec
@@ -414,8 +443,9 @@ impl Network {
         });
         let frame_len = policy.frame_len();
         let num_router_blocks = spec.routers.len().div_ceil(64);
+        let num_sources = sources.len();
 
-        Ok(Network {
+        let mut network = Network {
             spec,
             config,
             policy,
@@ -434,6 +464,9 @@ impl Network {
             routing_work: vec![0; num_router_blocks],
             alloc_work: vec![0; num_router_blocks],
             launch_work: vec![0; num_router_blocks],
+            source_work: vec![0; num_sources.div_ceil(64)],
+            source_timers: WakeTimers::new(num_sources),
+            profile: EngineProfile::default(),
             router_scan: Vec::new(),
             probe_scratch: Vec::new(),
             probe_prioritized_scratch: Vec::new(),
@@ -446,7 +479,37 @@ impl Network {
             traced_fault_active: 0,
             pending_reprograms: Vec::new(),
             next_reprogram: 0,
-        })
+        };
+        network.wake_all_sources();
+        Ok(network)
+    }
+
+    /// Wakes source `si`: the source phase visits it from the next pass on,
+    /// until a visit finds it can sleep again.
+    // taqos-lint: hot
+    #[inline]
+    fn wake_source(&mut self, si: usize) {
+        // taqos-lint: allow(panic-index) -- source_work is sized to ceil(sources/64) words and si is a live source index
+        let word = &mut self.source_work[si >> 6];
+        let bit = 1u64 << (si & 63);
+        if *word & bit == 0 {
+            *word |= bit;
+            self.profile.source_wakes += 1;
+        }
+    }
+
+    /// Wakes every source (construction, closed-loop or fault-plan install,
+    /// a rate reprogramming landing): each then re-derives its own sleep
+    /// predicate at its next visit.
+    fn wake_all_sources(&mut self) {
+        for si in 0..self.sources.len() {
+            self.wake_source(si);
+        }
+    }
+
+    /// The engine's deterministic work counters so far.
+    pub fn engine_profile(&self) -> EngineProfile {
+        self.profile
     }
 
     /// Installs a closed-loop request/reply workload: each requester flow
@@ -493,6 +556,7 @@ impl Network {
             }
         }
         self.closed_loop = Some(state);
+        self.wake_all_sources();
         Ok(self)
     }
 
@@ -510,6 +574,7 @@ impl Network {
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Result<Self, SimError> {
         plan.validate_against(&self.spec)?;
         self.fault = Some(FaultState::new(plan, &self.spec));
+        self.wake_all_sources();
         Ok(self)
     }
 
@@ -581,6 +646,7 @@ impl Network {
             }
             *next_reprogram += 1;
         }
+        self.wake_all_sources();
     }
 
     /// Installs a flit-level trace sink: injections, grants, preemptions,
@@ -911,12 +977,14 @@ impl Network {
             }
             Event::CreditToSource { source, vc } => {
                 self.sources[source as usize].free_vcs.push(vc);
+                self.wake_source(source as usize);
             }
             Event::Ack { source, packet } => {
                 // A packet left the system (delivered, or abandoned by the
                 // fault layer): that is forward progress for the watchdog.
                 self.last_progress = self.now;
                 self.sources[source as usize].acknowledge(packet);
+                self.wake_source(source as usize);
                 self.packets.remove(packet);
             }
             Event::Nack { source, packet } => {
@@ -930,6 +998,7 @@ impl Network {
                     });
                 }
                 self.sources[source as usize].retransmit(packet);
+                self.wake_source(source as usize);
             }
             Event::PreemptionProbe {
                 router,
@@ -1355,6 +1424,9 @@ impl Network {
                 let Some(request_birth) = request_birth else {
                     return;
                 };
+                // The reply may reopen the requester's MLP window.
+                // taqos-lint: allow(panic-index) -- flow ids are validated dense against flow_to_source at construction
+                self.wake_source(self.flow_to_source[flow.index()]);
                 // taqos-lint: allow(panic-path) -- request/reply bookkeeping is only reached under an active closed loop
                 let cl = self.closed_loop.as_mut().expect("closed loop active");
                 let retry_on = cl.retry.is_some();
@@ -1437,8 +1509,9 @@ impl Network {
             .as_mut()
             // taqos-lint: allow(panic-path) -- request/reply bookkeeping is only reached under an active closed loop
             .expect("closed loop active")
-            .pending_replies[reply_source]
-            .push_back((reply_id, flow));
+            .pending_replies
+            .push(reply_source, flow, reply_id);
+        self.wake_source(reply_source);
     }
 
     /// A DRAM bank completed: release the reply of the serviced request and
@@ -1600,6 +1673,24 @@ impl Network {
     // taqos-lint: hot
     fn phase_sources(&mut self) {
         let now = self.now;
+        let reference = self.config.engine.is_reference();
+        // Work-proportional visiting: the reference engine polls every
+        // source every cycle; the optimized engine visits only the awake
+        // ones (ascending, the polling order), after firing the due timers
+        // of sleeping requesters. A skipped visit is provably a no-op — the
+        // sleep predicate at the end of the loop body, the wake sites and
+        // the timers are tabulated in docs/ARCHITECTURE.md.
+        let mut scan = std::mem::take(&mut self.router_scan);
+        if reference {
+            scan.clear();
+            scan.extend(0..self.sources.len() as u32);
+        } else {
+            while let Some(si) = self.source_timers.pop_due(now) {
+                self.wake_source(si);
+            }
+            scan_routers(&self.source_work, &mut scan);
+        }
+        self.profile.sources_visited += scan.len() as u64;
         // Split-borrow the fields once so the per-source loop indexes each
         // source a single time instead of re-indexing `self.sources[si]` at
         // every access.
@@ -1615,9 +1706,15 @@ impl Network {
             trace,
             routing_work,
             alloc_work,
+            source_work,
+            source_timers,
+            profile,
             ..
         } = self;
-        for (si, source) in sources.iter_mut().enumerate() {
+        for &si in &scan {
+            let si = si as usize;
+            // taqos-lint: allow(panic-index) -- scan holds live source indices: every one, or the set bits of source_work
+            let source = &mut sources[si];
             // 1. Traffic generation — one generator call per cycle. An
             // exhausted generator returns `None` without consuming entropy
             // (the `PacketGenerator` contract), and a source that also has
@@ -1751,32 +1848,40 @@ impl Network {
                     packet
                 });
                 source.enqueue_generated(id, gen.len_flits);
-            } else if closed_loop
-                .as_ref()
-                .is_some_and(|cl| cl.has_pending_replies(si))
+            } else if let Some(cl) = closed_loop
+                .as_mut()
+                .filter(|cl| cl.pending_replies.has_pending(si))
             {
                 // Controller reply port: when the source queue is free, pull
                 // the pending reply of the highest-priority flow into it —
                 // the controller is a QOS arbitration point, so the reply
                 // order follows flow priority, not head-of-line arrival.
                 // NACKed replies re-queued at the front drain first.
-                if source.active.is_none()
-                    && source.queue.is_empty()
-                    && source.window.len() < source.window_limit
-                    && !source.free_vcs.is_empty()
-                {
-                    let router_qos = &qos[source.router];
-                    let picked = closed_loop
-                        .as_mut()
-                        // taqos-lint: allow(panic-path) -- pending_replies is only populated under a closed loop
-                        .expect("pending replies imply closed loop")
-                        .pop_best_reply(si, |flow| router_qos.priority(flow));
+                if source.queue.is_empty() && source.can_inject() {
+                    // taqos-lint: allow(panic-index) -- sources are validated to reference live routers, and qos is built 1:1 with them
+                    let router_qos = &*qos[source.router];
+                    // Each priority read is one candidate examined.
+                    let scanned = &mut profile.reply_candidates_scanned;
+                    let picked = if reference {
+                        cl.pending_replies.pop_best_by_scan(si, |flow| {
+                            *scanned += 1;
+                            router_qos.priority(flow)
+                        })
+                    } else {
+                        // One candidate per flow with a reply waiting, its
+                        // priority memoised in the port router's cache (the
+                        // allocation phase keeps that cache exact).
+                        // taqos-lint: allow(panic-index) -- sources are validated to reference live routers
+                        let router = &mut routers[source.router];
+                        cl.pending_replies.pop_best(si, |flow| {
+                            *scanned += 1;
+                            cached_priority(router, router_qos, flow)
+                        })
+                    };
                     if let Some((reply, _)) = picked {
                         source.queue.push_back(reply);
                     }
                 }
-            } else if source.is_idle_this_cycle() {
-                continue;
             }
 
             // 2. Start a new injection if possible.
@@ -1843,7 +1948,35 @@ impl Network {
                     source.active = None;
                 }
             }
+
+            // 4. Sleep (optimized engine) iff the next visit is provably a
+            // no-op: nothing streams or can start injecting, the generation
+            // side is quiet — an open-loop source only once its generator is
+            // exhausted, so a live one is polled every cycle and its RNG
+            // stream is untouched; a requester only with its window closed —
+            // and no time threshold is already due. The wake sites and the
+            // timer re-open exactly these conditions.
+            if reference {
+                continue;
+            }
+            let cl = closed_loop.as_ref();
+            if !source.is_dormant(cl.is_some_and(|cl| cl.pending_replies.has_pending(si))) {
+                continue;
+            }
+            // taqos-lint: allow(panic-index) -- flow ids are validated dense and requesters is sized to the flow count
+            let requester = cl.and_then(|cl| cl.requesters[source.flow.index()].as_ref());
+            let wake_at = match requester {
+                Some(r) if r.can_issue() => continue,
+                Some(r) => r.next_timer(cl.and_then(|cl| cl.retry).map_or(0, |p| p.deadline)),
+                None if source.generator.exhausted() => WakeTimers::NEVER,
+                None => continue,
+            };
+            if wake_at > now {
+                unmark_router(source_work, si);
+                source_timers.arm(si, wake_at);
+            }
         }
+        self.router_scan = scan;
     }
 
     // taqos-lint: hot
@@ -1942,6 +2075,13 @@ impl Network {
                             if let Some(mask) = router.alloc_dirty.as_mut() {
                                 *mask |= 1 << out.0;
                             }
+                            if let Some(mask) = router.alloc_pending.as_mut() {
+                                *mask |= 1 << out.0;
+                            }
+                            // The request is allocation work; set the bit
+                            // at the site that creates it (the allocation
+                            // phase unmarks routers with nothing pending).
+                            mark_router(&mut self.alloc_work, ri);
                         }
                     }
                 }
@@ -1970,8 +2110,13 @@ impl Network {
         }
         for &ri in &scan {
             let ri = ri as usize;
-            if !reference && self.routers[ri].active_vcs == 0 {
-                // Stale-set bit (the last occupant drained since).
+            // taqos-lint: allow(panic-index) -- scan holds indices of routers whose mask bit was set, all in bounds
+            let router = &self.routers[ri];
+            let idle = router.active_vcs == 0 || router.alloc_pending == Some(0);
+            if !reference && idle {
+                // Stale-set bit: the last occupant drained, or every
+                // resident packet already holds a grant. A new request is
+                // filed only by the routing phase, which sets the bit again.
                 unmark_router(&mut self.alloc_work, ri);
                 continue;
             }
@@ -1979,8 +2124,30 @@ impl Network {
             let qos = &mut self.qos[ri];
             let num_outputs = self.routers[ri].outputs.len();
 
-            for oi in 0..num_outputs {
+            // Pending-output worklist: the optimized engine walks only the
+            // outputs with a filed request whose decision is stale (every
+            // output with a filed request under preemption, where a clean
+            // blocked output replays its cached probe). The masks are
+            // re-read per step, so an output dirtied by a grant earlier in
+            // this pass is still seen, exactly as the linear scan saw it.
+            // The reference engine (and routers too wide for the masks)
+            // scans every output.
+            let mut next_oi = 0;
+            while next_oi < num_outputs {
                 let router = &mut self.routers[ri];
+                let oi = match (router.alloc_pending, router.alloc_dirty) {
+                    (Some(pending), Some(dirty)) if !reference => {
+                        let stale = if preemption { pending } else { pending & dirty };
+                        let rest = stale & (u64::MAX << next_oi);
+                        if rest == 0 {
+                            break;
+                        }
+                        rest.trailing_zeros() as usize
+                    }
+                    _ => next_oi,
+                };
+                next_oi = oi + 1;
+                self.profile.outputs_walked += 1;
                 if !reference && router.alloc_buckets[oi].is_empty() {
                     continue;
                 }
@@ -1995,6 +2162,7 @@ impl Network {
                     // arbitration entirely.
                     let clean = router.alloc_dirty.is_some_and(|mask| mask & (1 << oi) == 0);
                     if clean {
+                        self.profile.outputs_replayed += 1;
                         if preemption {
                             if let Some(probe) = router.cached_probe[oi] {
                                 self.events.schedule(self.now + 1, probe);
@@ -2055,6 +2223,7 @@ impl Network {
                 // hardware the priority travels with the packet (PVC's
                 // priority reuse), so no flow-state query is needed there and
                 // none is charged to the energy counters.
+                self.profile.outputs_arbitrated += 1;
                 let n = requests.len();
                 let rr = router.outputs[oi].rr_cursor;
                 // Round-robin distance from the cursor. Equivalent to
@@ -2194,6 +2363,11 @@ impl Network {
                         // taqos-lint: allow(panic-index) -- widx is the winner's position found by the scan over this list
                         let granted_flow = requests[widx].flow;
                         requests.remove(widx);
+                        if requests.is_empty() {
+                            if let Some(mask) = router.alloc_pending.as_mut() {
+                                *mask &= !(1 << oi);
+                            }
+                        }
                         if router.alloc_dirty.is_some() {
                             let mut dirty = 1u64 << oi;
                             for (oj, bucket) in router.alloc_buckets.iter().enumerate() {
@@ -2649,6 +2823,11 @@ impl Network {
                     // taqos-lint: allow(panic-path) -- routed non-reference VCs always have a filed request
                     .expect("preempted packet must have a pending request");
                 bucket.remove(pos);
+                if bucket.is_empty() {
+                    if let Some(mask) = router_state.alloc_pending.as_mut() {
+                        *mask &= !(1 << out.0);
+                    }
+                }
                 if let Some(mask) = router_state.alloc_dirty.as_mut() {
                     *mask |= 1 << out.0;
                 }
@@ -3508,5 +3687,209 @@ mod tests {
         let delivered = net.delivered_flits();
         assert!(delivered > 800, "delivered only {delivered} flits");
         assert!(delivered < 1_500, "delivered {delivered} flits");
+    }
+
+    // ---- Sleeping sources: wake-exactness -------------------------------
+
+    /// FIFO arbitration with frames, so `schedule_reprogram` has a rollover
+    /// to land on.
+    struct FramedFifo(Cycle);
+
+    impl QosPolicy for FramedFifo {
+        fn name(&self) -> &str {
+            "framed-fifo"
+        }
+
+        fn router_qos(
+            &self,
+            _spec: &crate::spec::RouterSpec,
+            _num_flows: usize,
+        ) -> Box<dyn RouterQos> {
+            Box::new(crate::qos::FifoRouterQos)
+        }
+
+        fn frame_len(&self) -> Option<Cycle> {
+            Some(self.0)
+        }
+    }
+
+    /// The bidirectional closed loop on both engines: flow 0 requests from
+    /// the controller at node 1.
+    fn engine_pair(
+        frame_len: Option<Cycle>,
+        spec: &crate::closed_loop::ClosedLoopSpec,
+    ) -> (Network, Network) {
+        let build = |engine| {
+            let generators: Vec<Box<dyn PacketGenerator>> = vec![
+                Box::new(crate::packet::IdleGenerator),
+                Box::new(crate::packet::IdleGenerator),
+            ];
+            let policy: Box<dyn QosPolicy> = match frame_len {
+                Some(len) => Box::new(FramedFifo(len)),
+                None => Box::new(FifoPolicy::new()),
+            };
+            Network::new(
+                bidirectional_spec(),
+                policy,
+                generators,
+                SimConfig::default().with_engine(engine),
+            )
+            .expect("bidirectional network builds")
+            .with_closed_loop(spec.clone())
+            .expect("closed loop installs")
+        };
+        (
+            build(crate::config::EngineKind::Optimized),
+            build(crate::config::EngineKind::Reference),
+        )
+    }
+
+    /// Steps both engines one cycle and holds the optimized engine to the
+    /// polling reference, counter for counter.
+    fn step_both(optimized: &mut Network, reference: &mut Network) {
+        optimized.step();
+        reference.step();
+        assert_eq!(
+            optimized.stats(),
+            reference.stats(),
+            "engines diverged at cycle {}",
+            optimized.now()
+        );
+    }
+
+    fn awake_sources(net: &Network) -> u32 {
+        net.source_work.iter().map(|w| w.count_ones()).sum()
+    }
+
+    #[test]
+    fn requester_asleep_across_an_off_phase_issues_on_the_phase_change_cycle() {
+        use crate::closed_loop::{
+            ClosedLoopSpec, PhaseChange, PhaseSchedule, PhasedWorkload, RequesterSpec,
+        };
+        let phases = PhasedWorkload::new(2).with_schedule(
+            FlowId(0),
+            PhaseSchedule::new(vec![
+                PhaseChange { at: 1, mlp: 0 },
+                PhaseChange { at: 700, mlp: 1 },
+            ]),
+        );
+        let spec = ClosedLoopSpec::new(2)
+            .with_requester(FlowId(0), RequesterSpec::paper(NodeId(1), 1))
+            .with_phases(phases);
+        let (mut optimized, mut reference) = engine_pair(None, &spec);
+        while optimized.now() < 699 {
+            step_both(&mut optimized, &mut reference);
+            assert_eq!(optimized.stats().flows[0].issued_requests, 0);
+            assert_eq!(awake_sources(&optimized), 0, "cycle {}", optimized.now());
+        }
+        // Two sources, each visited once (cycle 1) before falling asleep.
+        assert_eq!(optimized.engine_profile().sources_visited, 2);
+        step_both(&mut optimized, &mut reference);
+        assert_eq!(optimized.now(), 700);
+        assert_eq!(optimized.stats().flows[0].issued_requests, 1);
+        for _ in 0..200 {
+            step_both(&mut optimized, &mut reference);
+        }
+        assert!(optimized.stats().round_trips > 0);
+    }
+
+    #[test]
+    fn retry_deadline_and_backoff_fire_on_their_exact_cycles_with_every_source_asleep() {
+        use crate::closed_loop::{ClosedLoopSpec, DramConfig, RequesterSpec, RetryPolicy};
+        // A cold bank takes 5000 cycles: no reply ever beats the deadline.
+        let retry = RetryPolicy::new(100, 3).with_backoff(40);
+        let spec = ClosedLoopSpec::new(2)
+            .with_requester(FlowId(0), RequesterSpec::paper(NodeId(1), 1))
+            .with_dram(DramConfig::paper().with_latencies(18, 5_000))
+            .with_retry(retry);
+        let (mut optimized, mut reference) = engine_pair(None, &spec);
+        let timeouts = |net: &Network| net.stats().flows[0].request_timeouts;
+        let retries = |net: &Network| net.stats().flows[0].request_retries;
+
+        // The request is sent at cycle 1 and times out at 1 + deadline.
+        while optimized.now() < 100 {
+            step_both(&mut optimized, &mut reference);
+            assert_eq!(timeouts(&optimized), 0);
+            if optimized.now() >= 30 {
+                assert_eq!(awake_sources(&optimized), 0, "cycle {}", optimized.now());
+            }
+        }
+        step_both(&mut optimized, &mut reference);
+        assert_eq!((optimized.now(), timeouts(&optimized)), (101, 1));
+
+        // The retry leaves at exactly `ready`, the timeout cycle plus the
+        // seeded backoff.
+        let ready = 101 + retry.backoff_delay(FlowId(0), 0, 1);
+        while optimized.now() < ready - 1 {
+            step_both(&mut optimized, &mut reference);
+            assert_eq!(retries(&optimized), 0);
+            assert_eq!(awake_sources(&optimized), 0, "cycle {}", optimized.now());
+        }
+        step_both(&mut optimized, &mut reference);
+        assert_eq!((optimized.now(), retries(&optimized)), (ready, 1));
+
+        // Through the second and third timeouts, the abandonment and the
+        // fresh request that follows it.
+        while optimized.now() < 1_500 {
+            step_both(&mut optimized, &mut reference);
+        }
+        let flow = &optimized.stats().flows[0];
+        assert!(
+            flow.abandoned_requests >= 1,
+            "the budget of 3 sends ran out"
+        );
+        assert!(flow.issued_requests >= 2, "abandoning reopened the window");
+        // Asleep between thresholds: a few dozen visits, not 2 x 1500.
+        assert!(optimized.engine_profile().sources_visited < 150);
+    }
+
+    #[test]
+    fn a_reprogram_landing_wakes_every_sleeper() {
+        use crate::closed_loop::{
+            ClosedLoopSpec, PhaseChange, PhaseSchedule, PhasedWorkload, RequesterSpec,
+        };
+        let phases = PhasedWorkload::new(2).with_schedule(
+            FlowId(0),
+            PhaseSchedule::new(vec![PhaseChange { at: 1, mlp: 0 }]),
+        );
+        let spec = ClosedLoopSpec::new(2)
+            .with_requester(FlowId(0), RequesterSpec::paper(NodeId(1), 1))
+            .with_phases(phases);
+        let (mut optimized, mut reference) = engine_pair(Some(100), &spec);
+        for net in [&mut optimized, &mut reference] {
+            net.schedule_reprogram(250, vec![0.5, 0.5])
+                .expect("a valid programme is accepted");
+        }
+        while optimized.now() < 299 {
+            step_both(&mut optimized, &mut reference);
+        }
+        assert_eq!(awake_sources(&optimized), 0);
+        let before = optimized.engine_profile();
+        // The programme scheduled for 250 lands at the rollover of cycle 300.
+        step_both(&mut optimized, &mut reference);
+        let after = optimized.engine_profile();
+        assert_eq!(after.source_wakes - before.source_wakes, 2);
+        assert_eq!(after.sources_visited - before.sources_visited, 2);
+        // Nothing changed for them: both go straight back to sleep.
+        assert_eq!(awake_sources(&optimized), 0);
+    }
+
+    #[test]
+    fn an_open_loop_source_never_sleeps_while_its_generator_is_live() {
+        // Five packets, one every 50 cycles: idle 49 cycles of 50, yet polled
+        // on every one of them (a skipped poll would shift an RNG stream).
+        let mut net = build_chain(5, 50, 1);
+        while !net.sources[0].generator.exhausted() {
+            net.step();
+            assert_eq!(net.engine_profile().sources_visited, net.now());
+            let live = !net.sources[0].generator.exhausted();
+            assert!(!live || awake_sources(&net) == 1, "cycle {}", net.now());
+        }
+        run_to_quiescence(&mut net, 200);
+        // Exhausted and drained: now it sleeps, and stays asleep.
+        let visited = net.engine_profile().sources_visited;
+        net.run_for(200);
+        assert_eq!(net.engine_profile().sources_visited, visited);
+        assert_eq!(net.stats().delivered_packets, 5);
     }
 }

@@ -96,6 +96,14 @@ pub struct RouterState {
     /// cached preemption probe (`cached_probe`) instead. `None` disables the
     /// fast path for wider routers.
     pub(crate) alloc_dirty: Option<u64>,
+    /// Bitmask of outputs whose request bucket is non-empty (bit `oi` set ⇔
+    /// `alloc_buckets[oi]` holds a request), maintained at the three bucket
+    /// mutation sites — routing insert, grant removal, preemption removal —
+    /// for routers with at most 64 outputs. The allocation phase walks
+    /// `alloc_pending & alloc_dirty` (all of `alloc_pending` when cached
+    /// preemption probes must be replayed) instead of scanning every output
+    /// for an empty bucket. `None` disables the worklist for wider routers.
+    pub(crate) alloc_pending: Option<u64>,
     /// Per-output cached no-winner outcome: the preemption probe (if any)
     /// that the last full decision scheduled. Valid only while the output's
     /// dirty bit is clear.
@@ -143,6 +151,7 @@ impl RouterState {
             unrouted_vcs: 0,
             granted_mask: (spec.outputs.len() <= 64).then_some(0),
             alloc_dirty: (spec.outputs.len() <= 64).then_some(u64::MAX),
+            alloc_pending: (spec.outputs.len() <= 64).then_some(0),
             cached_probe: vec![None; spec.outputs.len()],
             xbar_groups: spec.inputs.iter().map(|p| p.xbar_group).collect(),
             route_lut,

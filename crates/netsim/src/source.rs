@@ -7,10 +7,11 @@
 //! retransmission after preemption, and the credits of the injection virtual
 //! channel(s) it feeds.
 
-use crate::ids::{FlowId, NodeId, PacketId, VcId};
+use crate::ids::{Cycle, FlowId, NodeId, PacketId, VcId};
 use crate::packet::PacketGenerator;
 use crate::spec::SourceSpec;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An injection transfer in progress: the source streams the packet's flits
 /// into the claimed injection VC at one flit per cycle.
@@ -135,12 +136,16 @@ impl SourceState {
         }
     }
 
+    /// Whether an injection could start this cycle if a packet were at hand:
+    /// nothing is streaming, the outstanding window has room and an injection
+    /// VC is free.
+    pub fn can_inject(&self) -> bool {
+        self.active.is_none() && self.window.len() < self.window_limit && !self.free_vcs.is_empty()
+    }
+
     /// Whether the source can start injecting another packet right now.
     pub fn can_start_injection(&self) -> bool {
-        self.active.is_none()
-            && !self.queue.is_empty()
-            && self.window.len() < self.window_limit
-            && !self.free_vcs.is_empty()
+        !self.queue.is_empty() && self.can_inject()
     }
 
     /// Whether the source has no remaining work: generator exhausted, queue
@@ -152,13 +157,16 @@ impl SourceState {
             && self.active.is_none()
     }
 
-    /// Whether the per-cycle source phase can skip this source entirely: no
-    /// packet to generate (generator exhausted), nothing queued to start
-    /// injecting, and no injection streaming. Unlike [`Self::is_drained`]
-    /// this ignores the retransmission window — outstanding packets need no
-    /// per-cycle work until an ACK or NACK event arrives.
-    pub fn is_idle_this_cycle(&self) -> bool {
-        self.active.is_none() && self.queue.is_empty() && self.generator.exhausted()
+    /// Whether the injection side of the source phase has nothing to do until
+    /// an event changes this source: no flit is streaming and no packet —
+    /// queued, or (`pending_reply`) waiting at this source's controller reply
+    /// port — can start injecting. Outstanding window packets need no
+    /// per-cycle work; they move only on an ACK or NACK event. The
+    /// generation side (generator, requester window, timers) is the
+    /// caller's half of the sleep predicate.
+    // taqos-lint: hot
+    pub fn is_dormant(&self, pending_reply: bool) -> bool {
+        self.active.is_none() && !((pending_reply || !self.queue.is_empty()) && self.can_inject())
     }
 
     /// Records a newly generated packet in the source queue.
@@ -200,6 +208,63 @@ impl std::fmt::Debug for SourceState {
             .field("free_vcs", &self.free_vcs.len())
             .field("active", &self.active)
             .finish()
+    }
+}
+
+/// Wake-up timers of sleeping sources (optimized engine): at most one armed
+/// timer per source, the earliest cycle at which a time threshold of its
+/// requester (phase change, request deadline, retry backoff) makes a visit
+/// necessary. A min-heap with lazy invalidation: an entry fires only if it
+/// still matches the source's armed cycle, so re-arming earlier leaves a
+/// stale entry behind instead of searching the heap. A timer that fires
+/// early (its source was woken, moved on and slept again behind a later
+/// threshold) costs one no-op visit, after which the source re-arms.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WakeTimers {
+    /// Armed wake cycle per source ([`Self::NEVER`] = none).
+    armed: Vec<Cycle>,
+    /// `(cycle, source)` entries, earliest first.
+    heap: BinaryHeap<Reverse<(Cycle, u32)>>,
+}
+
+impl WakeTimers {
+    /// "No timer": later than every reachable cycle.
+    pub(crate) const NEVER: Cycle = Cycle::MAX;
+
+    pub(crate) fn new(num_sources: usize) -> Self {
+        WakeTimers {
+            armed: vec![Self::NEVER; num_sources],
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Ensures `source` is woken no later than cycle `at`.
+    // taqos-lint: hot
+    pub(crate) fn arm(&mut self, source: usize, at: Cycle) {
+        // taqos-lint: allow(panic-index) -- armed is sized to the source count and callers pass live source indices
+        let armed = &mut self.armed[source];
+        if at < *armed {
+            *armed = at;
+            self.heap.push(Reverse((at, source as u32)));
+        }
+    }
+
+    /// Removes and returns one source whose timer is due by `now`.
+    // taqos-lint: hot
+    pub(crate) fn pop_due(&mut self, now: Cycle) -> Option<usize> {
+        while let Some(&Reverse((at, source))) = self.heap.peek() {
+            if at > now {
+                break;
+            }
+            self.heap.pop();
+            // taqos-lint: allow(panic-index) -- heap entries are only ever pushed by arm(), with in-range sources
+            let armed = &mut self.armed[source as usize];
+            if *armed == at {
+                *armed = Self::NEVER;
+                return Some(source as usize);
+            }
+        }
+        None
     }
 }
 

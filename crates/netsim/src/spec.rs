@@ -380,8 +380,9 @@ impl NetworkSpec {
     ///
     /// Returns a [`SpecError`] describing the first inconsistency found:
     /// out-of-range router/port/sink references, empty ports, routing-table
-    /// entries pointing at missing output ports, sources attached to
-    /// non-injection ports, or multi-target ports with ambiguous coverage.
+    /// entries pointing at missing output ports, crossbar groups of 64 or
+    /// above, sources attached to non-injection ports, input ports with more
+    /// than one feeder, or multi-target ports with ambiguous coverage.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.routers.is_empty() {
             return Err(SpecError::new("network has no routers"));
@@ -404,6 +405,14 @@ impl NetworkSpec {
                     return Err(SpecError::new(format!(
                         "router {ri} input {pi} ({}) reserves more VCs than it has",
                         port.name
+                    )));
+                }
+                // The launch phase tracks the crossbar groups used in a cycle
+                // as bits of one 64-bit word.
+                if port.xbar_group >= 64 {
+                    return Err(SpecError::new(format!(
+                        "router {ri} input {pi} ({}) uses crossbar group {}; groups must be below 64",
+                        port.name, port.xbar_group
                     )));
                 }
                 if let Some(out) = port.fixed_route {
@@ -491,6 +500,35 @@ impl NetworkSpec {
             if source.window == 0 {
                 return Err(SpecError::new(format!(
                     "source {si} ({}) has a zero-sized outstanding-packet window",
+                    source.name
+                )));
+            }
+        }
+        // Every input port has at most one feeder: a single upstream output
+        // target or a single source (credits return to exactly one place).
+        let mut fed: Vec<Vec<bool>> = self
+            .routers
+            .iter()
+            .map(|r| vec![false; r.inputs.len()])
+            .collect();
+        for router in &self.routers {
+            for target in router.outputs.iter().flat_map(|o| &o.targets) {
+                if let TargetEndpoint::Router { router, in_port } = target.endpoint {
+                    // taqos-lint: allow(panic-index) -- target router and port were range-checked by the loop above
+                    if std::mem::replace(&mut fed[router][in_port.0], true) {
+                        return Err(SpecError::new(format!(
+                            "input port {} of router {router} has two feeders",
+                            in_port.0
+                        )));
+                    }
+                }
+            }
+        }
+        for source in &self.sources {
+            // taqos-lint: allow(panic-index) -- source router and port were range-checked by the loop above
+            if std::mem::replace(&mut fed[source.router][source.in_port.0], true) {
+                return Err(SpecError::new(format!(
+                    "injection port of source {} already has a feeder",
                     source.name
                 )));
             }
@@ -632,6 +670,39 @@ mod tests {
         spec.sources[0].router = 1;
         spec.sources[0].in_port = InPortId(0);
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_crossbar_groups_beyond_the_launch_mask() {
+        let mut spec = tiny_spec();
+        spec.routers[1].inputs[0].xbar_group = 63;
+        spec.validate().expect("group 63 is the last usable one");
+        spec.routers[1].inputs[0].xbar_group = 64;
+        let err = spec.validate().expect_err("group 64 must be rejected");
+        assert!(err.to_string().contains("crossbar group 64"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_an_input_port_fed_by_two_outputs() {
+        let mut spec = tiny_spec();
+        // A second output of router 0 aimed at the same input of router 1.
+        let dup = spec.routers[0].outputs[0].clone();
+        spec.routers[0].outputs.push(dup);
+        let err = spec.validate().expect_err("two feeders must be rejected");
+        assert!(err.to_string().contains("has two feeders"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_two_sources_on_one_injection_port() {
+        let mut spec = tiny_spec();
+        let mut second = spec.sources[0].clone();
+        second.flow = FlowId(1);
+        second.name = "n0.term2".to_string();
+        spec.sources.push(second);
+        let err = spec
+            .validate()
+            .expect_err("a shared injection port must be rejected");
+        assert!(err.to_string().contains("already has a feeder"), "{err}");
     }
 
     #[test]

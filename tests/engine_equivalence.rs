@@ -359,3 +359,158 @@ fn dram_row_locality_stats_are_pinned_on_both_engines() {
     }
     assert_eq!(pinned[0], pinned[1], "engines diverged on DramStats");
 }
+
+/// One randomly drawn **idle-heavy** chip run: most requesters are phased
+/// hogs that spend long stretches switched off, a few are MLP-1 victims, the
+/// retry layer runs deadlines short enough to time live requests out, and a
+/// rate programme lands mid-run. Nearly every source sleeps nearly all the
+/// time, so the optimized engine's wake-ups (events and the three timers)
+/// carry the run.
+fn idle_heavy_case_stats(case_seed: u64, engine: EngineKind) -> NetStats {
+    use taqos_core::chip_sim::ChipSim;
+    use taqos_netsim::closed_loop::{DramConfig, RetryPolicy};
+
+    let mut rng = SweepRng(case_seed.wrapping_mul(0xD6E8_FEB8_6659_FD93) | 1);
+    let (width, height, columns) = [(6, 6, 1), (8, 8, 1), (10, 8, 2)][rng.pick(3) as usize];
+    let mut sim = ChipSim::multi_column(width, height, columns)
+        .with_sim_config(SimConfig::default().with_engine(engine));
+    if rng.flag() {
+        let dram = sim.topology_dram(DramConfig::paper());
+        sim = sim.with_dram(dram);
+    }
+    let horizon = 6_000 + 1_000 * rng.pick(4);
+    let hog_mlp = 2 + rng.pick(5) as usize;
+    let mut plan = sim.nearest_mc_mlp_plan(hog_mlp);
+    let mut hogs = Vec::new();
+    for (node, slot) in plan.iter_mut().enumerate() {
+        let Some((mlp, _)) = slot.as_mut() else {
+            continue;
+        };
+        if rng.pick(8) == 0 {
+            *mlp = 1;
+        } else {
+            hogs.push(FlowId(node as u16));
+        }
+    }
+    let period = 1_500 + 500 * rng.pick(4);
+    let on_len = 50 + rng.pick(250);
+    let phases = workloads::bursty_hogs(
+        plan.len(),
+        &hogs,
+        hog_mlp,
+        period,
+        on_len,
+        horizon,
+        rng.next(),
+    );
+    let retry = RetryPolicy::new(40 + rng.pick(200), 2 + rng.pick(3) as u32)
+        .with_backoff(5 + rng.pick(60))
+        .with_jitter_seed(rng.next());
+    let spec = workloads::mlp_closed_loop(&plan)
+        .with_phases(phases)
+        .with_retry(retry);
+    let mut network = sim
+        .build_closed_loop(sim.default_policy(), spec)
+        .expect("idle-heavy chip builds");
+    let n = plan.len();
+    let rates: Vec<f64> = (0..n).map(|_| (1 + rng.pick(8)) as f64).collect();
+    let total: f64 = rates.iter().sum();
+    network
+        .schedule_reprogram(
+            rng.pick(horizon / 2),
+            rates.iter().map(|r| r / total).collect(),
+        )
+        .expect("a normalised positive programme is accepted");
+    network.run_for(horizon);
+    network.into_stats()
+}
+
+/// Idle-heavy property sweep: with almost every source asleep, the
+/// optimized engine must still issue, time out, retry and abandon on
+/// exactly the reference engine's cycles.
+#[test]
+fn idle_heavy_sweep_matches_reference_engine() {
+    let (mut round_trips, mut timeouts, mut retries) = (0u64, 0u64, 0u64);
+    for case_seed in 0..10u64 {
+        let optimized = idle_heavy_case_stats(case_seed, EngineKind::Optimized);
+        let reference = idle_heavy_case_stats(case_seed, EngineKind::Reference);
+        assert_eq!(
+            optimized, reference,
+            "engines diverged on idle-heavy case {case_seed}"
+        );
+        round_trips += optimized.round_trips;
+        for flow in &optimized.flows {
+            timeouts += flow.request_timeouts;
+            retries += flow.request_retries;
+        }
+    }
+    assert!(round_trips > 0, "the sweep completed no round trip");
+    assert!(
+        timeouts > 0 && retries > 0,
+        "the sweep never exercised the deadline ({timeouts}) and backoff ({retries}) timers"
+    );
+}
+
+/// Pinned work counters on the benchmark's bursty all-to-one incast (63
+/// attackers at MLP 6 bursting 400 of every 1000 cycles, one MLP-1 victim):
+/// the optimized engine's work must stay proportional to what happens, not
+/// to the size of the chip. A lost wake-up changes `NetStats` (caught by the
+/// equivalence tests); a reintroduced scan changes only these counts.
+#[test]
+fn incast_work_counters_stay_proportional_to_work() {
+    use taqos_core::chip_sim::ChipSim;
+    use taqos_topology::grid::Coord;
+
+    const CYCLES: u64 = 20_000;
+    let profile_of = |engine: EngineKind| {
+        let sim =
+            ChipSim::paper_default().with_sim_config(SimConfig::default().with_engine(engine));
+        let victim = sim.node_id(Coord::new(0, 4)).index();
+        let mut plan = sim.nearest_mc_mlp_plan(6);
+        let mc = plan[victim].expect("the victim node issues requests").1;
+        let mut hogs = Vec::new();
+        for (node, slot) in plan.iter_mut().enumerate() {
+            let Some((mlp, dest)) = slot.as_mut() else {
+                continue;
+            };
+            *dest = mc;
+            if node == victim {
+                *mlp = 1;
+            } else {
+                hogs.push(FlowId(node as u16));
+            }
+        }
+        let phases = workloads::bursty_hogs(plan.len(), &hogs, 6, 1_000, 400, CYCLES, 1);
+        let spec = workloads::mlp_closed_loop(&plan).with_phases(phases);
+        let mut network = sim
+            .build_closed_loop(sim.default_policy(), spec)
+            .expect("incast chip builds");
+        let sources = network.spec().sources.len() as u64;
+        network.run_for(CYCLES);
+        (network.engine_profile(), sources)
+    };
+    let (optimized, sources) = profile_of(EngineKind::Optimized);
+    let (reference, _) = profile_of(EngineKind::Reference);
+    println!("optimized {optimized:?}\nreference {reference:?}");
+
+    assert_eq!(reference.sources_visited, sources * CYCLES);
+    assert!(
+        optimized.sources_visited * 10 <= sources * CYCLES,
+        "sources are being polled again: {} visits of {} source-cycles",
+        optimized.sources_visited,
+        sources * CYCLES
+    );
+    assert!(optimized.source_wakes <= optimized.sources_visited);
+    assert!(
+        // Walked = arbitrated + replayed + the few whose grant queue is full.
+        optimized.outputs_walked
+            <= optimized.outputs_arbitrated * 11 / 10 + optimized.outputs_replayed,
+        "the allocation phase walks outputs it neither arbitrates nor replays: {optimized:?}"
+    );
+    assert!(
+        optimized.reply_candidates_scanned * 2 <= reference.reply_candidates_scanned,
+        "the reply pick scans replies, not flows: {} vs {}",
+        optimized.reply_candidates_scanned,
+        reference.reply_candidates_scanned
+    );
+}
