@@ -60,8 +60,9 @@ pub struct Config {
     /// Crate directories whose results feed `NetStats` equality, so
     /// iteration order must be deterministic (`hash-iter` applies).
     pub result_affecting: Vec<String>,
-    /// Path suffixes of the per-cycle hot-path modules (`panic-path` and
-    /// `panic-index` apply).
+    /// Root-relative paths of the per-cycle hot-path modules (`panic-path`
+    /// and `panic-index` apply); an entry ending in `/` covers every file of
+    /// that directory module.
     pub hot_path_files: Vec<String>,
     /// Crate directories allowed to read the wall clock (the bench
     /// harness times real executions).
@@ -86,7 +87,7 @@ impl Config {
                 "crates/netsim/src/network.rs",
                 "crates/netsim/src/port.rs",
                 "crates/netsim/src/packet.rs",
-                "crates/netsim/src/closed_loop.rs",
+                "crates/netsim/src/closed_loop/",
                 "crates/netsim/src/fault.rs",
             ]
             .map(String::from)
@@ -101,7 +102,10 @@ impl Config {
         FilePolicy {
             result_affecting: self.result_affecting.iter().any(|c| c == crate_dir),
             wall_clock_exempt: self.wall_clock_exempt.iter().any(|c| c == crate_dir),
-            hot_path: self.hot_path_files.iter().any(|f| rel_path == f),
+            hot_path: self
+                .hot_path_files
+                .iter()
+                .any(|f| rel_path == f || (f.ends_with('/') && rel_path.starts_with(f.as_str()))),
         }
     }
 }
@@ -157,6 +161,8 @@ mod tests {
         assert!(hot.hot_path && hot.result_affecting && !hot.wall_clock_exempt);
         let bench = cfg.policy_for("crates/bench/src/lib.rs");
         assert!(bench.wall_clock_exempt && !bench.result_affecting && !bench.hot_path);
+        let component = cfg.policy_for("crates/netsim/src/closed_loop/controller.rs");
+        assert!(component.hot_path, "directory entries cover their files");
         let qos = cfg.policy_for("crates/qos/src/pvc.rs");
         assert!(qos.result_affecting && !qos.hot_path);
     }

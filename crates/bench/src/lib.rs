@@ -17,10 +17,8 @@
 //!
 //! Every binary accepts `--quick` to run a shortened configuration (smaller
 //! warm-up and measurement windows) and prints plain-text tables to stdout.
-//! The plain-timing benches (`router_bench`, `experiment_bench`; built with
-//! `harness = false` via [`measure`]) track the simulator's own performance,
-//! and the `bench_netsim` binary measures engine throughput (cycles/sec)
-//! against the seed-equivalent reference engine, writing `BENCH_netsim.json`.
+//! The `bench_netsim` binary measures engine throughput (cycles/sec) against
+//! the seed-equivalent reference engine, writing `BENCH_netsim.json`.
 
 #![warn(missing_docs)]
 
@@ -106,51 +104,6 @@ impl CliArgs {
 /// aligned in a column of the given width.
 pub fn cell(value: f64, width: usize, decimals: usize) -> String {
     format!("{value:>width$.decimals$}")
-}
-
-/// Timing statistics of one benchmark case measured by [`measure`].
-#[derive(Debug, Clone, Copy)]
-pub struct Measurement {
-    /// Number of timed samples.
-    pub samples: usize,
-    /// Mean wall time per sample in seconds.
-    pub mean_secs: f64,
-    /// Fastest sample in seconds (the least noisy figure on a busy machine).
-    pub min_secs: f64,
-}
-
-/// Runs `f` for `samples` timed iterations (after one untimed warm-up call)
-/// and returns mean and minimum wall time. This replaces the Criterion
-/// harness, which is unavailable in the offline build environment; the bench
-/// targets are compiled with `harness = false` and print these figures
-/// directly.
-pub fn measure<F: FnMut()>(samples: usize, mut f: F) -> Measurement {
-    assert!(samples > 0, "at least one sample required");
-    f();
-    let mut total = 0.0f64;
-    let mut min = f64::INFINITY;
-    for _ in 0..samples {
-        let start = std::time::Instant::now();
-        f();
-        let elapsed = start.elapsed().as_secs_f64();
-        total += elapsed;
-        min = min.min(elapsed);
-    }
-    Measurement {
-        samples,
-        mean_secs: total / samples as f64,
-        min_secs: min,
-    }
-}
-
-/// Prints one benchmark result line in a fixed-width layout.
-pub fn report(group: &str, case: &str, m: Measurement) {
-    println!(
-        "{group:<36} {case:<12} mean {:>10.3} ms   min {:>10.3} ms   ({} samples)",
-        m.mean_secs * 1e3,
-        m.min_secs * 1e3,
-        m.samples
-    );
 }
 
 /// Prints a horizontal rule of the given width.

@@ -261,9 +261,10 @@ impl FaultPlan {
 }
 
 /// SplitMix64 finalizer: the stateless hash behind every randomized fault
-/// decision and the retry layer's backoff jitter. Engine-independent and
-/// free of shared state, so decision order cannot leak between engines.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+/// decision, the retry layer's backoff jitter and the seeded phase offsets
+/// of `taqos-traffic`. Engine-independent and free of shared state, so
+/// decision order cannot leak between engines.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

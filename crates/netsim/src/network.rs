@@ -19,17 +19,22 @@
 //! VC is released. Preemptive QOS policies may discard lower-priority
 //! resident packets to resolve priority inversion; discarded packets are
 //! NACKed over a dedicated ACK network and retransmitted by their source.
+//!
+//! Closed-loop memory traffic is not decided here. `Network` is a client of
+//! the two components of [`crate::closed_loop`]: in the source phase it asks
+//! a flow's requester what to send (`Requester::visit`), at a sink it hands
+//! an arriving request to the closed loop and applies the verdict, and after
+//! every arrival and bank completion it pumps the controller and turns the
+//! effects it reports (service started, stalled slot released, victim
+//! evicted) into events, ACKs/NACKs and sink credits, in the order reported.
 
-use crate::closed_loop::{
-    requester_line, ClosedLoopSpec, ClosedLoopState, DeferredRetry, DramBackpressure, DramRequest,
-    DramScheduler, InFlightRequest, StalledRequest,
-};
+use crate::closed_loop::{Arrival, ClosedLoopSpec, ClosedLoopState, McEffect, McRequest, Offer};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultPlan, FaultState};
 use crate::ids::{Cycle, FlowId, InPortId, NodeId, PacketId, VcId};
-use crate::packet::{GeneratedPacket, Packet, PacketClass, PacketGenerator, PacketStore};
+use crate::packet::{Packet, PacketClass, PacketGenerator, PacketStore};
 use crate::port::{Feeder, TargetCreditState, Transfer};
 use crate::qos::{QosPolicy, RouterQos};
 use crate::router::{compute_route, resolve_target_idx, RouterState};
@@ -39,38 +44,6 @@ use crate::spec::{NetworkSpec, TargetEndpoint};
 use crate::stats::NetStats;
 use crate::vc::VcState;
 use taqos_telemetry::{FrameSampler, TraceEvent, TraceHook, TraceSink};
-
-/// What a DRAM-backed controller decided about a packet delivered at a sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DramAdmission {
-    /// Not a closed-loop request at a DRAM-modelled controller: the delivery
-    /// proceeds exactly as without a DRAM model.
-    None,
-    /// Admitted to the controller's bounded request queue.
-    Accept,
-    /// Queue full under a priority-aware scheduler, but the arrival strictly
-    /// outranks the lowest-priority queued request: the request at the
-    /// carried queue index is evicted (NACKed back to its source) and the
-    /// arrival admitted in its place. The index is computed once here, at
-    /// the admission decision, and consumed unchanged by the delivery hook.
-    AcceptEvict(usize),
-    /// Queue full, Stall backpressure: parked in the stall lane, withholding
-    /// the ejection-slot credit.
-    Stall,
-    /// Queue full, Nack backpressure: rejected and retransmitted; the
-    /// delivery is not recorded.
-    Reject,
-}
-
-impl DramAdmission {
-    /// Whether the request enters the controller's DRAM pipeline.
-    fn enters_pipeline(self) -> bool {
-        matches!(
-            self,
-            DramAdmission::Accept | DramAdmission::AcceptEvict(_) | DramAdmission::Stall
-        )
-    }
-}
 
 /// Schedules the return of a sink's ejection-slot credit to the output port
 /// feeding it. Shared by normal delivery, DRAM rejection, and the stall
@@ -95,85 +68,6 @@ fn release_sink_credit(
             },
         );
     }
-}
-
-/// Starts bank service of `request` on `bank_idx` of controller `mc_node`:
-/// charges the page-policy service latency against the bank timeline, records
-/// the service, and schedules the completion event. Under a priority-aware
-/// scheduler it additionally advances the flow's rate-scaled virtual clock
-/// and performs the deferred delivery bookkeeping (the request is recorded
-/// delivered and its ACK dispatched now, not at controller admission).
-/// Shared by every scheduler flavour so the bank-timeline semantics cannot
-/// drift between them.
-// taqos-lint: hot
-#[allow(clippy::too_many_arguments)]
-fn start_dram_service(
-    mc: &mut crate::closed_loop::McState,
-    bank_idx: usize,
-    request: DramRequest,
-    dram: &crate::closed_loop::DramConfig,
-    weights: &[u64],
-    now: Cycle,
-    mc_node: usize,
-    stats: &mut NetStats,
-    events: &mut EventQueue,
-    config: &SimConfig,
-    flow_to_source: &[usize],
-    last_progress: &mut Cycle,
-    trace: &mut TraceHook,
-) {
-    // Entering bank service is forward progress for the watchdog: a run
-    // bottlenecked on DRAM can legitimately go many cycles between fabric
-    // deliveries.
-    *last_progress = now;
-    let row = dram.row_of(request.line);
-    let bank = &mut mc.banks[bank_idx];
-    let (hit, latency) = dram.service_outcome(bank.open_row, row);
-    bank.busy_until = now + latency;
-    bank.open_row = dram.row_after_service(row);
-    bank.in_service = Some(request);
-    stats.record_dram_service(request.flow, hit, request.arrived, now, latency);
-    trace.emit(|| TraceEvent::DramService {
-        cycle: now,
-        flow: u64::from(request.flow.0),
-        mc: mc_node as u64,
-        bank: bank_idx as u64,
-        latency,
-        row_hit: hit,
-    });
-    if dram.scheduler.is_priority_aware() {
-        let weight = weights.get(request.flow.index()).copied().unwrap_or(1);
-        mc.charge(request.flow, latency, weight);
-        // Deferred delivery: the request now counts as delivered, and its
-        // still-live packet is acknowledged back to its source.
-        stats.record_delivery(
-            request.flow,
-            request.len_flits,
-            request.hops,
-            request.birth,
-            now,
-        );
-        trace.emit(|| TraceEvent::Deliver {
-            cycle: now,
-            flow: u64::from(request.flow.0),
-            packet: request.packet.0,
-            birth: request.birth,
-        });
-        events.schedule(
-            now + config.ack_latency(request.hops),
-            Event::Ack {
-                source: flow_to_source[request.flow.index()] as u32,
-                packet: request.packet,
-            },
-        );
-    }
-    events.schedule(
-        now + latency,
-        Event::DramComplete {
-            mc: mc_node as u32,
-            bank: bank_idx as u16,
-        },
-    );
 }
 
 /// Returns `qos.priority(flow)`, memoised in the router's priority cache
@@ -532,27 +426,18 @@ impl Network {
         let state = ClosedLoopState::new(&spec, &self.spec);
         for (flow, requester) in spec.requesters.iter().enumerate() {
             let Some(requester) = requester else { continue };
-            let requester_source = &self.sources[self.flow_to_source[flow]];
-            if !requester_source.generator.exhausted() {
-                return Err(SimError::Spec(crate::error::SpecError::new(format!(
-                    "requester flow {flow} needs an idle (exhausted) generator at its source \
-                     {}: the closed loop replaces generation for that flow",
-                    requester_source.name
-                ))));
-            }
-            let Some(mc_source) = state.node_reply_source[requester.mc.index()] else {
-                return Err(SimError::Spec(crate::error::SpecError::new(format!(
-                    "memory controller node {} has no source to inject replies",
-                    requester.mc
-                ))));
-            };
-            let mc_source = &self.sources[mc_source];
-            if !mc_source.generator.exhausted() {
-                return Err(SimError::Spec(crate::error::SpecError::new(format!(
-                    "memory controller node {} needs an idle (exhausted) generator at its \
-                     source {} to inject replies",
-                    requester.mc, mc_source.name
-                ))));
+            // The requester's own source and its controller's reply port
+            // (pinned by `validate`) inject for the loop, not for a generator.
+            let own = self.flow_to_source.get(flow).copied();
+            let ends = [own, state.reply_port(requester.mc)].into_iter().flatten();
+            for source in ends.filter_map(|si| self.sources.get(si)) {
+                if !source.generator.exhausted() {
+                    return Err(SimError::Spec(crate::error::SpecError::new(format!(
+                        "flow {flow}: source {} needs an idle (exhausted) generator, it injects \
+                         the closed loop's requests or its controller's replies instead",
+                        source.name
+                    ))));
+                }
             }
         }
         self.closed_loop = Some(state);
@@ -730,10 +615,10 @@ impl Network {
 
     /// Total flits delivered to sinks so far, per the sinks' own counters.
     ///
-    /// Under a priority-aware DRAM scheduler
-    /// ([`crate::closed_loop::DramScheduler::is_priority_aware`]) admitted
-    /// requests bypass these counters: their delivery is deferred to the
-    /// start of bank service and recorded in [`Self::stats`]
+    /// Under the priority-aware flavours of
+    /// [`crate::closed_loop::DramConfig::scheduler`] admitted requests
+    /// bypass these counters: their delivery is deferred to the start of
+    /// bank service and recorded in [`Self::stats`]
     /// (`NetStats::delivered_flits`) only, so the statistics — not this
     /// sink-level sum — are the authoritative delivery count for such runs.
     pub fn delivered_flits(&self) -> u64 {
@@ -751,9 +636,8 @@ impl Network {
             fs.retransmissions = source.retransmitted_packets;
         }
         if let Some(cl) = &self.closed_loop {
-            for (flow, requester) in cl.requesters.iter().enumerate() {
-                let Some(requester) = requester else { continue };
-                self.stats.flows[flow].requests_in_flight = requester.outstanding as u64;
+            for (fs, outstanding) in self.stats.flows.iter_mut().zip(cl.requests_in_flight()) {
+                fs.requests_in_flight = outstanding;
             }
         }
         self.stats.generated_packets = self.sources.iter().map(|s| s.generated_packets).sum();
@@ -1015,118 +899,69 @@ impl Network {
 
     // taqos-lint: hot
     fn complete_delivery(&mut self, sink: usize, slot: VcId) {
-        // Peek at the occupant first: DRAM admission may reject the packet,
+        // Peek at the occupant first: a controller may reject the packet,
         // and a rejected request must not touch the sink's delivery
         // counters (`SinkState::discard` vs `SinkState::complete` below).
         let packet_id = self.sinks[sink]
             .occupant(slot)
             // taqos-lint: allow(panic-path) -- delivery events fire only for occupied sink slots
             .expect("completing an empty sink slot");
-        // Only scalar fields of the packet feed the stats recorder and the
-        // closed-loop hook; copying them out avoids cloning the whole packet
-        // on every delivery.
-        let (
-            flow,
-            len_flits,
-            hops,
-            birth,
-            class,
-            src,
-            request_birth,
-            origin_source,
-            dram_line,
-            req_seq,
-        ) = {
-            let packet = self
-                .packets
-                .get(packet_id)
-                // taqos-lint: allow(panic-path) -- sink slots only ever hold live packet ids
-                .expect("delivered packet must be live");
-            (
-                packet.flow,
-                packet.len_flits,
-                packet.column_hops(),
-                packet.birth,
-                packet.class,
-                packet.src,
-                packet.request_birth,
-                packet.origin_source,
-                packet.dram_line,
-                packet.req_seq,
-            )
-        };
+        let packet = self
+            .packets
+            .get(packet_id)
+            // taqos-lint: allow(panic-path) -- sink slots only ever hold live packet ids
+            .expect("delivered packet must be live")
+            // taqos-lint: allow(hot-alloc) -- a packet is plain scalars: the clone is a flat copy, nothing is allocated
+            .clone();
+        let (flow, hops, class) = (packet.flow, packet.column_hops(), packet.class);
+        // taqos-lint: allow(panic-index) -- the delivery event names a live sink (its occupant was just read)
+        let node = self.sinks[sink].node;
         // A controller outage bounces request-class packets at the dark
         // node: the delivery is not recorded and the packet is NACKed back
         // to its source (or abandoned once the fault retransmit budget is
         // spent), exactly like a DRAM-queue rejection.
-        if class == PacketClass::Request
-            && self
-                .fault
-                .as_ref()
-                .is_some_and(|f| f.mc_dark(self.sinks[sink].node))
-        {
+        if class == PacketClass::Request && self.fault.as_ref().is_some_and(|f| f.mc_dark(node)) {
             self.sinks[sink].discard(slot);
             self.stats.fault.mc_outage_rejections += 1;
-            release_sink_credit(
-                &mut self.events,
-                &self.config,
-                &self.sink_feeders,
-                self.now,
-                sink,
-                slot,
-            );
-            self.fault_bounce(packet_id, flow, origin_source, hops);
+            self.free_sink_slot(sink, slot);
+            self.fault_bounce(packet_id, flow, packet.origin_source, hops);
             return;
         }
-        // DRAM admission control: a closed-loop request arriving at a
-        // controller whose bounded queue is full is either rejected (NACKed
-        // back to its source for a retry over the fabric — it does *not*
-        // count as delivered) or parked in the stall lane (it counts as
-        // delivered but withholds its ejection-slot credit, backpressuring
-        // the fabric).
-        let admission = self.dram_admission(sink, flow, class);
-        if admission == DramAdmission::Reject {
+        // A requester's request reaching its own controller is answered by
+        // the closed loop; everything else is ordinary traffic.
+        let arrival = match &mut self.closed_loop {
+            Some(cl) if class == PacketClass::Request => {
+                cl.request_arrived(self.now, node, &packet, sink, slot, &mut self.stats)
+            }
+            _ => Arrival::Ordinary,
+        };
+        // A full controller queue under Nack backpressure bounces the
+        // request: it does *not* count as delivered, and a NACK over the ACK
+        // network has its source (closed-loop requests are always injected
+        // by their own flow's source) retransmit it over the fabric.
+        let offer = match arrival {
+            Arrival::Offered { offer, .. } => Some(offer),
+            _ => None,
+        };
+        if offer == Some(Offer::Rejected) {
             self.sinks[sink].discard(slot);
-            self.stats.record_dram_rejection(flow);
             // The flits did occupy the sink slot: free its credit as usual.
-            release_sink_credit(
-                &mut self.events,
-                &self.config,
-                &self.sink_feeders,
-                self.now,
-                sink,
-                slot,
-            );
-            // Closed-loop requests are always injected by their own flow's
-            // source; the NACK sends it back for retransmission.
-            self.events.schedule(
-                self.now + self.config.ack_latency(hops),
-                Event::Nack {
-                    source: self.flow_to_source[flow.index()] as u32,
-                    packet: packet_id,
-                },
-            );
+            self.free_sink_slot(sink, slot);
+            self.nack_request(flow, packet_id, hops);
             return;
         }
         // Priority-aware schedulers defer a request's delivery (and its ACK)
         // to the start of its bank service: the packet stays live at its
-        // source so a later eviction can NACK it for a fabric retry. Under
-        // FCFS everything is recorded at admission, exactly as before the
-        // scheduler abstraction existed.
-        let deferred = admission.enters_pipeline()
-            && self
-                .closed_loop
-                .as_ref()
-                .and_then(|cl| cl.dram)
-                .is_some_and(|d| d.scheduler.is_priority_aware());
+        // source so a later eviction can NACK it for a fabric retry.
+        let deferred = matches!(arrival, Arrival::Offered { deferred: true, .. });
         if deferred {
             self.sinks[sink].discard(slot);
         } else {
             let completed = self.sinks[sink].complete(slot);
             debug_assert_eq!(completed, packet_id);
             self.stats
-                .record_delivery(flow, len_flits, hops, birth, self.now);
-            let cycle = self.now;
+                .record_delivery(flow, packet.len_flits, hops, packet.birth, self.now);
+            let (cycle, birth) = (self.now, packet.birth);
             self.trace.emit(|| TraceEvent::Deliver {
                 cycle,
                 flow: u64::from(flow.0),
@@ -1134,45 +969,31 @@ impl Network {
                 birth,
             });
         }
-        if self.closed_loop.is_some() {
-            self.on_closed_loop_delivery(
-                sink,
-                slot,
-                flow,
-                class,
-                src,
-                birth,
-                request_birth,
-                dram_line,
-                admission,
-                packet_id,
-                hops,
-                len_flits,
-                req_seq,
-            );
+        match arrival {
+            Arrival::Ordinary => self.on_reply_delivery(&packet),
+            Arrival::Answered(request) => self.release_reply(node, &request),
+            Arrival::Offered { .. } => {
+                if let Some(Offer::Evicted(victim)) = offer {
+                    self.nack_request(victim.flow, victim.packet, victim.hops);
+                }
+                self.dram_pump(node.index());
+            }
         }
-        // Free the sink slot credit at the feeding ejection port — unless a
-        // DRAM stall lane is withholding it until the controller queue has
-        // room (released in `dram_pump`).
-        if admission != DramAdmission::Stall {
-            release_sink_credit(
-                &mut self.events,
-                &self.config,
-                &self.sink_feeders,
-                self.now,
-                sink,
-                slot,
-            );
+        // Free the sink slot credit at the feeding ejection port — unless
+        // the controller's stall lane withholds it until its queue has room
+        // (`McEffect::SlotReleased`).
+        if offer != Some(Offer::Stalled) {
+            self.free_sink_slot(sink, slot);
         }
         if deferred {
-            // The ACK (and the delivery statistics) fire when the request
-            // enters bank service, from `dram_pump`.
+            // The ACK fires when the request enters bank service.
             return;
         }
         // Acknowledge delivery over the ACK network, to the source that
         // physically injected the packet (for closed-loop replies that is the
         // memory controller's source, not the requester flow's).
-        let source = origin_source
+        let source = packet
+            .origin_source
             .map(|s| s as usize)
             .unwrap_or_else(|| self.flow_to_source[flow.index()]);
         self.events.schedule(
@@ -1237,437 +1058,121 @@ impl Network {
         }
     }
 
-    /// Decides what a DRAM-backed controller does with a delivered packet:
-    /// [`DramAdmission::None`] for everything that is not a closed-loop
-    /// request at a DRAM-modelled controller (including the whole non-DRAM
-    /// configuration), otherwise accept/stall/reject per queue occupancy and
-    /// the configured backpressure.
+    /// [`release_sink_credit`] for slot `slot` of `sink`, as of this cycle.
     // taqos-lint: hot
-    fn dram_admission(&self, sink: usize, flow: FlowId, class: PacketClass) -> DramAdmission {
-        if class != PacketClass::Request {
-            return DramAdmission::None;
-        }
-        let Some(cl) = &self.closed_loop else {
-            return DramAdmission::None;
-        };
-        let Some(dram) = &cl.dram else {
-            return DramAdmission::None;
-        };
-        let sink_node = self.sinks[sink].node;
-        // Only requests of a requester flow arriving at that flow's own
-        // controller enter the DRAM pipeline; everything else is ordinary
-        // traffic.
-        match &cl.requesters[flow.index()] {
-            Some(r) if r.spec.mc == sink_node => {}
-            _ => return DramAdmission::None,
-        }
-        let mc = cl.mc_states[sink_node.index()]
-            .as_ref()
-            // taqos-lint: allow(panic-path) -- admission is gated on the requester match, which implies DRAM state
-            .expect("requester controllers have DRAM state");
-        if mc.queue.len() < dram.queue_depth {
-            DramAdmission::Accept
-        } else {
-            match dram.backpressure {
-                DramBackpressure::Nack => {
-                    // Priority admission: a full queue bounces the
-                    // *lowest-priority* request, not reflexively the newest —
-                    // but only when the arrival strictly outranks it.
-                    match dram
-                        .scheduler
-                        .is_priority_aware()
-                        .then(|| mc.eviction_victim(flow))
-                        .flatten()
-                    {
-                        Some(victim_idx) => DramAdmission::AcceptEvict(victim_idx),
-                        None => DramAdmission::Reject,
-                    }
-                }
-                // Stalling withholds a credit instead of producing NACK
-                // traffic; there is nothing to evict, under any scheduler.
-                DramBackpressure::Stall => DramAdmission::Stall,
-            }
-        }
+    fn free_sink_slot(&mut self, sink: usize, slot: VcId) {
+        let (events, feeders) = (&mut self.events, &self.sink_feeders);
+        release_sink_credit(events, &self.config, feeders, self.now, sink, slot);
     }
 
-    /// Closed-loop bookkeeping of one delivered packet: a requester's request
-    /// arriving at its memory controller either queues a reply on the
-    /// controller's injection port (instant controllers) or enters the
-    /// controller's DRAM pipeline (the reply is released when its bank
-    /// completes); a reply arriving back at the requester credits the MLP
-    /// window and records the round trip.
-    #[allow(clippy::too_many_arguments)]
+    /// NACKs a closed-loop request the controller bounced or evicted back to
+    /// its flow's source, which retransmits it over the fabric.
     // taqos-lint: hot
-    fn on_closed_loop_delivery(
-        &mut self,
-        sink: usize,
-        slot: VcId,
-        flow: FlowId,
-        class: PacketClass,
-        src: NodeId,
-        birth: Cycle,
-        request_birth: Option<Cycle>,
-        dram_line: Option<u64>,
-        admission: DramAdmission,
-        packet_id: PacketId,
-        hops: u32,
-        len_flits: u8,
-        req_seq: Option<u64>,
-    ) {
-        match class {
-            PacketClass::Request => {
-                let sink_node = self.sinks[sink].node;
-                // taqos-lint: allow(panic-path) -- request/reply bookkeeping is only reached under an active closed loop
-                let cl = self.closed_loop.as_ref().expect("closed loop active");
-                let reply_len = match &cl.requesters[flow.index()] {
-                    // Only requests of a requester flow arriving at that
-                    // flow's controller are answered; everything else is
-                    // ordinary traffic.
-                    Some(r) if r.spec.mc == sink_node => r.spec.reply_len,
-                    _ => return,
-                };
-                // A retried request carries the logical birth of its
-                // original send: round trips are anchored there, so retry
-                // latency shows up in the measured round-trip time. Fresh
-                // requests carry `None` and anchor at their packet birth.
-                let birth = request_birth.unwrap_or(birth);
-                if admission != DramAdmission::None {
-                    // DRAM-backed controller: the request enters the bounded
-                    // queue (or the credit-withholding stall lane) and its
-                    // reply is released by `handle_dram_complete` when the
-                    // bank finishes.
-                    let request = DramRequest {
-                        flow,
-                        requester: src,
-                        birth,
-                        reply_len,
-                        // taqos-lint: allow(panic-path) -- requester-generated requests always carry a DRAM line
-                        line: dram_line.expect("closed-loop DRAM requests carry a line"),
-                        arrived: self.now,
-                        packet: packet_id,
-                        hops,
-                        len_flits,
-                        req_seq,
-                    };
-                    let mc = self
-                        .closed_loop
-                        .as_mut()
-                        // taqos-lint: allow(panic-path) -- request/reply bookkeeping is only reached under an active closed loop
-                        .expect("closed loop active")
-                        .mc_states[sink_node.index()]
-                    .as_mut()
-                    // taqos-lint: allow(panic-path) -- admission is gated on the requester match, which implies DRAM state
-                    .expect("requester controllers have DRAM state");
-                    match admission {
-                        DramAdmission::Accept => {
-                            mc.queue.push_back(request);
-                            let occupancy = mc.queue.len();
-                            self.stats.record_dram_occupancy(occupancy);
-                        }
-                        DramAdmission::AcceptEvict(victim_idx) => {
-                            // Bounce the lowest-priority queued request in
-                            // favour of the higher-priority arrival: its
-                            // still-live packet is NACKed back to its source
-                            // and retried over the fabric.
-                            let victim =
-                                // taqos-lint: allow(panic-path) -- eviction_victim returns an index into the live queue
-                                mc.queue.remove(victim_idx).expect("victim index in bounds");
-                            mc.queue.push_back(request);
-                            let occupancy = mc.queue.len();
-                            self.stats.record_dram_occupancy(occupancy);
-                            self.stats.record_dram_eviction(victim.flow);
-                            self.events.schedule(
-                                self.now + self.config.ack_latency(victim.hops),
-                                Event::Nack {
-                                    source: self.flow_to_source[victim.flow.index()] as u32,
-                                    packet: victim.packet,
-                                },
-                            );
-                        }
-                        DramAdmission::Stall => {
-                            mc.stalled.push_back(StalledRequest {
-                                request,
-                                sink,
-                                slot,
-                            });
-                            self.stats.record_dram_stall();
-                        }
-                        DramAdmission::Reject | DramAdmission::None => {
-                            // taqos-lint: allow(panic-path) -- Reject and None verdicts return before delivery bookkeeping
-                            unreachable!("rejections return before delivery")
-                        }
-                    }
-                    self.dram_pump(sink_node.index());
-                    return;
-                }
-                let reply_source = self
-                    .closed_loop
-                    .as_ref()
-                    // taqos-lint: allow(panic-path) -- request/reply bookkeeping is only reached under an active closed loop
-                    .expect("closed loop active")
-                    .node_reply_source[sink_node.index()]
-                // taqos-lint: allow(panic-path) -- ClosedLoopSpec::validate pins a reply source to every controller
-                .expect("validated: controller node has a source");
-                self.release_reply(
-                    sink_node,
-                    reply_source,
-                    flow,
-                    src,
-                    reply_len,
-                    birth,
-                    req_seq,
-                );
-            }
-            PacketClass::Reply => {
-                // Closed-loop replies are marked by the request birth they
-                // carry; plain reply-class traffic passes through untouched.
-                let Some(request_birth) = request_birth else {
-                    return;
-                };
-                // The reply may reopen the requester's MLP window.
-                // taqos-lint: allow(panic-index) -- flow ids are validated dense against flow_to_source at construction
-                self.wake_source(self.flow_to_source[flow.index()]);
-                // taqos-lint: allow(panic-path) -- request/reply bookkeeping is only reached under an active closed loop
-                let cl = self.closed_loop.as_mut().expect("closed loop active");
-                let retry_on = cl.retry.is_some();
-                let Some(requester) = cl.requesters[flow.index()].as_mut() else {
-                    return;
-                };
-                // Under a retry policy the reply must match a sequence
-                // number the requester still considers live: either waiting
-                // for this reply, or already timed out and parked for a
-                // retry (the original raced the deadline and won). A reply
-                // matching neither is stale — a duplicate whose request was
-                // already completed by an earlier copy — and is discarded
-                // without touching the MLP window.
-                let seq = match req_seq {
-                    Some(seq) if retry_on => seq,
-                    _ => {
-                        debug_assert!(requester.outstanding > 0, "reply without a request");
-                        requester.outstanding -= 1;
-                        self.stats.record_round_trip(flow, request_birth, self.now);
-                        return;
-                    }
-                };
-                if let Some(pos) = requester.in_flight.iter().position(|r| r.seq == seq) {
-                    let entry = requester.in_flight.remove(pos);
-                    requester.outstanding -= 1;
-                    self.stats.record_round_trip(flow, entry.birth, self.now);
-                } else if let Some(pos) = requester.deferred.iter().position(|d| d.seq == seq) {
-                    let entry = requester
-                        .deferred
-                        .remove(pos)
-                        // taqos-lint: allow(panic-path) -- position was just found by the scan above
-                        .expect("position is in bounds");
-                    requester.outstanding -= 1;
-                    self.stats.record_round_trip(flow, entry.birth, self.now);
-                } else {
-                    self.stats.record_stale_reply(flow);
-                }
-            }
-        }
+    fn nack_request(&mut self, flow: FlowId, packet: PacketId, hops: u32) {
+        // taqos-lint: allow(panic-index) -- flow ids are validated dense against flow_to_source at construction
+        let source = self.flow_to_source[flow.index()] as u32;
+        let due = self.now + self.config.ack_latency(hops);
+        self.events.schedule(due, Event::Nack { source, packet });
     }
 
-    /// Creates a reply packet on `flow` from controller `mc_node` back to
-    /// `requester` and queues it at the controller's reply port. The reply
-    /// travels on the requester's flow (QOS priority and per-flow
-    /// accounting) but is injected and retransmitted by the controller's
-    /// source; it carries the request's birth so the round trip can be
-    /// measured at delivery.
+    /// A closed-loop reply (marked by the request birth it carries; plain
+    /// reply-class traffic passes through untouched) arriving back at its
+    /// requester credits the MLP window and records the round trip.
     // taqos-lint: hot
-    #[allow(clippy::too_many_arguments)]
-    fn release_reply(
-        &mut self,
-        mc_node: NodeId,
-        reply_source: usize,
-        flow: FlowId,
-        requester: NodeId,
-        reply_len: u8,
-        request_birth: Cycle,
-        req_seq: Option<u64>,
-    ) {
+    fn on_reply_delivery(&mut self, packet: &Packet) {
+        let (Some(cl), PacketClass::Reply, Some(request_birth)) =
+            (&mut self.closed_loop, packet.class, packet.request_birth)
+        else {
+            return;
+        };
+        if let Some(requester) = cl.requester_mut(packet.flow) {
+            requester.on_reply(packet.req_seq, request_birth, self.now, &mut self.stats);
+        }
+        // The reply may have reopened the requester's MLP window.
+        // taqos-lint: allow(panic-index) -- flow ids are validated dense against flow_to_source at construction
+        self.wake_source(self.flow_to_source[packet.flow.index()]);
+    }
+
+    /// Creates the reply to `request` at controller `mc_node` and queues it
+    /// at the controller's reply port. The reply travels on the requester's
+    /// flow (QOS priority and per-flow accounting) but is injected and
+    /// retransmitted by the controller's source; it carries the request's
+    /// birth so the round trip can be measured at delivery.
+    // taqos-lint: hot
+    fn release_reply(&mut self, mc_node: NodeId, request: &McRequest) {
+        let Some(cl) = &mut self.closed_loop else {
+            return;
+        };
+        let Some(port) = cl.reply_port(mc_node) else {
+            debug_assert!(false, "validated: every controller node has a source");
+            return;
+        };
         let now = self.now;
         let reply_id = self.packets.insert_with(|id| {
-            let mut reply = Packet::new(
-                id,
-                flow,
-                mc_node,
-                requester,
-                reply_len,
-                PacketClass::Reply,
-                now,
-            );
-            reply.request_birth = Some(request_birth);
-            reply.origin_source = Some(reply_source as u32);
-            reply.req_seq = req_seq;
+            let (dst, len) = (request.requester, request.reply_len);
+            let mut reply =
+                Packet::new(id, request.flow, mc_node, dst, len, PacketClass::Reply, now);
+            reply.request_birth = Some(request.birth);
+            reply.origin_source = Some(port as u32);
+            reply.req_seq = request.req_seq;
             reply
         });
-        let source = &mut self.sources[reply_source];
+        cl.replies.push(port, request.flow, reply_id);
+        // taqos-lint: allow(panic-index) -- reply ports are source indices recorded from the spec's source list
+        let source = &mut self.sources[port];
         source.generated_packets += 1;
-        source.generated_flits += u64::from(reply_len);
-        self.closed_loop
-            .as_mut()
-            // taqos-lint: allow(panic-path) -- request/reply bookkeeping is only reached under an active closed loop
-            .expect("closed loop active")
-            .pending_replies
-            .push(reply_source, flow, reply_id);
-        self.wake_source(reply_source);
+        source.generated_flits += u64::from(request.reply_len);
+        self.wake_source(port);
     }
 
     /// A DRAM bank completed: release the reply of the serviced request and
     /// let the controller pull waiting work onto its freed bank.
     // taqos-lint: hot
     fn handle_dram_complete(&mut self, mc_node: usize, bank: usize) {
-        // taqos-lint: allow(panic-path) -- request/reply bookkeeping is only reached under an active closed loop
-        let cl = self.closed_loop.as_mut().expect("closed loop active");
-        let mc = cl.mc_states[mc_node]
-            .as_mut()
-            // taqos-lint: allow(panic-path) -- completions fire only at controllers that started service
-            .expect("completion at a controller without DRAM state");
-        debug_assert_eq!(
-            mc.banks[bank].busy_until, self.now,
-            "bank completion fired at the wrong cycle"
-        );
-        let request = mc.banks[bank]
-            .in_service
-            .take()
-            // taqos-lint: allow(panic-path) -- a completion event is scheduled exactly when service starts
-            .expect("completion for an idle bank");
-        let reply_source =
-            // taqos-lint: allow(panic-path) -- ClosedLoopSpec::validate pins a reply source to every controller
-            cl.node_reply_source[mc_node].expect("validated: controller node has a source");
-        self.release_reply(
-            NodeId(mc_node as u16),
-            reply_source,
-            request.flow,
-            request.requester,
-            request.reply_len,
-            request.birth,
-            request.req_seq,
-        );
-        self.dram_pump(mc_node);
+        let cl = self.closed_loop.as_mut();
+        let mc = cl.and_then(|cl| cl.controller_mut(mc_node));
+        let served = mc.and_then(|mc| mc.complete(bank, self.now));
+        debug_assert!(served.is_some(), "completion event for an idle bank");
+        if let Some(request) = served {
+            self.release_reply(NodeId(mc_node as u16), &request);
+            self.dram_pump(mc_node);
+        }
     }
 
-    /// Drives a controller's DRAM pipeline to a fixed point: every idle bank
-    /// pulls its next request per the configured [`DramScheduler`] (arrival
-    /// order for FCFS and priority admission, row-hit-first with the
-    /// priority-weighted age cap for FR-FCFS), and stall-lane arrivals are
-    /// admitted (releasing their withheld ejection-slot credits) while the
-    /// bounded queue has room. Called after every arrival and every bank
-    /// completion; deterministic and identical on both engines.
+    /// Drives the controller at `mc_node` to a fixed point and applies the
+    /// effects it reports, in order, to the event queue, the ACK network and
+    /// the sink credits. Called after every arrival and every bank
+    /// completion.
     // taqos-lint: hot
     fn dram_pump(&mut self, mc_node: usize) {
         let now = self.now;
-        let Network {
-            closed_loop,
-            stats,
-            events,
-            sink_feeders,
-            config,
-            flow_to_source,
-            last_progress,
-            trace,
-            ..
-        } = self;
-        // taqos-lint: allow(panic-path) -- request/reply bookkeeping is only reached under an active closed loop
-        let cl = closed_loop.as_mut().expect("closed loop active");
-        // taqos-lint: allow(panic-path) -- pump callers checked admission, which requires a DRAM model
-        let dram = cl.dram.expect("DRAM pump requires a DRAM model");
-        let weights = &cl.weights;
-        let total_weight = cl.total_weight;
-        let mc = cl.mc_states[mc_node]
-            .as_mut()
-            // taqos-lint: allow(panic-path) -- pump targets controllers that accepted a request, so state exists
-            .expect("pump at a controller without DRAM state");
-        loop {
-            let mut progressed = false;
-            match dram.scheduler {
-                // Arrival-order bank scheduling: start every startable
-                // request, scanning the queue front to back (a younger
-                // request may bypass to a different, idle bank).
-                DramScheduler::Fcfs | DramScheduler::PriorityAdmission => {
-                    let mut i = 0;
-                    while i < mc.queue.len() {
-                        let bank_idx = dram.bank_of(mc.queue[i].line);
-                        if mc.banks[bank_idx].is_idle() {
-                            // taqos-lint: allow(panic-path) -- i < queue.len() is the loop condition
-                            let request = mc.queue.remove(i).expect("index checked in bounds");
-                            start_dram_service(
-                                mc,
-                                bank_idx,
-                                request,
-                                &dram,
-                                weights,
-                                now,
-                                mc_node,
-                                stats,
-                                events,
-                                config,
-                                flow_to_source,
-                                last_progress,
-                                trace,
-                            );
-                            progressed = true;
-                        } else {
-                            i += 1;
-                        }
-                    }
+        let cl = self.closed_loop.as_mut();
+        let Some(mc) = cl.and_then(|cl| cl.controller_mut(mc_node)) else {
+            return;
+        };
+        let (stats, trace) = (&mut self.stats, &mut self.trace);
+        mc.pump(now, stats, trace, |effect| match effect {
+            McEffect::ServiceStarted { bank, latency, ack } => {
+                // Entering bank service is forward progress for the
+                // watchdog: a run bottlenecked on DRAM can legitimately go
+                // many cycles between fabric deliveries.
+                self.last_progress = now;
+                if let Some(request) = ack {
+                    // taqos-lint: allow(panic-index) -- flow ids are validated dense against flow_to_source at construction
+                    let source = self.flow_to_source[request.flow.index()] as u32;
+                    let packet = request.packet;
+                    let due = now + self.config.ack_latency(request.hops);
+                    self.events.schedule(due, Event::Ack { source, packet });
                 }
-                // Row-hit-first: each idle bank picks per the FR-FCFS rules
-                // (oldest overdue request, else best open-row hit, else best
-                // priority).
-                DramScheduler::FrFcfs => {
-                    for bank_idx in 0..mc.banks.len() {
-                        if !mc.banks[bank_idx].is_idle() {
-                            continue;
-                        }
-                        if let Some(idx) =
-                            mc.frfcfs_pick(&dram, bank_idx, now, weights, total_weight)
-                        {
-                            // taqos-lint: allow(panic-path) -- frfcfs_pick returns an index into the live queue
-                            let request = mc.queue.remove(idx).expect("pick index in bounds");
-                            start_dram_service(
-                                mc,
-                                bank_idx,
-                                request,
-                                &dram,
-                                weights,
-                                now,
-                                mc_node,
-                                stats,
-                                events,
-                                config,
-                                flow_to_source,
-                                last_progress,
-                                trace,
-                            );
-                            progressed = true;
-                        }
-                    }
-                }
+                let mc = mc_node as u32;
+                self.events
+                    .schedule(now + latency, Event::DramComplete { mc, bank });
             }
-            // Admit stalled arrivals while the queue has room, releasing
-            // their withheld sink-slot credits.
-            while mc.queue.len() < dram.queue_depth {
-                let Some(stalled) = mc.stalled.pop_front() else {
-                    break;
-                };
-                mc.queue.push_back(stalled.request);
-                stats.record_dram_occupancy(mc.queue.len());
-                release_sink_credit(
-                    events,
-                    config,
-                    sink_feeders,
-                    now,
-                    stalled.sink,
-                    stalled.slot,
-                );
-                progressed = true;
+            McEffect::SlotReleased { sink, slot } => {
+                let (events, feeders) = (&mut self.events, &self.sink_feeders);
+                release_sink_credit(events, &self.config, feeders, now, sink, slot);
             }
-            if !progressed {
-                break;
-            }
-        }
+        });
     }
 
     // taqos-lint: hot
@@ -1720,117 +1225,18 @@ impl Network {
             // (the `PacketGenerator` contract), and a source that also has
             // nothing queued or streaming has no per-cycle work at all
             // (outstanding-window packets only need event handling).
-            // Closed-loop requester flows issue from their MLP window instead
-            // of polling a generator: one request whenever the window has
-            // room and the budget allows. Under a DRAM model the request also
-            // carries the next cache line of the flow's private stream.
-            let mut dram_line = None;
-            let mut req_seq = None;
-            let mut logical_birth = None;
-            let generated = match closed_loop.as_mut().map(|cl| {
-                (
-                    cl.dram.is_some(),
-                    cl.retry,
-                    cl.requesters[source.flow.index()].as_mut(),
-                )
-            }) {
-                Some((dram_enabled, retry, Some(requester))) => {
-                    let flow = source.flow;
-                    // Dynamic traffic: apply any phase change due this cycle
-                    // to the effective MLP window before the issue decision.
-                    requester.advance_phases(now);
-                    // Deadline scan: every in-flight request whose reply has
-                    // not arrived within the policy deadline either moves to
-                    // the backoff lane for a retry or — once its attempt
-                    // budget is spent — is abandoned, releasing its MLP
-                    // window slot so the flow keeps making progress past
-                    // genuinely lost requests.
-                    if let Some(policy) = retry {
-                        let mut i = 0;
-                        while i < requester.in_flight.len() {
-                            let entry = requester.in_flight[i];
-                            if now < entry.sent + policy.deadline {
-                                i += 1;
-                                continue;
-                            }
-                            requester.in_flight.remove(i);
-                            if entry.attempts >= policy.max_attempts {
-                                requester.outstanding -= 1;
-                                stats.record_request_abandoned(flow);
-                                // Giving up on a lost request is forward
-                                // progress: the window slot is usable again.
-                                *last_progress = now;
-                            } else {
-                                stats.record_request_timeout(flow);
-                                trace.emit(|| TraceEvent::Timeout {
-                                    cycle: now,
-                                    flow: u64::from(flow.0),
-                                    seq: entry.seq,
-                                });
-                                requester.deferred.push_back(DeferredRetry {
-                                    ready: now
-                                        + policy.backoff_delay(flow, entry.seq, entry.attempts),
-                                    seq: entry.seq,
-                                    birth: entry.birth,
-                                    attempts: entry.attempts,
-                                    line: entry.line,
-                                });
-                            }
-                        }
-                    }
-                    // A retry whose backoff has elapsed re-issues before any
-                    // fresh request: it already owns a window slot and its
-                    // requester has waited longest for the data.
-                    if let Some(deferred) = retry.and_then(|_| requester.pop_ready_retry(now)) {
-                        requester.in_flight.push(InFlightRequest {
-                            seq: deferred.seq,
-                            birth: deferred.birth,
-                            sent: now,
-                            attempts: deferred.attempts + 1,
-                            line: deferred.line,
-                        });
-                        stats.record_request_retry(flow);
-                        trace.emit(|| TraceEvent::Retry {
-                            cycle: now,
-                            flow: u64::from(flow.0),
-                            seq: deferred.seq,
-                        });
-                        dram_line = deferred.line;
-                        req_seq = Some(deferred.seq);
-                        logical_birth = Some(deferred.birth);
-                        Some(GeneratedPacket {
-                            dst: requester.spec.mc,
-                            len_flits: requester.spec.request_len,
-                            class: PacketClass::Request,
-                        })
-                    } else if requester.can_issue() {
-                        if dram_enabled {
-                            dram_line = Some(requester_line(flow, requester.issued));
-                        }
-                        if retry.is_some() {
-                            let seq = requester.issued;
-                            requester.in_flight.push(InFlightRequest {
-                                seq,
-                                birth: now,
-                                sent: now,
-                                attempts: 1,
-                                line: dram_line,
-                            });
-                            req_seq = Some(seq);
-                        }
-                        requester.outstanding += 1;
-                        requester.issued += 1;
-                        stats.record_request_issued(flow);
-                        Some(GeneratedPacket {
-                            dst: requester.spec.mc,
-                            len_flits: requester.spec.request_len,
-                            class: PacketClass::Request,
-                        })
-                    } else {
-                        None
-                    }
+            // A closed-loop requester flow issues from its MLP window instead
+            // of polling a generator.
+            let mut request = None;
+            let requester = closed_loop
+                .as_mut()
+                .and_then(|cl| cl.requester_mut(source.flow));
+            let generated = match requester {
+                Some(requester) => {
+                    request = requester.visit(now, stats, trace, last_progress);
+                    request.map(|r| r.packet)
                 }
-                _ => source.generator.generate(now),
+                None => source.generator.generate(now),
             };
             if let Some(gen) = generated {
                 // Generating a packet is forward progress for the watchdog.
@@ -1842,16 +1248,15 @@ impl Network {
                 let id = packets.insert_with(|id| {
                     let mut packet =
                         Packet::new(id, flow, node, gen.dst, gen.len_flits, gen.class, now);
-                    packet.dram_line = dram_line;
-                    packet.req_seq = req_seq;
-                    packet.request_birth = logical_birth;
+                    if let Some(request) = request {
+                        packet.dram_line = request.line;
+                        packet.req_seq = request.seq;
+                        packet.request_birth = request.birth;
+                    }
                     packet
                 });
                 source.enqueue_generated(id, gen.len_flits);
-            } else if let Some(cl) = closed_loop
-                .as_mut()
-                .filter(|cl| cl.pending_replies.has_pending(si))
-            {
+            } else if let Some(cl) = closed_loop.as_mut().filter(|cl| cl.replies.has_pending(si)) {
                 // Controller reply port: when the source queue is free, pull
                 // the pending reply of the highest-priority flow into it —
                 // the controller is a QOS arbitration point, so the reply
@@ -1863,7 +1268,7 @@ impl Network {
                     // Each priority read is one candidate examined.
                     let scanned = &mut profile.reply_candidates_scanned;
                     let picked = if reference {
-                        cl.pending_replies.pop_best_by_scan(si, |flow| {
+                        cl.replies.pop_best_by_scan(si, |flow| {
                             *scanned += 1;
                             router_qos.priority(flow)
                         })
@@ -1873,7 +1278,7 @@ impl Network {
                         // allocation phase keeps that cache exact).
                         // taqos-lint: allow(panic-index) -- sources are validated to reference live routers
                         let router = &mut routers[source.router];
-                        cl.pending_replies.pop_best(si, |flow| {
+                        cl.replies.pop_best(si, |flow| {
                             *scanned += 1;
                             cached_priority(router, router_qos, flow)
                         })
@@ -1959,15 +1364,15 @@ impl Network {
             if reference {
                 continue;
             }
-            let cl = closed_loop.as_ref();
-            if !source.is_dormant(cl.is_some_and(|cl| cl.pending_replies.has_pending(si))) {
+            let mut cl = closed_loop.as_mut();
+            if !source.is_dormant(cl.as_ref().is_some_and(|cl| cl.replies.has_pending(si))) {
                 continue;
             }
-            // taqos-lint: allow(panic-index) -- flow ids are validated dense and requesters is sized to the flow count
-            let requester = cl.and_then(|cl| cl.requesters[source.flow.index()].as_ref());
-            let wake_at = match requester {
-                Some(r) if r.can_issue() => continue,
-                Some(r) => r.next_timer(cl.and_then(|cl| cl.retry).map_or(0, |p| p.deadline)),
+            let wake_at = match cl.as_mut().and_then(|cl| cl.requester_mut(source.flow)) {
+                Some(requester) => match requester.next_wake() {
+                    Some(at) => at,
+                    None => continue,
+                },
                 None if source.generator.exhausted() => WakeTimers::NEVER,
                 None => continue,
             };

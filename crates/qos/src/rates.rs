@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use taqos_netsim::closed_loop::rate_weight;
 use taqos_netsim::FlowId;
 
 /// Why a rate programme was rejected. Produced by the fallible constructors
@@ -231,12 +232,10 @@ impl RateAllocation {
     /// that need exact, engine-independent arithmetic — the priority-aware
     /// DRAM schedulers of `taqos-netsim` scale their per-flow virtual
     /// clocks by these. Each weight is `rate × 1024` rounded, floored at 1
-    /// so relative order survives for arbitrarily small rates.
+    /// so relative order survives for arbitrarily small rates
+    /// ([`rate_weight`], the formula a mid-run reprogramming also uses).
     pub fn priority_weights(&self) -> Vec<u64> {
-        self.rates
-            .iter()
-            .map(|&r| ((r * 1024.0).round() as u64).max(1))
-            .collect()
+        self.rates.iter().copied().map(rate_weight).collect()
     }
 
     /// Reserved (non-preemptable) flit quota per frame for `flow`, given the

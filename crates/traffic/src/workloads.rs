@@ -10,6 +10,7 @@ use crate::injection::PacketSizeMix;
 use taqos_netsim::closed_loop::{
     ClosedLoopSpec, PhaseChange, PhaseSchedule, PhasedWorkload, RequesterSpec,
 };
+use taqos_netsim::fault::splitmix64;
 use taqos_netsim::packet::{IdleGenerator, PacketGenerator};
 use taqos_netsim::{FlowId, NodeId};
 use taqos_topology::column::ColumnConfig;
@@ -341,16 +342,6 @@ pub fn packet_budget(rate: f64, mix: PacketSizeMix, budget_cycles: u64) -> u64 {
     ((rate * budget_cycles as f64) / mix.mean_len_flits())
         .round()
         .max(1.0) as u64
-}
-
-/// Stateless seeded hash (splitmix64) used to derive deterministic per-flow
-/// phase offsets, so bursty flows are mutually de-synchronised without any
-/// runtime randomness.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A bursty on/off phase schedule for one flow: `burst_mlp`-deep bursts of
