@@ -84,7 +84,7 @@ impl Config {
             .map(String::from)
             .to_vec(),
             hot_path_files: [
-                "crates/netsim/src/network.rs",
+                "crates/netsim/src/network/",
                 "crates/netsim/src/port.rs",
                 "crates/netsim/src/packet.rs",
                 "crates/netsim/src/closed_loop/",
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn crate_dir_classification() {
         assert_eq!(
-            crate_dir_of("crates/netsim/src/network.rs"),
+            crate_dir_of("crates/netsim/src/network/mod.rs"),
             "crates/netsim"
         );
         assert_eq!(crate_dir_of("src/lib.rs"), ".");
@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn workspace_policy_mapping() {
         let cfg = Config::for_workspace(".");
-        let hot = cfg.policy_for("crates/netsim/src/network.rs");
+        let hot = cfg.policy_for("crates/netsim/src/network/launch.rs");
         assert!(hot.hot_path && hot.result_affecting && !hot.wall_clock_exempt);
         let bench = cfg.policy_for("crates/bench/src/lib.rs");
         assert!(bench.wall_clock_exempt && !bench.result_affecting && !bench.hot_path);

@@ -285,6 +285,18 @@ pub fn scan_file(file: &str, source: &str, policy: FilePolicy) -> Vec<Violation>
     scanner.finish()
 }
 
+/// Whether the tokens after an attribute's `[` spell exactly `cfg(test)]`.
+fn spells_cfg_test(rest: &[Token]) -> bool {
+    let ident = |t: &Token, name: &str| matches!(&t.tok, Tok::Ident(id) if id == name);
+    let punct = |t: &Token, p: u8| t.tok == Tok::Punct(p);
+    matches!(rest, [cfg, open, test, close, end, ..]
+        if ident(cfg, "cfg")
+            && punct(open, b'(')
+            && ident(test, "test")
+            && punct(close, b')')
+            && punct(end, b']'))
+}
+
 impl Scanner<'_> {
     fn in_test(&self) -> bool {
         self.scopes.iter().any(|s| {
@@ -354,13 +366,20 @@ impl Scanner<'_> {
                 continue;
             }
             if t.tok == Tok::Punct(b'[') {
-                let attr_start = matches!(prev, Some(Tok::Punct(b'#')))
-                    || (matches!(prev, Some(Tok::Punct(b'!')))
-                        && matches!(
-                            i.checked_sub(2).map(|p| &tokens[p].tok),
-                            Some(Tok::Punct(b'#'))
-                        ));
-                if attr_start {
+                let inner = matches!(prev, Some(Tok::Punct(b'!')))
+                    && matches!(
+                        i.checked_sub(2).map(|p| &tokens[p].tok),
+                        Some(Tok::Punct(b'#'))
+                    );
+                if inner || matches!(prev, Some(Tok::Punct(b'#'))) {
+                    // An inner attribute gates the module it stands in:
+                    // `#![cfg(test)]` at the top of a file (an out-of-line
+                    // `mod tests;`) makes the whole file test code. Exactly
+                    // that spelling: `cfg(not(test))` or `cfg_attr(test, ..)`
+                    // mention `test` and gate nothing out.
+                    if inner && self.scopes.is_empty() && spells_cfg_test(&tokens[i + 1..]) {
+                        self.scopes.push(ScopeKind::TestMod);
+                    }
                     self.attr_depth = 1;
                     continue;
                 }
@@ -586,6 +605,31 @@ mod tests {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
                    #[cfg(test)]\nmod tests {\n    fn g(x: Option<u32>) { x.unwrap(); }\n}\n";
         assert_eq!(rules_at(src, hot_policy()), [("panic-path", 1)]);
+    }
+
+    #[test]
+    fn inner_cfg_test_attribute_exempts_the_whole_file() {
+        // An out-of-line test module: no `#[test]` on the helper, yet the
+        // file's inner attribute makes all of it test code.
+        let src = "#![cfg(test)]
+use super::*;
+struct Fixture;
+                   fn helper(v: &[u32], x: Option<u32>) -> u32 { v[0] + x.unwrap() }
+";
+        assert!(rules_at(src, hot_policy()).is_empty());
+        // Any other inner attribute leaves the file as it was, also one
+        // that merely mentions `test`: at most the one item after it is
+        // skipped, as after an outer attribute; the rest of the file is
+        // linted.
+        for attr in [
+            "#![warn(missing_docs)]",
+            "#![cfg(not(test))]",
+            "#![cfg_attr(test, allow(dead_code))]",
+        ] {
+            let src =
+                format!("{attr}\nfn first() {{}}\nfn f(x: Option<u32>) -> u32 {{ x.unwrap() }}\n");
+            assert_eq!(rules_at(&src, hot_policy()), [("panic-path", 3)], "{attr}");
+        }
     }
 
     #[test]

@@ -6,31 +6,35 @@ use serde::{Deserialize, Serialize};
 /// Which data-structure engine the simulator uses for its hot path.
 ///
 /// Both engines are cycle-for-cycle equivalent — they produce bit-identical
-/// [`crate::stats::NetStats`] for the same spec, policy, generators and seed —
-/// but differ in cost:
+/// [`crate::stats::NetStats`] for the same spec, policy, generators and seed.
+/// Everything they do differently is stated once, in
+/// `network/engine.rs`:
 ///
 /// * [`EngineKind::Optimized`] (the default) stores packets in a generational
 ///   slab arena indexed directly by [`crate::ids::PacketId`], schedules
 ///   events on a fixed-horizon timing wheel (with a binary-heap overflow lane
-///   for rare long delays), reuses per-router arbitration scratch buffers,
-///   and skips routers, ports and sources with no buffered work.
-/// * [`EngineKind::Reference`] reproduces the original engine's data
-///   structures — a `HashMap` packet store, a pure binary-heap event queue,
-///   per-cycle request `Vec` allocations and full router/port scans. It
-///   exists as the baseline for the `bench_netsim` throughput harness and for
-///   the engine-equivalence tests.
+///   for rare long delays), keeps persistent per-output arbitration request
+///   lists with memoised priorities, and visits only the routers, outputs
+///   and sources its activity masks say have work.
+/// * [`EngineKind::Reference`] is the oracle: a `HashMap` packet store, a
+///   pure binary-heap event queue, and stateless exhaustive passes — every
+///   source, router, port and output is visited every cycle, every request
+///   list is gathered by rescanning the input VCs, and every priority is a
+///   direct [`crate::qos::RouterQos::priority`] call. It computes what the
+///   seed engine computed and shares none of the optimized engine's
+///   incremental state, which is what makes engine equivalence a test.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineKind {
     /// Slab packet store + timing wheel + scratch-buffer arbitration +
     /// active-set tracking.
     #[default]
     Optimized,
-    /// Seed-equivalent engine: hash-map store, binary-heap queue, full scans.
+    /// The oracle: hash-map store, binary-heap queue, exhaustive scans.
     Reference,
 }
 
 impl EngineKind {
-    /// Whether this is the reference (seed-equivalent) engine.
+    /// Whether this is the reference engine.
     pub fn is_reference(self) -> bool {
         matches!(self, EngineKind::Reference)
     }
@@ -120,20 +124,11 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Fixed mechanical parameters of the simulation (independent of topology and
-/// QOS policy).
+/// Per-run settings of the simulation (independent of topology and QOS
+/// policy). The fixed mechanical parameters of the modelled hardware are the
+/// associated constants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimConfig {
-    /// Maximum number of granted-but-unfinished transfers queued per output
-    /// port. A small queue lets back-to-back packets stream without pipeline
-    /// bubbles while keeping arbitration decisions timely.
-    pub grant_queue_depth: usize,
-    /// Credit return latency in cycles (freed VC to upstream output port).
-    pub credit_delay: Cycle,
-    /// Fixed component of the ACK network latency.
-    pub ack_latency_base: Cycle,
-    /// Per-hop component of the ACK network latency.
-    pub ack_latency_per_hop: Cycle,
     /// Hot-path engine selection; see [`EngineKind`].
     pub engine: EngineKind,
     /// Deadlock/livelock watchdog horizon for the closed-loop driver: if a
@@ -149,10 +144,21 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
+    /// Maximum number of granted-but-unfinished transfers queued per output
+    /// port. A small queue lets back-to-back packets stream without pipeline
+    /// bubbles while keeping arbitration decisions timely.
+    pub const GRANT_QUEUE_DEPTH: usize = 3;
+    /// Credit return latency in cycles (freed VC to upstream output port).
+    pub const CREDIT_DELAY: Cycle = 1;
+    /// Fixed component of the ACK network latency.
+    pub const ACK_LATENCY_BASE: Cycle = 4;
+    /// Per-hop component of the ACK network latency.
+    pub const ACK_LATENCY_PER_HOP: Cycle = 1;
+
     /// ACK/NACK latency for a packet whose source is `hops` hops from the
     /// point of delivery or discard.
-    pub fn ack_latency(&self, hops: u32) -> Cycle {
-        self.ack_latency_base + self.ack_latency_per_hop * Cycle::from(hops)
+    pub fn ack_latency(hops: u32) -> Cycle {
+        Self::ACK_LATENCY_BASE + Self::ACK_LATENCY_PER_HOP * Cycle::from(hops)
     }
 
     /// Returns this configuration with the given engine selected.
@@ -180,10 +186,6 @@ impl SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            grant_queue_depth: 3,
-            credit_delay: 1,
-            ack_latency_base: 4,
-            ack_latency_per_hop: 1,
             engine: EngineKind::Optimized,
             progress_watchdog: 50_000,
             telemetry: TelemetryConfig::default(),
@@ -198,10 +200,14 @@ mod tests {
     #[test]
     fn default_config_is_sane() {
         let cfg = SimConfig::default();
-        assert!(cfg.grant_queue_depth >= 1);
-        assert!(cfg.credit_delay >= 1);
-        assert_eq!(cfg.ack_latency(0), cfg.ack_latency_base);
-        assert_eq!(cfg.ack_latency(3), cfg.ack_latency_base + 3);
+        // A zero-deep grant queue would never grant a packet and a zero
+        // credit delay would return a credit within the cycle that freed it.
+        const _: () = assert!(SimConfig::GRANT_QUEUE_DEPTH >= 1 && SimConfig::CREDIT_DELAY >= 1);
+        assert_eq!(SimConfig::ack_latency(0), SimConfig::ACK_LATENCY_BASE);
+        assert_eq!(
+            SimConfig::ack_latency(3),
+            SimConfig::ACK_LATENCY_BASE + 3 * SimConfig::ACK_LATENCY_PER_HOP
+        );
         assert_eq!(cfg.engine, EngineKind::Optimized);
         assert!(cfg.progress_watchdog > 0, "watchdog on by default");
         let relaxed = cfg.with_progress_watchdog(0);

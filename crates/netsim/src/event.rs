@@ -14,7 +14,7 @@
 //!
 //! Constructing the queue with a zero horizon ([`EventQueue::with_horizon`])
 //! degenerates to the original pure binary-heap implementation, which the
-//! reference engine uses as the measurable baseline.
+//! reference engine uses: the wheel's oracle.
 
 use crate::config::EngineKind;
 use crate::ids::{Cycle, FlowId, PacketId, VcId};
@@ -348,13 +348,6 @@ impl EventQueue {
         self.floor = now + 1;
     }
 
-    /// Pops all events due at or before `now`, in scheduling order.
-    pub fn drain_due(&mut self, now: Cycle) -> Vec<Event> {
-        let mut due = Vec::new();
-        self.drain_due_into(now, &mut due);
-        due
-    }
-
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.pending
@@ -389,6 +382,15 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EventQueue {
+        /// Pops all events due at or before `now`, in scheduling order.
+        pub(crate) fn drain_due(&mut self, now: Cycle) -> Vec<Event> {
+            let mut due = Vec::new();
+            self.drain_due_into(now, &mut due);
+            due
+        }
+    }
 
     fn ack(source: usize) -> Event {
         Event::Ack {

@@ -219,7 +219,7 @@ impl PacketGenerator for IdleGenerator {
 ///   "preempt the newest packet of the lowest-priority flow" behave
 ///   identically under both backends.
 /// * **Map**: the original `HashMap<PacketId, Packet>` keyed by a sequential
-///   counter, kept as the measurable baseline for the throughput harness.
+///   counter, kept as the reference engine's store: the slab's oracle.
 #[derive(Debug)]
 pub struct PacketStore {
     backend: Backend,

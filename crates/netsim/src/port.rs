@@ -1,5 +1,6 @@
 //! Runtime state of router ports, credits, and in-progress transfers.
 
+use crate::config::SimConfig;
 use crate::event::Event;
 use crate::ids::{Cycle, FlowId, InPortId, PacketId, VcId};
 use crate::spec::{InputPortSpec, OutputPortSpec, TargetEndpoint};
@@ -14,10 +15,6 @@ pub struct InputPortState {
     /// Feeder of this port (set when the network is built): the upstream
     /// output port or source that holds credits for this port's VCs.
     pub feeder: Option<Feeder>,
-    /// Number of currently occupied VCs. Maintained by the network alongside
-    /// `accept_head`/`release` so the routing and allocation phases can skip
-    /// empty ports without scanning their VC vectors.
-    pub occupied: usize,
     /// Number of occupied VCs whose route has not been computed yet. A head
     /// flit arrival increments this; the routing phase decrements it when it
     /// assigns the route. Ports (and routers) with no unrouted heads are
@@ -55,7 +52,6 @@ impl InputPortState {
         InputPortState {
             vcs,
             feeder: None,
-            occupied: 0,
             unrouted: 0,
         }
     }
@@ -237,8 +233,8 @@ impl OutputPortState {
 
     /// Whether the port can accept another granted transfer (the grant queue
     /// is bounded to keep priority decisions timely).
-    pub fn can_grant(&self, max_queue: usize) -> bool {
-        self.granted.len() < max_queue
+    pub fn can_grant(&self) -> bool {
+        self.granted.len() < SimConfig::GRANT_QUEUE_DEPTH
     }
 
     /// Flits that remain to be launched across all granted transfers.
@@ -278,7 +274,7 @@ mod tests {
     fn resident_packets_are_reported() {
         let spec = InputPortSpec::injection("in", VcConfig::new(2, 4), 0);
         let mut state = InputPortState::from_spec(&spec);
-        state.vcs[1].accept_head(PacketId(9), 1, 5);
+        state.vcs[1].accept_head(PacketId(9), 1);
         let resident = state.resident_idle_packets();
         assert_eq!(resident, vec![(VcId(1), PacketId(9))]);
         assert_eq!(state.occupied_vcs(), 1);
@@ -340,7 +336,7 @@ mod tests {
             vec![TargetSpec::single(TargetEndpoint::Sink { sink: 0 }, 1)],
         );
         let state = OutputPortState::from_spec(&spec);
-        assert!(state.can_grant(1));
+        assert!(state.can_grant());
         assert_eq!(state.backlog_flits(), 0);
     }
 }

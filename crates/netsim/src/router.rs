@@ -2,17 +2,20 @@
 
 use crate::event::Event;
 use crate::ids::{FlowId, NodeId, OutPortId, PacketId};
+use crate::packet::HotPacket;
 use crate::port::{InputPortState, OutputPortState};
 use crate::spec::{InputKind, InputPortSpec, OutputKind, OutputPortSpec, RouterSpec};
 
 /// One candidate in a virtual-channel allocation round: a buffered packet
-/// head requesting an output port. Gathered into the router's reusable
-/// scratch buffer each cycle, so steady-state arbitration performs no heap
-/// allocation.
+/// head requesting an output port. The reference engine gathers them into a
+/// reusable buffer per decision; the optimized engine keeps them filed per
+/// output (see [`RouterState::alloc_buckets`]). Either way steady-state
+/// arbitration performs no heap allocation.
 #[derive(Debug, Clone)]
 pub(crate) struct ArbRequest {
-    /// Input port holding the requesting packet (ports per router are far
-    /// below `u16::MAX`; narrow fields keep the request at 24 bytes).
+    /// Input port holding the requesting packet (`NetworkSpec::validate`
+    /// bounds ports per router by `u16::MAX`; narrow fields keep the request
+    /// at 24 bytes).
     pub in_port: u16,
     /// VC index at that input port.
     pub vc: u16,
@@ -28,10 +31,32 @@ pub(crate) struct ArbRequest {
     pub target_idx: u16,
     /// Whether the input port is a pass-through (DPS intermediate hop).
     pub passthrough: bool,
-    /// Dynamic priority assigned by the QOS policy (lower wins).
-    pub priority: u64,
-    /// Whether the target currently has a claimable downstream VC.
-    pub has_credit: bool,
+}
+
+impl ArbRequest {
+    /// The request of `packet`, whose head sits in VC `vc` of input port
+    /// `in_port`, for output `out` of the router described by `spec`. What
+    /// changes from cycle to cycle — the flow's priority, the target's
+    /// credits — is read when the output is arbitrated, not recorded here.
+    pub(crate) fn new(
+        spec: &RouterSpec,
+        out: OutPortId,
+        in_port: usize,
+        vc: usize,
+        id: PacketId,
+        packet: HotPacket,
+    ) -> Self {
+        ArbRequest {
+            in_port: in_port as u16,
+            vc: vc as u16,
+            packet: id,
+            flow: packet.flow,
+            len: packet.len_flits,
+            reserved: packet.reserved,
+            target_idx: resolve_target_idx(&spec.outputs[out.0], packet.dst) as u16,
+            passthrough: spec.inputs[in_port].passthrough,
+        }
+    }
 }
 
 /// One entry of a router's per-flow priority memo: the cached priority and
@@ -77,33 +102,30 @@ pub struct RouterState {
     /// cycle.
     pub(crate) alloc_buckets: Vec<Vec<ArbRequest>>,
     /// Bitmask of output ports that currently hold granted transfers (bit
-    /// `oi` set ⇔ `outputs[oi].granted` is non-empty), maintained for
-    /// routers with at most 64 outputs so the launch phase can walk set bits
-    /// instead of scanning every output. `None` disables the fast path for
-    /// wider routers.
-    pub(crate) granted_mask: Option<u64>,
+    /// `oi` set ⇔ `outputs[oi].granted` is non-empty), so the optimized
+    /// launch phase can walk set bits instead of scanning every output. One
+    /// word suffices: `NetworkSpec::validate` caps a router at 64 outputs.
+    pub(crate) granted_mask: u64,
     /// Dense routing table: candidate output ports indexed by destination
     /// node, flattened from the spec's `BTreeMap` at construction so the
     /// per-packet route lookup is an array index instead of a tree walk.
     pub(crate) route_lut: Vec<Vec<OutPortId>>,
-    /// Dirty bits for arbitration (optimized engine, routers with at most 64
-    /// outputs). An output's bit is set whenever anything feeding its
+    /// Dirty bits for arbitration (read by the optimized engine only). An
+    /// output's bit is set whenever anything feeding its
     /// decision changes: a request enters or leaves its bucket, one of its
     /// targets gains or loses a credit, its grant queue shrinks, any packet
     /// is forwarded by this router (priorities move), or a frame rolls over.
     /// A *clean* blocked output must reach the same no-winner outcome as last
     /// cycle, so the allocation phase skips the decision and replays the
-    /// cached preemption probe (`cached_probe`) instead. `None` disables the
-    /// fast path for wider routers.
-    pub(crate) alloc_dirty: Option<u64>,
+    /// cached preemption probe (`cached_probe`) instead.
+    pub(crate) alloc_dirty: u64,
     /// Bitmask of outputs whose request bucket is non-empty (bit `oi` set ⇔
     /// `alloc_buckets[oi]` holds a request), maintained at the three bucket
-    /// mutation sites — routing insert, grant removal, preemption removal —
-    /// for routers with at most 64 outputs. The allocation phase walks
-    /// `alloc_pending & alloc_dirty` (all of `alloc_pending` when cached
-    /// preemption probes must be replayed) instead of scanning every output
-    /// for an empty bucket. `None` disables the worklist for wider routers.
-    pub(crate) alloc_pending: Option<u64>,
+    /// mutation sites — routing insert, grant removal, preemption removal.
+    /// The optimized allocation phase walks `alloc_pending & alloc_dirty`
+    /// (all of `alloc_pending` when cached preemption probes must be
+    /// replayed) instead of scanning every output for an empty bucket.
+    pub(crate) alloc_pending: u64,
     /// Per-output cached no-winner outcome: the preemption probe (if any)
     /// that the last full decision scheduled. Valid only while the output's
     /// dirty bit is clear.
@@ -126,8 +148,9 @@ pub struct RouterState {
 }
 
 impl RouterState {
-    /// Creates runtime state for a router from its specification.
-    pub fn from_spec(spec: &RouterSpec) -> Self {
+    /// Creates runtime state for a router of a network with `num_flows`
+    /// flows from its specification.
+    pub fn from_spec(spec: &RouterSpec, num_flows: usize) -> Self {
         let lut_len = spec
             .route_table
             .keys()
@@ -149,39 +172,35 @@ impl RouterState {
             route_rr_cursor: 0,
             active_vcs: 0,
             unrouted_vcs: 0,
-            granted_mask: (spec.outputs.len() <= 64).then_some(0),
-            alloc_dirty: (spec.outputs.len() <= 64).then_some(u64::MAX),
-            alloc_pending: (spec.outputs.len() <= 64).then_some(0),
+            granted_mask: 0,
+            alloc_dirty: u64::MAX,
+            alloc_pending: 0,
             cached_probe: vec![None; spec.outputs.len()],
             xbar_groups: spec.inputs.iter().map(|p| p.xbar_group).collect(),
             route_lut,
             alloc_buckets: (0..spec.outputs.len()).map(|_| Vec::new()).collect(),
-            priority_cache: Vec::new(),
+            priority_cache: vec![PriorityMemo { value: 0, epoch: 0 }; num_flows],
             priority_epoch: 1,
         }
-    }
-
-    /// Sizes the per-flow priority cache (called once by the network
-    /// constructor, which knows the flow count).
-    pub(crate) fn init_priority_cache(&mut self, num_flows: usize) {
-        self.priority_cache = vec![PriorityMemo { value: 0, epoch: 0 }; num_flows];
     }
 
     /// Marks one output's arbitration decision stale.
     #[inline]
     pub(crate) fn mark_output_dirty(&mut self, oi: usize) {
-        if let Some(mask) = self.alloc_dirty.as_mut() {
-            *mask |= 1 << oi;
-        }
+        self.alloc_dirty |= 1 << oi;
     }
 
-    /// Marks every output's arbitration decision stale (a forwarded packet
-    /// moved this router's priorities, or a frame rolled over).
+    /// Registers the head flit of `packet` (of `len` flits) claiming VC `vc`
+    /// of input port `in_port`: the VC becomes occupied and awaits route
+    /// computation. The one place the unrouted counter of the port and the
+    /// occupancy and unrouted counters of the router move up together.
     #[inline]
-    pub(crate) fn mark_all_dirty(&mut self) {
-        if let Some(mask) = self.alloc_dirty.as_mut() {
-            *mask = u64::MAX;
-        }
+    pub(crate) fn accept_head(&mut self, in_port: usize, vc: usize, packet: PacketId, len: u8) {
+        let port = &mut self.inputs[in_port];
+        port.vcs[vc].accept_head(packet, len);
+        port.unrouted += 1;
+        self.active_vcs += 1;
+        self.unrouted_vcs += 1;
     }
 
     /// Number of packets currently buffered in the router.
@@ -209,31 +228,27 @@ pub fn compute_route(
     dst: NodeId,
     rr_cursor: &mut usize,
 ) -> OutPortId {
-    if let Some(fixed) = in_port.fixed_route {
-        return fixed;
-    }
-    let candidates = spec
-        .route_table
-        .get(&dst)
-        .unwrap_or_else(|| panic!("router {} has no route for destination {dst}", spec.node));
-    select_route(spec, in_port, dst, candidates, rr_cursor)
+    let candidates = || spec.route_table.get(&dst).map(Vec::as_slice);
+    route_among(spec, in_port, dst, candidates, rr_cursor)
 }
 
-/// Selects among pre-resolved candidate output ports (shared by the
-/// `BTreeMap` lookup above and the dense [`RouterState::route_lut`] path the
-/// optimized engine uses).
-pub(crate) fn select_route(
+/// The routing rule behind [`compute_route`], over any source of the
+/// candidate output ports for `dst` (the spec's `BTreeMap`, or the dense
+/// [`RouterState::route_lut`] the optimized engine reads); consulted only
+/// when the port has no fixed route.
+pub(crate) fn route_among<'c>(
     spec: &RouterSpec,
     in_port: &InputPortSpec,
     dst: NodeId,
-    candidates: &[OutPortId],
+    candidates: impl FnOnce() -> Option<&'c [OutPortId]>,
     rr_cursor: &mut usize,
 ) -> OutPortId {
-    assert!(
-        !candidates.is_empty(),
-        "router {} has an empty candidate list for {dst}",
-        spec.node
-    );
+    if let Some(fixed) = in_port.fixed_route {
+        return fixed;
+    }
+    let candidates = candidates()
+        .filter(|c| !c.is_empty())
+        .unwrap_or_else(|| panic!("router {} has no route for destination {dst}", spec.node));
     if candidates.len() == 1 {
         return candidates[0];
     }
@@ -322,7 +337,7 @@ mod tests {
     #[test]
     fn router_state_mirrors_spec_shape() {
         let spec = replicated_router();
-        let state = RouterState::from_spec(&spec);
+        let state = RouterState::from_spec(&spec, 1);
         assert_eq!(state.inputs.len(), 3);
         assert_eq!(state.outputs.len(), 3);
         assert_eq!(state.buffered_packets(), 0);

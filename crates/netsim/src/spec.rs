@@ -379,10 +379,12 @@ impl NetworkSpec {
     /// # Errors
     ///
     /// Returns a [`SpecError`] describing the first inconsistency found:
-    /// out-of-range router/port/sink references, empty ports, routing-table
+    /// out-of-range router/port/sink references, empty ports, routers with
+    /// more ports than the engine's packed state holds, routing-table
     /// entries pointing at missing output ports, crossbar groups of 64 or
     /// above, sources attached to non-injection ports, input ports with more
-    /// than one feeder, or multi-target ports with ambiguous coverage.
+    /// than one feeder, flow identifiers that are not exactly
+    /// `0..num_sources`, or multi-target ports with ambiguous coverage.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.routers.is_empty() {
             return Err(SpecError::new("network has no routers"));
@@ -393,6 +395,23 @@ impl NetworkSpec {
             }
             if router.outputs.is_empty() {
                 return Err(SpecError::new(format!("router {ri} has no output ports")));
+            }
+            // The allocation and launch phases track a router's outputs
+            // (granted, pending, dirty) as bits of one 64-bit word each.
+            if router.outputs.len() > 64 {
+                return Err(SpecError::new(format!(
+                    "router {ri} has {} output ports; a router must have at most 64",
+                    router.outputs.len()
+                )));
+            }
+            // Events and arbitration requests carry input port indices in
+            // 16-bit fields.
+            if router.inputs.len() > usize::from(u16::MAX) {
+                return Err(SpecError::new(format!(
+                    "router {ri} has {} input ports; a router must have at most {}",
+                    router.inputs.len(),
+                    u16::MAX
+                )));
             }
             for (pi, port) in router.inputs.iter().enumerate() {
                 if port.vcs.count == 0 || port.vcs.depth_flits == 0 {
@@ -539,6 +558,13 @@ impl NetworkSpec {
         if flows.len() != self.sources.len() {
             return Err(SpecError::new("duplicate flow identifiers across sources"));
         }
+        // Per-flow tables are indexed by flow identifier: sorted and free of
+        // duplicates, the identifiers are dense iff the largest is the last.
+        if flows.last().is_some_and(|f| f.index() + 1 != flows.len()) {
+            return Err(SpecError::new(
+                "source flow identifiers must be dense (0..num_sources)",
+            ));
+        }
         for (si, sink) in self.sinks.iter().enumerate() {
             if sink.slots == 0 {
                 return Err(SpecError::new(format!(
@@ -680,6 +706,53 @@ mod tests {
         spec.routers[1].inputs[0].xbar_group = 64;
         let err = spec.validate().expect_err("group 64 must be rejected");
         assert!(err.to_string().contains("crossbar group 64"), "{err}");
+    }
+
+    #[test]
+    fn a_router_with_65_outputs_is_rejected() {
+        let mut spec = tiny_spec();
+        let sink = spec.sinks[0].clone();
+        spec.sinks.extend((1..64).map(|_| sink.clone()));
+        // 64 ejection ports, one per sink: the widest router the masks hold.
+        spec.routers[1].outputs = (0..64)
+            .map(|s| OutputPortSpec::ejection(format!("eject{s}"), s, 0))
+            .collect();
+        spec.validate()
+            .expect("64 outputs is the last usable width");
+        spec.sinks.push(sink);
+        spec.routers[1]
+            .outputs
+            .push(OutputPortSpec::ejection("eject64", 64, 0));
+        let err = spec.validate().expect_err("65 outputs must be rejected");
+        assert!(err.to_string().contains("65 output ports"), "{err}");
+        // So no network is ever built whose output masks would overflow.
+        let built = crate::network::Network::new(
+            spec,
+            Box::new(crate::qos::FifoPolicy::new()),
+            vec![Box::new(crate::packet::IdleGenerator)],
+            crate::config::SimConfig::default(),
+        );
+        assert_eq!(built.err(), Some(crate::error::SimError::Spec(err)));
+    }
+
+    #[test]
+    fn a_router_with_more_input_ports_than_a_u16_indexes_is_rejected() {
+        let mut spec = tiny_spec();
+        let port = InputPortSpec::injection("spare", VcConfig::new(1, 4), 0);
+        let limit = usize::from(u16::MAX);
+        spec.routers[0].inputs.resize(limit, port.clone());
+        spec.validate().expect("65535 inputs still index as u16");
+        spec.routers[0].inputs.push(port);
+        let err = spec.validate().expect_err("65536 inputs must be rejected");
+        assert!(err.to_string().contains("65536 input ports"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_sparse_flow_identifiers() {
+        let mut spec = tiny_spec();
+        spec.sources[0].flow = FlowId(1);
+        let err = spec.validate().expect_err("flow 1 of 1 is out of range");
+        assert!(err.to_string().contains("must be dense"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Runtime state of a virtual channel, packed into a 16-byte record.
 
-use crate::ids::{Cycle, OutPortId, PacketId};
+use crate::ids::{OutPortId, PacketId};
 
 /// `packet` value of an unoccupied VC.
 const NO_PACKET: u64 = u64::MAX;
@@ -63,13 +63,11 @@ impl VcState {
         (self.route != NO_ROUTE).then_some(OutPortId(self.route as usize))
     }
 
-    /// Records the computed route of the occupying packet.
+    /// Records the computed route of the occupying packet. Output port
+    /// indices fit the packed field with room to spare:
+    /// [`crate::spec::NetworkSpec::validate`] caps a router at 64 outputs.
     #[inline]
     pub fn set_route(&mut self, out: OutPortId) {
-        debug_assert!(
-            out.0 < NO_ROUTE as usize,
-            "output port index overflows the packed route"
-        );
         self.route = out.0 as u16;
     }
 
@@ -126,7 +124,7 @@ impl VcState {
     /// # Panics
     ///
     /// Panics if the VC is already occupied by a different packet.
-    pub fn accept_head(&mut self, packet: PacketId, len: u8, _now: Cycle) {
+    pub fn accept_head(&mut self, packet: PacketId, len: u8) {
         assert!(
             self.packet == NO_PACKET,
             "VC accepting a head flit while occupied"
@@ -190,7 +188,7 @@ mod tests {
         assert!(vc.is_free());
         assert!(!vc.wants_allocation());
 
-        vc.accept_head(PacketId(1), 2, 10);
+        vc.accept_head(PacketId(1), 2);
         assert!(!vc.is_free());
         assert!(vc.wants_allocation());
         assert!(!vc.is_resident_idle());
@@ -221,15 +219,15 @@ mod tests {
     #[should_panic(expected = "occupied")]
     fn cannot_accept_head_while_occupied() {
         let mut vc = VcState::new(false);
-        vc.accept_head(PacketId(1), 1, 0);
-        vc.accept_head(PacketId(2), 1, 0);
+        vc.accept_head(PacketId(1), 1);
+        vc.accept_head(PacketId(2), 1);
     }
 
     #[test]
     #[should_panic(expected = "wrong packet")]
     fn body_flit_must_match_packet() {
         let mut vc = VcState::new(false);
-        vc.accept_head(PacketId(1), 4, 0);
+        vc.accept_head(PacketId(1), 4);
         vc.accept_body(PacketId(2));
     }
 
@@ -237,7 +235,7 @@ mod tests {
     fn reserved_flag_is_preserved() {
         let mut vc = VcState::new(true);
         assert!(vc.reserved_vc());
-        vc.accept_head(PacketId(7), 1, 0);
+        vc.accept_head(PacketId(7), 1);
         vc.set_granted();
         vc.release();
         assert!(vc.reserved_vc(), "release must keep the reserved flag");

@@ -40,12 +40,12 @@ fn fixture_tree_reports_exactly_the_planted_violations() {
             ("crates/core/src/lib.rs", 14, "lint-malformed"),
             // Panic rules apply file-wide in a hot-path module; allocation
             // rules only inside the `taqos-lint: hot` function.
-            ("crates/netsim/src/network.rs", 4, "panic-path"),
-            ("crates/netsim/src/network.rs", 6, "panic-path"),
-            ("crates/netsim/src/network.rs", 8, "panic-index"),
-            ("crates/netsim/src/network.rs", 20, "hot-alloc"),
-            ("crates/netsim/src/network.rs", 21, "hot-alloc"),
-            ("crates/netsim/src/network.rs", 22, "hot-alloc"),
+            ("crates/netsim/src/network/mod.rs", 4, "panic-path"),
+            ("crates/netsim/src/network/mod.rs", 6, "panic-path"),
+            ("crates/netsim/src/network/mod.rs", 8, "panic-index"),
+            ("crates/netsim/src/network/mod.rs", 20, "hot-alloc"),
+            ("crates/netsim/src/network/mod.rs", 21, "hot-alloc"),
+            ("crates/netsim/src/network/mod.rs", 22, "hot-alloc"),
             // Result-affecting crate: HashMap and a float in a *Stats
             // struct (the f64 in non-Stats `Gauge` is fine).
             ("crates/qos/src/lib.rs", 6, "float-stats-field"),
@@ -65,7 +65,7 @@ fn allow_directives_suppress_and_bench_is_wall_clock_exempt() {
     // and the whole bench fixture must stay silent.
     assert!(!violations
         .iter()
-        .any(|v| v.file.ends_with("network.rs") && (13..=14).contains(&v.line)));
+        .any(|v| v.file.ends_with("network/mod.rs") && (13..=14).contains(&v.line)));
     assert!(!violations
         .iter()
         .any(|v| v.file.starts_with("crates/bench")));
@@ -73,7 +73,7 @@ fn allow_directives_suppress_and_bench_is_wall_clock_exempt() {
     // unwraps in the fixture's #[cfg(test)] module are not reported.
     assert!(!violations
         .iter()
-        .any(|v| v.file.ends_with("network.rs") && v.line > 30));
+        .any(|v| v.file.ends_with("network/mod.rs") && v.line > 30));
 }
 
 #[test]

@@ -493,6 +493,34 @@ fn fabric_routes_match_architectural_rules_for_every_pair() {
     }
 }
 
+/// `NetworkSpec::validate` rejects routers wider than the engine's packed
+/// state holds (64 outputs, 65 535 inputs). Every shipped builder stays far
+/// inside that bound — the widest router anywhere has 9 outputs — so the
+/// rejection cannot reach a workload this repository runs.
+#[test]
+fn every_shipped_builder_stays_within_the_router_port_bounds() {
+    use taqos_topology::mesh2d::Mesh2dConfig;
+
+    let mut specs: Vec<NetworkSpec> = ColumnTopology::all()
+        .into_iter()
+        .map(|topology| topology.build(&ColumnConfig::paper()))
+        .collect();
+    specs.push(Mesh2dConfig::paper_8x8().build());
+    specs.push(ChipSim::paper_default().build_spec().spec);
+    specs.push(ChipSim::multi_column(16, 16, 4).build_spec().spec);
+    let mut widest = 0;
+    for spec in &specs {
+        spec.validate()
+            .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        for router in &spec.routers {
+            assert!(router.outputs.len() <= 64, "{} {}", spec.name, router.node);
+            assert!(router.inputs.len() <= usize::from(u16::MAX));
+            widest = widest.max(router.outputs.len());
+        }
+    }
+    assert_eq!(widest, 9, "the widest shipped router moved");
+}
+
 /// The architectural chip model and the executable fabric agree on the QOS
 /// cost: `TopologyAwareChip::qos_router_fraction` equals the fraction of
 /// routers the spec flags as QOS routers, and the per-router flag count
