@@ -240,8 +240,9 @@ impl BenchCase {
     }
 
     /// Builds the case's network. `horizon` is the cycle budget the caller
-    /// will run — the bursty incast case materialises its phase schedules up
-    /// to exactly that horizon.
+    /// will run — the bursty incast case's attackers start no burst at or
+    /// after it (the schedules are closed forms; their cost does not depend
+    /// on the horizon).
     fn build(
         self,
         engine: EngineKind,

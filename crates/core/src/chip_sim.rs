@@ -848,14 +848,15 @@ mod tests {
         // Source nodes switch off at the instant; destination nodes hold an
         // initial off phase and open their window at the instant.
         let source = &phases.schedules[sim.node_id(from[0]).index()];
-        assert_eq!(source.changes, vec![PhaseChange { at: 5_000, mlp: 0 }]);
+        let off = PhaseChange { at: 5_000, mlp: 0 };
+        assert_eq!(*source, PhaseSchedule::new(vec![off]));
         let dest = &phases.schedules[sim.node_id(to[0]).index()];
         assert_eq!(
-            dest.changes,
-            vec![
+            *dest,
+            PhaseSchedule::new(vec![
                 PhaseChange { at: 0, mlp: 0 },
                 PhaseChange { at: 5_000, mlp: 2 }
-            ]
+            ])
         );
         // Unlisted nodes stay static.
         assert!(phases.schedules[sim.node_id(Coord::new(3, 3)).index()].is_empty());

@@ -39,7 +39,9 @@ mod requester;
 pub use dram::{
     requester_line, DramBackpressure, DramConfig, DramScheduler, PagePolicy, DRAM_REGION_LINES,
 };
-pub use requester::{PhaseChange, PhaseSchedule, PhasedWorkload, RequesterSpec, RetryPolicy};
+pub use requester::{
+    BurstTrain, PhaseChange, PhaseSchedule, PhasedWorkload, RequesterSpec, RetryPolicy,
+};
 
 pub(crate) use controller::{McEffect, McRequest, Offer};
 pub(crate) use replies::PendingReplies;
@@ -207,11 +209,14 @@ impl ClosedLoopSpec {
                         "flow {flow}: a phase schedule needs a requester to act on"
                     ))));
                 }
-                // taqos-lint: allow(panic-index) -- windows(2) yields exactly-two-element slices
-                if !schedule.changes.windows(2).all(|w| w[0].at < w[1].at) {
-                    return Err(SimError::Spec(SpecError::new(format!(
-                        "flow {flow}: phase changes must be strictly increasing in cycle"
-                    ))));
+                // A burst train is increasing by construction, however long.
+                if let PhaseSchedule::Explicit(changes) = schedule {
+                    // taqos-lint: allow(panic-index) -- windows(2) yields exactly-two-element slices
+                    if !changes.windows(2).all(|w| w[0].at < w[1].at) {
+                        return Err(SimError::Spec(SpecError::new(format!(
+                            "flow {flow}: phase changes must be strictly increasing in cycle"
+                        ))));
+                    }
                 }
             }
         }
@@ -286,7 +291,9 @@ pub(crate) struct ClosedLoopState {
 }
 
 impl ClosedLoopState {
-    pub(crate) fn new(spec: &ClosedLoopSpec, net: &NetworkSpec) -> Self {
+    /// Consumes the spec: schedules and weights move into the components
+    /// instead of being copied next to a spec the caller then drops.
+    pub(crate) fn new(spec: ClosedLoopSpec, net: &NetworkSpec) -> Self {
         // Node identifiers are labels: size the per-node tables to cover the
         // largest id any source or sink declares, not just the router count.
         let ports = net.sources.iter().map(|s| s.node);
@@ -306,7 +313,7 @@ impl ClosedLoopState {
         let weights = if spec.flow_weights.is_empty() {
             vec![1; num_flows]
         } else {
-            spec.flow_weights.clone()
+            spec.flow_weights
         };
         let mut controllers: Vec<Option<MemoryController>> = (0..num_nodes).map(|_| None).collect();
         if let Some(dram) = spec.dram {
@@ -316,9 +323,11 @@ impl ClosedLoopState {
                 }
             }
         }
+        // An empty workload has no schedule for any flow.
+        let mut schedules = spec.phases.schedules.into_iter();
         let requesters = spec.requesters.iter().enumerate().map(|(flow, r)| {
+            let schedule = schedules.next().unwrap_or_default();
             r.map(|r| {
-                let schedule = spec.phases.schedules.get(flow).cloned().unwrap_or_default();
                 Requester::new(
                     FlowId(flow as u16),
                     r,
@@ -346,6 +355,12 @@ impl ClosedLoopState {
     // taqos-lint: hot
     pub(crate) fn controller_mut(&mut self, node: usize) -> Option<&mut MemoryController> {
         self.controllers.get_mut(node)?.as_mut()
+    }
+
+    /// Every requester's flow index and memory controller node.
+    pub(crate) fn requester_controllers(&self) -> impl Iterator<Item = (usize, NodeId)> + '_ {
+        let requesters = self.requesters.iter().enumerate();
+        requesters.filter_map(|(flow, r)| Some((flow, r.as_ref()?.controller())))
     }
 
     /// Source index injecting the replies of the controller at `node`.

@@ -67,21 +67,130 @@ pub struct PhaseChange {
 /// A per-flow sequence of [`PhaseChange`]s, strictly increasing in cycle.
 /// The default (empty) schedule leaves the requester's static window from
 /// [`RequesterSpec::mlp`] in force for the whole run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhaseSchedule {
-    /// The changes, strictly increasing in [`PhaseChange::at`].
-    pub changes: Vec<PhaseChange>,
+///
+/// Stored as what describes it: an explicit list costs one record per
+/// change, a periodic burst train costs five integers however long it runs.
+/// Either way the requester reads change `i` through [`Self::change`].
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PhaseSchedule {
+    /// Explicit changes (trace replays, migrations), which
+    /// [`ClosedLoopSpec::validate`](super::ClosedLoopSpec::validate) requires
+    /// to be strictly increasing in [`PhaseChange::at`].
+    Explicit(Vec<PhaseChange>),
+    /// A periodic on/off train in closed form.
+    Bursts(BurstTrain),
+}
+
+impl Default for PhaseSchedule {
+    fn default() -> Self {
+        PhaseSchedule::Explicit(Vec::new())
+    }
 }
 
 impl PhaseSchedule {
     /// A schedule from explicit changes.
     pub fn new(changes: Vec<PhaseChange>) -> Self {
-        PhaseSchedule { changes }
+        PhaseSchedule::Explicit(changes)
     }
 
     /// Whether the schedule never changes anything.
     pub fn is_empty(&self) -> bool {
-        self.changes.is_empty()
+        self.change(0).is_none()
+    }
+
+    /// The `i`-th change, in O(1); `None` past the last one.
+    // taqos-lint: hot
+    pub fn change(&self, i: usize) -> Option<PhaseChange> {
+        match self {
+            PhaseSchedule::Explicit(changes) => changes.get(i).copied(),
+            PhaseSchedule::Bursts(train) => train.change(i),
+        }
+    }
+
+    /// Every change in order. A [`BurstTrain`] with a far horizon yields
+    /// billions: bound the iteration.
+    pub fn iter(&self) -> impl Iterator<Item = PhaseChange> + '_ {
+        (0..).map_while(|i| self.change(i))
+    }
+}
+
+/// A periodic on/off burst train: the window is `burst_mlp` during
+/// `[offset + k·period, offset + k·period + on_len)` for every burst `k`
+/// starting before `horizon`, and 0 otherwise — from cycle 0 on, so a flow
+/// whose `offset` is non-zero starts off. Only these five integers are
+/// stored; `horizon = Cycle::MAX` is an endless train and costs the same.
+/// The fields are private because [`Self::new`] is the only way in: a train
+/// is strictly increasing by construction and needs no validation pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BurstTrain {
+    burst_mlp: usize,
+    offset: Cycle,
+    period: Cycle,
+    on_len: Cycle,
+    horizon: Cycle,
+}
+
+impl BurstTrain {
+    /// A train of `burst_mlp`-deep bursts of `on_len` cycles every `period`
+    /// cycles, the first starting at `offset`, none starting at or after
+    /// `horizon`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless `0 < on_len < period` (bursts must have
+    /// length and must not touch) and `offset < period`.
+    pub fn new(
+        burst_mlp: usize,
+        offset: Cycle,
+        period: Cycle,
+        on_len: Cycle,
+        horizon: Cycle,
+    ) -> Result<Self, SpecError> {
+        if on_len == 0 || on_len >= period {
+            return Err(SpecError::new(
+                "burst length must be non-zero and shorter than the period",
+            ));
+        }
+        if offset >= period {
+            return Err(SpecError::new("burst offset must lie within the period"));
+        }
+        Ok(BurstTrain {
+            burst_mlp,
+            offset,
+            period,
+            on_len,
+            horizon,
+        })
+    }
+
+    /// Change `i`: an initial "off" at cycle 0 when the first burst starts
+    /// later, then burst `k`'s on and off changes at positions `2k`, `2k+1`.
+    /// Arithmetic near the top of the cycle range is checked: a burst whose
+    /// start is unrepresentable does not exist, and an off-change that would
+    /// overflow saturates (still after its on-change, and the last).
+    // taqos-lint: hot
+    fn change(&self, i: usize) -> Option<PhaseChange> {
+        let lead = usize::from(self.offset > 0);
+        let Some(i) = i.checked_sub(lead) else {
+            return Some(PhaseChange { at: 0, mlp: 0 });
+        };
+        let start = ((i / 2) as Cycle)
+            .checked_mul(self.period)?
+            .checked_add(self.offset)?;
+        if start >= self.horizon {
+            return None;
+        }
+        Some(if i % 2 == 0 {
+            PhaseChange {
+                at: start,
+                mlp: self.burst_mlp,
+            }
+        } else {
+            PhaseChange {
+                at: start.saturating_add(self.on_len),
+                mlp: 0,
+            }
+        })
     }
 }
 
@@ -281,9 +390,19 @@ pub(crate) struct Requester {
     effective_mlp: usize,
     /// Phase schedule of this flow (empty = static workload).
     schedule: PhaseSchedule,
-    /// Index of the next unapplied entry of [`Self::schedule`].
+    /// Index of the next unapplied change of [`Self::schedule`].
     next_phase: usize,
+    /// That change, read once when the cursor moves, so a visit between
+    /// changes — every visit of a static flow — pays one integer compare.
+    /// [`NO_CHANGE`] when the schedule is spent.
+    next_change: PhaseChange,
 }
+
+/// Stands for "no further change": no run's clock reaches `Cycle::MAX`.
+const NO_CHANGE: PhaseChange = PhaseChange {
+    at: Cycle::MAX,
+    mlp: 0,
+};
 
 impl Requester {
     pub(crate) fn new(
@@ -303,9 +422,15 @@ impl Requester {
             issued: 0,
             in_flight: Vec::new(),
             deferred: VecDeque::new(),
+            next_change: schedule.change(0).unwrap_or(NO_CHANGE),
             schedule,
             next_phase: 0,
         }
+    }
+
+    /// The memory controller node this flow's requests go to.
+    pub(crate) fn controller(&self) -> NodeId {
+        self.spec.mc
     }
 
     /// Length in flits of the reply a request of this flow delivered at
@@ -348,14 +473,14 @@ impl Requester {
         trace: &mut TraceHook,
         progress: &mut Cycle,
     ) -> Option<RequestToSend> {
-        // A cursor into the sorted schedule keeps the common static case a
-        // single bounds check per visit.
-        while let Some(change) = self.schedule.changes.get(self.next_phase) {
-            if change.at > now {
-                break;
-            }
-            self.effective_mlp = change.mlp;
+        while self.next_change.at <= now {
+            self.effective_mlp = self.next_change.mlp;
             self.next_phase += 1;
+            let Some(next) = self.schedule.change(self.next_phase) else {
+                self.next_change = NO_CHANGE;
+                break;
+            };
+            self.next_change = next;
         }
         let flow = self.flow;
         if let Some(policy) = self.retry {
@@ -481,9 +606,8 @@ impl Requester {
         if self.can_issue() {
             return None;
         }
-        let phase = self.schedule.changes.get(self.next_phase).map(|c| c.at);
         let timers = self.in_flight.iter().chain(&self.deferred).map(|r| r.due);
-        Some(timers.chain(phase).min().unwrap_or(Cycle::MAX))
+        Some(timers.fold(self.next_change.at, Cycle::min))
     }
 }
 
@@ -553,6 +677,41 @@ mod tests {
         assert!(!r.is_complete());
         assert!(r.on_reply(None, 2, 12, &mut stats) && r.on_reply(None, 10, 13, &mut stats));
         assert!(r.is_complete());
+    }
+
+    /// The window follows a burst train through the one accessor: off from
+    /// cycle 0, open on the burst, several changes applied by one late
+    /// visit, and no wake-up once the train is spent.
+    #[test]
+    fn a_burst_train_gates_the_window_on_its_cycles() {
+        // Bursts of window 2 at [5, 8) and [25, 28); 45 is not before 45.
+        let train = BurstTrain::new(2, 5, 20, 3, 45).expect("valid train");
+        let spec = RequesterSpec::paper(NodeId(0), 4);
+        let mut r = Requester::new(FlowId(0), spec, PhaseSchedule::Bursts(train), None, false);
+        let mut stats = NetStats::new(1);
+        let sends = |r: &mut Requester, stats: &mut NetStats, at| {
+            r.visit(at, stats, &mut TraceHook::Off, &mut 0).is_some()
+        };
+        assert!(
+            !sends(&mut r, &mut stats, 0),
+            "a late first burst starts off"
+        );
+        assert_eq!(r.next_wake(), Some(5));
+        assert!(sends(&mut r, &mut stats, 5) && sends(&mut r, &mut stats, 6));
+        assert!(!sends(&mut r, &mut stats, 7), "burst window full");
+        assert_eq!(r.next_wake(), Some(8));
+        assert!(r.on_reply(None, 5, 10, &mut stats) && r.on_reply(None, 6, 10, &mut stats));
+        assert!(!sends(&mut r, &mut stats, 10), "off since cycle 8");
+        assert_eq!(r.next_wake(), Some(25));
+        assert!(
+            !sends(&mut r, &mut stats, 30),
+            "on at 25 and off at 28, both due"
+        );
+        assert_eq!(r.next_wake(), Some(Cycle::MAX), "the train is spent");
+
+        for (offset, period, on_len) in [(0, 20, 0), (0, 20, 20), (20, 20, 3), (0, 0, 0)] {
+            assert!(BurstTrain::new(2, offset, period, on_len, 45).is_err());
+        }
     }
 
     /// Deadline → backoff lane → retry → abandonment, and reply matching

@@ -33,7 +33,6 @@
 //!
 //! ```rust
 //! use taqos_netsim::prelude::*;
-//! use std::collections::BTreeMap;
 //!
 //! // A two-node chain: node 0's terminal sends to node 1's sink.
 //! let r0 = RouterSpec {
@@ -48,7 +47,7 @@
 //!             1,
 //!         )],
 //!     )],
-//!     route_table: BTreeMap::from([(NodeId(1), vec![OutPortId(0)])]),
+//!     route_table: RouteTable::from_iter([(NodeId(1), [OutPortId(0)])]),
 //!     va_latency: 1,
 //!     xt_latency: 1,
 //! };
@@ -58,7 +57,7 @@
 //!         "north", NodeId(0), Direction::South, 0, VcConfig::new(2, 4), 0,
 //!     )],
 //!     outputs: vec![OutputPortSpec::ejection("eject", 0, 0)],
-//!     route_table: BTreeMap::from([(NodeId(1), vec![OutPortId(0)])]),
+//!     route_table: RouteTable::from_iter([(NodeId(1), [OutPortId(0)])]),
 //!     va_latency: 1,
 //!     xt_latency: 1,
 //! };
@@ -109,8 +108,8 @@ pub mod vc;
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::closed_loop::{
-        ClosedLoopSpec, DramBackpressure, DramConfig, PhaseChange, PhaseSchedule, PhasedWorkload,
-        RequesterSpec, RetryPolicy,
+        BurstTrain, ClosedLoopSpec, DramBackpressure, DramConfig, PhaseChange, PhaseSchedule,
+        PhasedWorkload, RequesterSpec, RetryPolicy,
     };
     pub use crate::config::{SimConfig, TelemetryConfig};
     pub use crate::error::{NetsimError, SimError, SpecError};
@@ -121,8 +120,8 @@ pub mod prelude {
     pub use crate::qos::{FifoPolicy, QosPolicy, RouterQos};
     pub use crate::sim::{run_closed, run_open_loop, OpenLoopConfig};
     pub use crate::spec::{
-        InputKind, InputPortSpec, NetworkSpec, OutputKind, OutputPortSpec, RouterSpec, SinkSpec,
-        SourceSpec, TargetEndpoint, TargetSpec, VcConfig,
+        InputKind, InputPortSpec, NetworkSpec, OutputKind, OutputPortSpec, RouteTable, RouterSpec,
+        SinkSpec, SourceSpec, TargetEndpoint, TargetSpec, VcConfig,
     };
     pub use crate::stats::{FlowStats, NetStats, ThroughputSummary};
     pub use taqos_telemetry::{

@@ -16,11 +16,10 @@
 use super::allocation::Verdict;
 use super::Network;
 use crate::config::EngineKind;
-use crate::ids::{FlowId, NodeId, OutPortId};
+use crate::ids::{FlowId, OutPortId};
 use crate::qos::RouterQos;
-use crate::router::{compute_route, route_among, ArbRequest, PriorityMemo, RouterState};
+use crate::router::{ArbRequest, PriorityMemo, RouterState};
 use crate::source::WakeTimers;
-use crate::spec::{InputPortSpec, RouterSpec};
 
 /// Deterministic work counters of the engine: exact integers (same seed,
 /// same counts, on any machine), kept outside [`crate::stats::NetStats`] so
@@ -70,9 +69,7 @@ impl Network {
         for ri in 0..self.routers.len() {
             for pi in 0..self.routers[ri].inputs.len() {
                 for vi in 0..self.routers[ri].inputs[pi].vcs.len() {
-                    self.route_head(ri, pi, vi, |rspec, pspec, router, dst| {
-                        compute_route(rspec, pspec, dst, &mut router.route_rr_cursor)
-                    });
+                    self.route_head(ri, pi, vi);
                 }
             }
         }
@@ -180,20 +177,6 @@ fn cached_priority(router: &mut RouterState, qos: &dyn RouterQos, flow: FlowId) 
     }
 }
 
-/// The dense route lookup: [`compute_route`]'s rule, its candidates read from
-/// the LUT the spec's map was flattened into at construction.
-// taqos-lint: hot
-fn lookup_route_lut(
-    rspec: &RouterSpec,
-    pspec: &InputPortSpec,
-    router: &mut RouterState,
-    dst: NodeId,
-) -> OutPortId {
-    let lut = &router.route_lut;
-    let candidates = || lut.get(dst.index()).map(Vec::as_slice);
-    route_among(rspec, pspec, dst, candidates, &mut router.route_rr_cursor)
-}
-
 /// Enters the request of a freshly routed head into the persistent list of
 /// its output `out`, ordered by `(in_port, vc)` — the order the reference
 /// rescan produces.
@@ -294,7 +277,7 @@ impl Network {
                     continue;
                 }
                 for vi in 0..self.routers[ri].inputs[pi].vcs.len() {
-                    if let Some((out, id, packet)) = self.route_head(ri, pi, vi, lookup_route_lut) {
+                    if let Some((out, id, packet)) = self.route_head(ri, pi, vi) {
                         let request =
                             ArbRequest::new(&self.spec.routers[ri], out, pi, vi, id, packet);
                         file_request(&mut self.routers[ri], out.0, request);

@@ -346,13 +346,12 @@ impl Network {
     /// has a non-exhausted generator.
     pub fn with_closed_loop(mut self, spec: ClosedLoopSpec) -> Result<Self, SimError> {
         spec.validate(&self.spec)?;
-        let state = ClosedLoopState::new(&spec, &self.spec);
-        for (flow, requester) in spec.requesters.iter().enumerate() {
-            let Some(requester) = requester else { continue };
+        let state = ClosedLoopState::new(spec, &self.spec);
+        for (flow, mc) in state.requester_controllers() {
             // The requester's own source and its controller's reply port
             // (pinned by `validate`) inject for the loop, not for a generator.
             let own = self.flow_to_source.get(flow).copied();
-            let ends = [own, state.reply_port(requester.mc)].into_iter().flatten();
+            let ends = [own, state.reply_port(mc)].into_iter().flatten();
             for source in ends.filter_map(|si| self.sources.get(si)) {
                 if !source.generator.exhausted() {
                     return Err(SimError::Spec(crate::error::SpecError::new(format!(

@@ -1,19 +1,16 @@
-//! Phase 4: route computation for one buffered head. Which VCs are visited,
-//! where the candidate outputs are looked up and what a freshly routed head
-//! is filed into are the engine's business (`engine.rs`).
+//! Phase 4: route computation for one buffered head. Which VCs are visited
+//! and what a freshly routed head is filed into are the engine's business
+//! (`engine.rs`).
 
 use super::{mark_router, Network};
-use crate::ids::{NodeId, OutPortId, PacketId};
+use crate::ids::{OutPortId, PacketId};
 use crate::packet::HotPacket;
-use crate::router::RouterState;
-use crate::spec::{InputPortSpec, RouterSpec};
+use crate::router::compute_route;
 
 impl Network {
     /// Assigns an output to the packet in VC `vi` of input port `pi` of router
     /// `ri`, if its head arrived since the last routing pass, and returns the
-    /// output, the packet and its hot fields. `lookup(rspec, pspec, router,
-    /// dst)` computes the route of a packet for `dst` (it may advance the
-    /// router's round-robin cursor).
+    /// output, the packet and its hot fields.
     // taqos-lint: hot
     #[inline]
     pub(super) fn route_head(
@@ -21,7 +18,6 @@ impl Network {
         ri: usize,
         pi: usize,
         vi: usize,
-        lookup: impl FnOnce(&RouterSpec, &InputPortSpec, &mut RouterState, NodeId) -> OutPortId,
     ) -> Option<(OutPortId, PacketId, HotPacket)> {
         let (rspec, router) = (&self.spec.routers[ri], &mut self.routers[ri]);
         let vc = &router.inputs[pi].vcs[vi];
@@ -36,7 +32,9 @@ impl Network {
             .hot(id)
             // taqos-lint: allow(panic-path) -- VC occupancy and packet lifetime are updated together
             .expect("buffered packet must be live");
-        let out = lookup(rspec, &rspec.inputs[pi], router, packet.dst);
+        let cursor = &mut router.route_rr_cursor;
+        // taqos-lint: allow(panic-index) -- the router's input states mirror the spec's input ports, and pi just indexed the states
+        let out = compute_route(rspec, &rspec.inputs[pi], packet.dst, cursor);
         let port = &mut router.inputs[pi];
         port.vcs[vi].set_route(out);
         port.unrouted -= 1;

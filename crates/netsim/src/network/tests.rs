@@ -10,9 +10,9 @@ use crate::ids::{Direction, InPortId, NodeId, OutPortId};
 use crate::packet::{GeneratedPacket, PacketGenerator};
 use crate::qos::FifoPolicy;
 use crate::spec::{
-    InputPortSpec, OutputPortSpec, RouterSpec, SinkSpec, SourceSpec, TargetSpec, VcConfig,
+    InputPortSpec, OutputPortSpec, RouteTable, RouterSpec, SinkSpec, SourceSpec, TargetSpec,
+    VcConfig,
 };
-use std::collections::BTreeMap;
 
 /// Generator producing a fixed number of single-flit packets, one every
 /// `gap` cycles.
@@ -62,7 +62,7 @@ fn chain_spec_with(injection_vcs: u8) -> NetworkSpec {
                 1,
             )],
         )],
-        route_table: BTreeMap::from([(NodeId(1), vec![OutPortId(0)])]),
+        route_table: RouteTable::from_iter([(NodeId(1), [OutPortId(0)])]),
         va_latency: 1,
         xt_latency: 1,
     };
@@ -77,7 +77,7 @@ fn chain_spec_with(injection_vcs: u8) -> NetworkSpec {
             0,
         )],
         outputs: vec![OutputPortSpec::ejection("eject", 0, 0)],
-        route_table: BTreeMap::from([(NodeId(1), vec![OutPortId(0)])]),
+        route_table: RouteTable::from_iter([(NodeId(1), [OutPortId(0)])]),
         va_latency: 1,
         xt_latency: 1,
     };
@@ -220,7 +220,7 @@ fn multidrop_spec() -> NetworkSpec {
             0,
         )],
         outputs: vec![OutputPortSpec::ejection("eject", (node - 1) as usize, 0)],
-        route_table: BTreeMap::from([(NodeId(node), vec![OutPortId(0)])]),
+        route_table: RouteTable::from_iter([(NodeId(node), [OutPortId(0)])]),
         va_latency: 2,
         xt_latency: 1,
     };
@@ -250,9 +250,9 @@ fn multidrop_spec() -> NetworkSpec {
                 ),
             ],
         )],
-        route_table: BTreeMap::from([
-            (NodeId(1), vec![OutPortId(0)]),
-            (NodeId(2), vec![OutPortId(0)]),
+        route_table: RouteTable::from_iter([
+            (NodeId(1), [OutPortId(0)]),
+            (NodeId(2), [OutPortId(0)]),
         ]),
         va_latency: 2,
         xt_latency: 1,
@@ -398,9 +398,9 @@ fn bidirectional_spec() -> NetworkSpec {
             ),
             OutputPortSpec::ejection("eject", node as usize, 0),
         ],
-        route_table: BTreeMap::from([
-            (NodeId(peer), vec![OutPortId(0)]),
-            (NodeId(node), vec![OutPortId(1)]),
+        route_table: RouteTable::from_iter([
+            (NodeId(peer), [OutPortId(0)]),
+            (NodeId(node), [OutPortId(1)]),
         ]),
         va_latency: 1,
         xt_latency: 1,

@@ -179,15 +179,14 @@ impl QosPolicy for FifoPolicy {
 mod tests {
     use super::*;
     use crate::ids::NodeId;
-    use crate::spec::{InputPortSpec, OutputPortSpec, RouterSpec, VcConfig};
-    use std::collections::BTreeMap;
+    use crate::spec::{InputPortSpec, OutputPortSpec, RouteTable, RouterSpec, VcConfig};
 
     fn dummy_router_spec() -> RouterSpec {
         RouterSpec {
             node: NodeId(0),
             inputs: vec![InputPortSpec::injection("i", VcConfig::new(1, 4), 0)],
             outputs: vec![OutputPortSpec::ejection("e", 0, 0)],
-            route_table: BTreeMap::new(),
+            route_table: RouteTable::default(),
             va_latency: 1,
             xt_latency: 1,
         }

@@ -106,10 +106,6 @@ pub struct RouterState {
     /// launch phase can walk set bits instead of scanning every output. One
     /// word suffices: `NetworkSpec::validate` caps a router at 64 outputs.
     pub(crate) granted_mask: u64,
-    /// Dense routing table: candidate output ports indexed by destination
-    /// node, flattened from the spec's `BTreeMap` at construction so the
-    /// per-packet route lookup is an array index instead of a tree walk.
-    pub(crate) route_lut: Vec<Vec<OutPortId>>,
     /// Dirty bits for arbitration (read by the optimized engine only). An
     /// output's bit is set whenever anything feeding its
     /// decision changes: a request enters or leaves its bucket, one of its
@@ -151,16 +147,6 @@ impl RouterState {
     /// Creates runtime state for a router of a network with `num_flows`
     /// flows from its specification.
     pub fn from_spec(spec: &RouterSpec, num_flows: usize) -> Self {
-        let lut_len = spec
-            .route_table
-            .keys()
-            .map(|node| node.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut route_lut = vec![Vec::new(); lut_len];
-        for (node, candidates) in &spec.route_table {
-            route_lut[node.index()] = candidates.clone();
-        }
         RouterState {
             node: spec.node,
             inputs: spec.inputs.iter().map(InputPortState::from_spec).collect(),
@@ -177,7 +163,6 @@ impl RouterState {
             alloc_pending: 0,
             cached_probe: vec![None; spec.outputs.len()],
             xbar_groups: spec.inputs.iter().map(|p| p.xbar_group).collect(),
-            route_lut,
             alloc_buckets: (0..spec.outputs.len()).map(|_| Vec::new()).collect(),
             priority_cache: vec![PriorityMemo { value: 0, epoch: 0 }; num_flows],
             priority_epoch: 1,
@@ -222,49 +207,39 @@ impl RouterState {
 ///
 /// Panics if the routing table has no entry for `dst` — that is a topology
 /// construction bug, not a runtime condition.
+// taqos-lint: hot
+#[inline]
 pub fn compute_route(
     spec: &RouterSpec,
     in_port: &InputPortSpec,
     dst: NodeId,
     rr_cursor: &mut usize,
 ) -> OutPortId {
-    let candidates = || spec.route_table.get(&dst).map(Vec::as_slice);
-    route_among(spec, in_port, dst, candidates, rr_cursor)
-}
-
-/// The routing rule behind [`compute_route`], over any source of the
-/// candidate output ports for `dst` (the spec's `BTreeMap`, or the dense
-/// [`RouterState::route_lut`] the optimized engine reads); consulted only
-/// when the port has no fixed route.
-pub(crate) fn route_among<'c>(
-    spec: &RouterSpec,
-    in_port: &InputPortSpec,
-    dst: NodeId,
-    candidates: impl FnOnce() -> Option<&'c [OutPortId]>,
-    rr_cursor: &mut usize,
-) -> OutPortId {
     if let Some(fixed) = in_port.fixed_route {
         return fixed;
     }
-    let candidates = candidates()
-        .filter(|c| !c.is_empty())
+    let mut candidates = spec
+        .route_table
+        .get(dst)
         .unwrap_or_else(|| panic!("router {} has no route for destination {dst}", spec.node));
-    if candidates.len() == 1 {
-        return candidates[0];
-    }
-    if let InputKind::Network { channel, .. } = in_port.kind {
-        if let Some(&same) = candidates.iter().find(|&&out| {
-            matches!(
-                spec.outputs[out.0].kind,
-                OutputKind::Network { channel: c, .. } if c == channel
-            )
-        }) {
-            return same;
+    let mut pick = 0;
+    if candidates.len() > 1 {
+        if let InputKind::Network { channel, .. } = in_port.kind {
+            // taqos-lint: allow(hot-alloc) -- cloning a slice iterator copies two pointers
+            if let Some(same) = candidates.clone().find(|out| {
+                matches!(
+                    spec.outputs[out.0].kind,
+                    OutputKind::Network { channel: c, .. } if c == channel
+                )
+            }) {
+                return same;
+            }
         }
+        pick = *rr_cursor % candidates.len();
+        *rr_cursor = rr_cursor.wrapping_add(1);
     }
-    let pick = candidates[*rr_cursor % candidates.len()];
-    *rr_cursor = rr_cursor.wrapping_add(1);
-    pick
+    // taqos-lint: allow(panic-path) -- a route holds at least one candidate and `pick` is below their count
+    candidates.nth(pick).expect("route has a candidate")
 }
 
 /// Resolves which target (drop-off point) of an output port serves packets
@@ -294,8 +269,7 @@ pub fn resolve_target_idx(out_port: &OutputPortSpec, dst: NodeId) -> usize {
 mod tests {
     use super::*;
     use crate::ids::Direction;
-    use crate::spec::{TargetEndpoint, TargetSpec, VcConfig};
-    use std::collections::BTreeMap;
+    use crate::spec::{RouteTable, TargetEndpoint, TargetSpec, VcConfig};
 
     fn replicated_router() -> RouterSpec {
         let targets = |_ch: u8| vec![TargetSpec::single(TargetEndpoint::Sink { sink: 0 }, 1)];
@@ -325,7 +299,7 @@ mod tests {
                 OutputPortSpec::network("north_ch1", Direction::North, 1, targets(1)),
                 OutputPortSpec::ejection("eject", 0, 0),
             ],
-            route_table: BTreeMap::from([
+            route_table: RouteTable::from_iter([
                 (NodeId(0), vec![OutPortId(0), OutPortId(1)]),
                 (NodeId(3), vec![OutPortId(2)]),
             ]),

@@ -13,7 +13,6 @@
 use crate::error::SpecError;
 use crate::ids::{Direction, FlowId, InPortId, NodeId, OutPortId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Virtual-channel provisioning of one input port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -259,6 +258,147 @@ impl OutputPortSpec {
     }
 }
 
+/// A router's routing table: packet destination to candidate output ports,
+/// in round-robin order.
+///
+/// One contiguous allocation: a fixed-width row of bytes per destination,
+/// indexed by the destination's node index — a count, then that many port
+/// indices — so a single-candidate table costs two bytes per destination and
+/// a lookup is one array index. The row widens (once, for the whole table)
+/// when an entry with more candidates is inserted. Port indices are stored
+/// as a `u8` because [`NetworkSpec::validate`] caps a router at 64 outputs;
+/// an index of 255 or above is stored as 255, which `validate` rejects like
+/// any other index beyond the router's outputs.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct RouteTable {
+    /// `width` bytes per destination: `[count, port 0, port 1, ..]`, a zero
+    /// count meaning "no route".
+    rows: Vec<u8>,
+    /// Row width: one more than the most candidates an entry may hold.
+    width: usize,
+}
+
+impl Default for RouteTable {
+    fn default() -> Self {
+        RouteTable::with_destinations(0)
+    }
+}
+
+impl RouteTable {
+    /// An empty table with room for destinations `0..destinations`, so a
+    /// builder that fills it with single-candidate routes allocates once.
+    pub fn with_destinations(destinations: usize) -> Self {
+        RouteTable {
+            rows: Vec::with_capacity(2 * destinations),
+            width: 2,
+        }
+    }
+
+    /// Routes `dst` through `ports`, replacing any earlier entry. No ports
+    /// means no route.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ports` holds more than 255 candidates (a router has at
+    /// most 64 outputs).
+    pub fn insert(&mut self, dst: NodeId, ports: &[OutPortId]) {
+        let count = u8::try_from(ports.len()).expect("at most 255 candidate ports per route");
+        if ports.len() >= self.width {
+            let width = ports.len() + 1;
+            let mut rows = Vec::with_capacity(self.rows.capacity() / self.width * width);
+            for row in self.rows.chunks_exact(self.width) {
+                rows.extend_from_slice(row);
+                rows.resize(rows.len() + width - self.width, 0);
+            }
+            (self.rows, self.width) = (rows, width);
+        }
+        let start = dst.index() * self.width;
+        if self.rows.len() < start + self.width {
+            self.rows.resize(start + self.width, 0);
+        }
+        // taqos-lint: allow(panic-index) -- the rows were just grown to cover this one, and a row holds `width - 1 >= ports.len()` ports
+        let row = &mut self.rows[start..start + self.width];
+        row.fill(0);
+        row[0] = count;
+        for (slot, port) in row[1..].iter_mut().zip(ports) {
+            *slot = u8::try_from(port.0).unwrap_or(u8::MAX);
+        }
+    }
+
+    /// The candidate output ports for `dst`, if it has a route.
+    // taqos-lint: hot
+    #[inline]
+    pub fn get(&self, dst: NodeId) -> Option<Ports<'_>> {
+        let start = dst.index() * self.width;
+        let row = self.rows.get(start..start + self.width)?;
+        let (&count, ports) = row.split_first()?;
+        let ports = ports.get(..usize::from(count)).filter(|p| !p.is_empty())?;
+        Some(Ports(ports.iter()))
+    }
+
+    /// Whether `dst` has a route.
+    pub fn contains(&self, dst: NodeId) -> bool {
+        self.get(dst).is_some()
+    }
+
+    /// The destinations that have a route, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.iter().map(|(dst, _)| dst)
+    }
+
+    /// Every destination with a route, ascending, with its candidates.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, Ports<'_>)> + '_ {
+        let destinations = (0..self.rows.len() / self.width).map(|dst| NodeId(dst as u16));
+        destinations.filter_map(|dst| Some((dst, self.get(dst)?)))
+    }
+}
+
+/// The candidate output ports of one route, in round-robin order.
+#[derive(Debug, Clone)]
+pub struct Ports<'a>(std::slice::Iter<'a, u8>);
+
+impl Iterator for Ports<'_> {
+    type Item = OutPortId;
+
+    // taqos-lint: hot
+    #[inline]
+    fn next(&mut self) -> Option<OutPortId> {
+        self.0.next().map(|&port| OutPortId(usize::from(port)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Ports<'_> {}
+
+/// Tables are equal when they route the same destinations through the same
+/// ports, whatever widths their insertion histories left.
+impl PartialEq for RouteTable {
+    fn eq(&self, other: &Self) -> bool {
+        let same_ports = |((_, a), (_, b)): ((_, Ports), (_, Ports))| a.eq(b);
+        self.keys().eq(other.keys()) && self.iter().zip(other.iter()).all(same_ports)
+    }
+}
+
+impl std::fmt::Debug for RouteTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let routes = self.iter().map(|(dst, ports)| (dst, ports.collect()));
+        f.debug_map().entries::<_, Vec<_>, _>(routes).finish()
+    }
+}
+
+impl<P: AsRef<[OutPortId]>> FromIterator<(NodeId, P)> for RouteTable {
+    fn from_iter<I: IntoIterator<Item = (NodeId, P)>>(routes: I) -> Self {
+        let mut table = RouteTable::default();
+        for (dst, ports) in routes {
+            table.insert(dst, ports.as_ref());
+        }
+        table
+    }
+}
+
 /// Specification of one router.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RouterSpec {
@@ -272,7 +412,7 @@ pub struct RouterSpec {
     /// destination maps to several candidates (replicated mesh channels) the
     /// router keeps a packet on the channel it arrived on when possible and
     /// otherwise balances in round-robin order.
-    pub route_table: BTreeMap<NodeId, Vec<OutPortId>>,
+    pub route_table: RouteTable,
     /// Virtual-channel allocation (arbitration) latency in cycles: 1 for mesh
     /// and DPS, 2 for MECS.
     pub va_latency: u32,
@@ -481,12 +621,7 @@ impl NetworkSpec {
                     }
                 }
             }
-            for (dest, ports) in &router.route_table {
-                if ports.is_empty() {
-                    return Err(SpecError::new(format!(
-                        "router {ri} route table entry for {dest} has no candidate ports"
-                    )));
-                }
+            for (dest, ports) in router.route_table.iter() {
                 for port in ports {
                     if port.0 >= router.outputs.len() {
                         return Err(SpecError::new(format!(
@@ -600,7 +735,7 @@ mod tests {
                     1,
                 )],
             )],
-            route_table: BTreeMap::from([(NodeId(1), vec![OutPortId(0)])]),
+            route_table: RouteTable::from_iter([(NodeId(1), [OutPortId(0)])]),
             va_latency: 1,
             xt_latency: 1,
         };
@@ -615,7 +750,7 @@ mod tests {
                 0,
             )],
             outputs: vec![OutputPortSpec::ejection("eject", 0, 0)],
-            route_table: BTreeMap::from([(NodeId(1), vec![OutPortId(0)])]),
+            route_table: RouteTable::from_iter([(NodeId(1), [OutPortId(0)])]),
             va_latency: 1,
             xt_latency: 1,
         };
@@ -679,8 +814,64 @@ mod tests {
         let mut spec = tiny_spec();
         spec.routers[0]
             .route_table
-            .insert(NodeId(5), vec![OutPortId(7)]);
+            .insert(NodeId(5), &[OutPortId(7)]);
         assert!(spec.validate().is_err());
+    }
+
+    /// The table against the map it replaced, under seeded random
+    /// insert / replace / remove / get / keys sequences.
+    #[test]
+    fn route_table_equals_a_btreemap_model_under_random_edits() {
+        use crate::fault::splitmix64;
+        use std::collections::BTreeMap;
+        for seed in 0..200u64 {
+            let mut table = RouteTable::default();
+            let mut model = BTreeMap::new();
+            let r = |step: u64, salt: u64| splitmix64(seed ^ (step << 20) ^ (salt << 56));
+            for step in 0..120 {
+                let dst = NodeId((r(step, 1) % 40) as u16);
+                // Mostly one candidate, sometimes several (widening the
+                // rows mid-sequence), sometimes none (the route goes away),
+                // and port indices on both sides of what a byte holds.
+                let count = [1, 1, 1, 2, 4, 0][(r(step, 2) % 6) as usize];
+                let ports: Vec<OutPortId> = (0..count)
+                    .map(|i| OutPortId((r(step, 3 + i) % 300) as usize))
+                    .collect();
+                table.insert(dst, &ports);
+                if ports.is_empty() {
+                    model.remove(&dst);
+                } else {
+                    let stored = |p: &OutPortId| OutPortId(p.0.min(255));
+                    model.insert(dst, ports.iter().map(stored).collect());
+                }
+                let probe = NodeId((r(step, 9) % 48) as u16);
+                let got = table.get(probe).map(|ports| ports.collect::<Vec<_>>());
+                assert_eq!(got.as_ref(), model.get(&probe), "seed {seed} step {step}");
+                assert_eq!(table.contains(probe), model.contains_key(&probe));
+            }
+            assert!(table.keys().eq(model.keys().copied()), "seed {seed}");
+            let routes = table.iter().map(|(dst, ports)| (dst, ports.collect()));
+            assert_eq!(routes.collect::<BTreeMap<_, Vec<_>>>(), model);
+            // Equality is about routes, not about how the rows got there.
+            let rebuilt: RouteTable = model.iter().map(|(&dst, ports)| (dst, ports)).collect();
+            assert_eq!(rebuilt, table, "seed {seed}");
+            if let Some((&dst, _)) = model.iter().next() {
+                let mut other = table.clone();
+                other.insert(dst, &[]);
+                assert_ne!(other, table);
+            }
+        }
+    }
+
+    #[test]
+    fn a_single_candidate_table_is_one_allocation_of_two_bytes_per_destination() {
+        let mut table = RouteTable::with_destinations(256);
+        let before = (table.rows.as_ptr(), table.rows.capacity());
+        for dst in 0..256 {
+            table.insert(NodeId(dst), &[OutPortId(usize::from(dst) % 5)]);
+        }
+        assert_eq!((table.rows.as_ptr(), table.rows.capacity()), before);
+        assert_eq!(table.rows.len(), 512);
     }
 
     #[test]

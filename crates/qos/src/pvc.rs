@@ -221,14 +221,13 @@ mod tests {
     use super::*;
 
     fn dummy_spec() -> RouterSpec {
-        use std::collections::BTreeMap;
-        use taqos_netsim::spec::{InputPortSpec, OutputPortSpec, VcConfig};
+        use taqos_netsim::spec::{InputPortSpec, OutputPortSpec, RouteTable, VcConfig};
         use taqos_netsim::NodeId;
         RouterSpec {
             node: NodeId(0),
             inputs: vec![InputPortSpec::injection("i", VcConfig::new(1, 4), 0)],
             outputs: vec![OutputPortSpec::ejection("e", 0, 0)],
-            route_table: BTreeMap::new(),
+            route_table: RouteTable::default(),
             va_latency: 1,
             xt_latency: 1,
         }

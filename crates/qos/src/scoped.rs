@@ -95,8 +95,7 @@ impl<P: QosPolicy> QosPolicy for ScopedQosPolicy<P> {
 mod tests {
     use super::*;
     use crate::pvc::PvcPolicy;
-    use std::collections::BTreeMap;
-    use taqos_netsim::spec::{InputPortSpec, OutputPortSpec, VcConfig};
+    use taqos_netsim::spec::{InputPortSpec, OutputPortSpec, RouteTable, VcConfig};
     use taqos_netsim::PacketId;
 
     fn router_spec(node: u16) -> RouterSpec {
@@ -104,7 +103,7 @@ mod tests {
             node: NodeId(node),
             inputs: vec![InputPortSpec::injection("i", VcConfig::new(1, 4), 0)],
             outputs: vec![OutputPortSpec::ejection("e", 0, 0)],
-            route_table: BTreeMap::new(),
+            route_table: RouteTable::default(),
             va_latency: 1,
             xt_latency: 1,
         }

@@ -29,8 +29,8 @@
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use taqos_netsim::spec::{
-    InputPortSpec, NetworkSpec, OutputPortSpec, RouterSpec, SinkSpec, SourceSpec, TargetEndpoint,
-    TargetSpec, VcConfig,
+    InputPortSpec, NetworkSpec, OutputPortSpec, RouteTable, RouterSpec, SinkSpec, SourceSpec,
+    TargetEndpoint, TargetSpec, VcConfig,
 };
 use taqos_netsim::{Direction, FlowId, InPortId, NodeId, OutPortId};
 
@@ -411,7 +411,7 @@ impl<'a> ChipBuilder<'a> {
                 }
             }
 
-            let mut route_table: BTreeMap<NodeId, Vec<OutPortId>> = BTreeMap::new();
+            let mut route_table = RouteTable::with_destinations(cfg.num_nodes());
             for dst in 0..cfg.num_nodes() {
                 let dst = NodeId(dst as u16);
                 let (dx, dy) = cfg.coords(dst);
@@ -461,7 +461,7 @@ impl<'a> ChipBuilder<'a> {
                         None => eject_port,
                     }
                 };
-                route_table.insert(dst, vec![out]);
+                route_table.insert(dst, &[out]);
             }
 
             routers.push(RouterSpec {
@@ -582,6 +582,12 @@ mod tests {
     use super::*;
     use taqos_netsim::spec::InputKind;
 
+    /// The (only) output port `router` sends packets for `dst` through.
+    fn first_hop(router: &RouterSpec, dst: NodeId) -> OutPortId {
+        let mut ports = router.route_table.get(dst).expect("chip routes everywhere");
+        ports.next().expect("a route has a port")
+    }
+
     #[test]
     fn paper_chip_builds_a_valid_spec() {
         let chip = ChipConfig::paper_8x8().build();
@@ -606,7 +612,7 @@ mod tests {
             for &c in &config.shared_columns {
                 for dy in 0..config.height {
                     let dst = config.node_at(usize::from(c), dy);
-                    let out = router.route_table[&dst][0];
+                    let out = first_hop(router, dst);
                     assert!(
                         router.outputs[out.0].name.starts_with("mecs_"),
                         "router {} routes {dst} via {}",
@@ -705,10 +711,10 @@ mod tests {
         let chip = config.build();
         let router = &chip.spec.routers[config.node_at(1, 1).index()];
         // Destination (2, 5) is not in a shared column: XY goes East first.
-        let out = router.route_table[&config.node_at(2, 5)][0];
+        let out = first_hop(router, config.node_at(2, 5));
         assert_eq!(router.outputs[out.0].name, "out_E");
         // Self destination ejects.
-        let eject = router.route_table[&config.node_at(1, 1)][0];
+        let eject = first_hop(router, config.node_at(1, 1));
         assert_eq!(router.outputs[eject.0].name, "eject");
     }
 
@@ -719,16 +725,16 @@ mod tests {
         let router = &chip.spec.routers[config.node_at(1, 1).index()];
         // A different-row unprotected destination now transits the shared
         // column: one express hop east toward x = 4.
-        let out = router.route_table[&config.node_at(2, 5)][0];
+        let out = first_hop(router, config.node_at(2, 5));
         assert_eq!(router.outputs[out.0].name, "mecs_E");
         // Same-row destinations keep plain XY (no turn needed, and a column
         // detour would bounce between the column and the row).
-        let out = router.route_table[&config.node_at(6, 1)][0];
+        let out = first_hop(router, config.node_at(6, 1));
         assert_eq!(router.outputs[out.0].name, "out_E");
-        let out = router.route_table[&config.node_at(0, 1)][0];
+        let out = first_hop(router, config.node_at(0, 1));
         assert_eq!(router.outputs[out.0].name, "out_W");
         // Self destination still ejects.
-        let eject = router.route_table[&config.node_at(1, 1)][0];
+        let eject = first_hop(router, config.node_at(1, 1));
         assert_eq!(router.outputs[eject.0].name, "eject");
         // Multi-column grids stay valid: the nearest column's drop point
         // covers the unprotected destinations riding the shared channel.
@@ -736,7 +742,7 @@ mod tests {
             .with_inter_domain_via_column();
         let chip = multi.build();
         let router = &chip.spec.routers[multi.node_at(0, 1).index()];
-        let out = router.route_table[&multi.node_at(3, 0)][0];
+        let out = first_hop(router, multi.node_at(3, 0));
         assert_eq!(router.outputs[out.0].name, "mecs_E");
         let port = &router.outputs[out.0];
         assert!(port.targets[0].covers.contains(&multi.node_at(3, 0)));
@@ -750,19 +756,19 @@ mod tests {
         let router = &chip.spec.routers[config.node_at(4, 2).index()];
         // A destination on another row: stay inside the protected column
         // until its row is reached (Y before X — the reply rule).
-        let out = router.route_table[&config.node_at(1, 5)][0];
+        let out = first_hop(router, config.node_at(1, 5));
         assert_eq!(router.outputs[out.0].name, "out_S");
-        let out = router.route_table[&config.node_at(6, 0)][0];
+        let out = first_hop(router, config.node_at(6, 0));
         assert_eq!(router.outputs[out.0].name, "out_N");
         // On the destination's own row the reply exits over the mesh.
-        let out = router.route_table[&config.node_at(1, 2)][0];
+        let out = first_hop(router, config.node_at(1, 2));
         assert_eq!(router.outputs[out.0].name, "out_W");
-        let out = router.route_table[&config.node_at(6, 2)][0];
+        let out = first_hop(router, config.node_at(6, 2));
         assert_eq!(router.outputs[out.0].name, "out_E");
         // Destinations inside the column keep plain column routing.
-        let out = router.route_table[&config.node_at(4, 7)][0];
+        let out = first_hop(router, config.node_at(4, 7));
         assert_eq!(router.outputs[out.0].name, "out_S");
-        let eject = router.route_table[&config.node_at(4, 2)][0];
+        let eject = first_hop(router, config.node_at(4, 2));
         assert_eq!(router.outputs[eject.0].name, "eject");
     }
 

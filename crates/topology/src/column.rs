@@ -25,8 +25,8 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use taqos_netsim::spec::{
-    InputPortSpec, NetworkSpec, OutputPortSpec, RouterSpec, SinkSpec, SourceSpec, TargetEndpoint,
-    TargetSpec, VcConfig,
+    InputPortSpec, NetworkSpec, OutputPortSpec, RouteTable, RouterSpec, SinkSpec, SourceSpec,
+    TargetEndpoint, TargetSpec, VcConfig,
 };
 use taqos_netsim::{Direction, FlowId, InPortId, NodeId, OutPortId};
 
@@ -461,10 +461,10 @@ impl ColumnBuilder {
         let mut routers = Vec::with_capacity(n);
         for node in 0..n {
             let mut outputs: Vec<OutputPortSpec> = Vec::new();
-            let mut route_table: BTreeMap<NodeId, Vec<OutPortId>> = BTreeMap::new();
+            let mut route_table = RouteTable::with_destinations(n);
             // Output 0: ejection towards this node's terminal.
             outputs.push(OutputPortSpec::ejection("eject", node, 0));
-            route_table.insert(NodeId(node as u16), vec![OutPortId(0)]);
+            route_table.insert(NodeId(node as u16), &[OutPortId(0)]);
 
             match self.topology {
                 ColumnTopology::MeshX1 | ColumnTopology::MeshX2 | ColumnTopology::MeshX4 => {
@@ -513,9 +513,9 @@ impl ColumnBuilder {
                     }
                     for dest in 0..n {
                         if dest < node {
-                            route_table.insert(NodeId(dest as u16), north_ports.clone());
+                            route_table.insert(NodeId(dest as u16), &north_ports);
                         } else if dest > node {
-                            route_table.insert(NodeId(dest as u16), south_ports.clone());
+                            route_table.insert(NodeId(dest as u16), &south_ports);
                         }
                     }
                 }
@@ -542,7 +542,7 @@ impl ColumnBuilder {
                             targets,
                         ));
                         for dest in 0..node {
-                            route_table.insert(NodeId(dest as u16), vec![port]);
+                            route_table.insert(NodeId(dest as u16), &[port]);
                         }
                     }
                     if node + 1 < n {
@@ -567,7 +567,7 @@ impl ColumnBuilder {
                             targets,
                         ));
                         for dest in (node + 1)..n {
-                            route_table.insert(NodeId(dest as u16), vec![port]);
+                            route_table.insert(NodeId(dest as u16), &[port]);
                         }
                     }
                 }
@@ -599,7 +599,7 @@ impl ColumnBuilder {
                                 1,
                             )],
                         ));
-                        route_table.insert(NodeId(subnet as u16), vec![port]);
+                        route_table.insert(NodeId(subnet as u16), &[port]);
                     }
                     // Through traffic uses fixed routes: continue on the
                     // subnet (pass-through) or eject at the subnet's

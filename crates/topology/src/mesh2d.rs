@@ -9,10 +9,9 @@
 //! generic router engine.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use taqos_netsim::spec::{
-    InputPortSpec, NetworkSpec, OutputPortSpec, RouterSpec, SinkSpec, SourceSpec, TargetEndpoint,
-    TargetSpec, VcConfig,
+    InputPortSpec, NetworkSpec, OutputPortSpec, RouteTable, RouterSpec, SinkSpec, SourceSpec,
+    TargetEndpoint, TargetSpec, VcConfig,
 };
 use taqos_netsim::{Direction, FlowId, InPortId, NodeId, OutPortId};
 
@@ -246,7 +245,7 @@ impl Mesh2dConfig {
             }
             outputs.push(OutputPortSpec::ejection("eject", node, 0));
             let eject_port = OutPortId(outputs.len() - 1);
-            let mut route_table = BTreeMap::new();
+            let mut route_table = RouteTable::with_destinations(self.num_nodes());
             for dst in 0..self.num_nodes() {
                 let dst = NodeId(dst as u16);
                 let out = match self.xy_direction(x, y, dst) {
@@ -256,7 +255,7 @@ impl Mesh2dConfig {
                     ),
                     None => eject_port,
                 };
-                route_table.insert(dst, vec![out]);
+                route_table.insert(dst, &[out]);
             }
             routers.push(RouterSpec {
                 node: NodeId(node as u16),
@@ -338,7 +337,7 @@ mod tests {
         let spec = config.build();
         for router in &spec.routers {
             for dst in 0..config.num_nodes() {
-                assert!(router.route_table.contains_key(&NodeId(dst as u16)));
+                assert!(router.route_table.contains(NodeId(dst as u16)));
             }
         }
     }

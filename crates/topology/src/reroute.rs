@@ -95,7 +95,7 @@ pub fn reroute_around_faults(
     let destinations: BTreeSet<NodeId> = spec
         .routers
         .iter()
-        .flat_map(|r| r.route_table.keys().copied())
+        .flat_map(|r| r.route_table.keys())
         .collect();
 
     let mut summary = RerouteSummary::default();
@@ -147,9 +147,9 @@ pub fn reroute_around_faults(
             if router_dead[ri] || dist[ri] == 0 {
                 continue;
             }
-            if !spec.routers[ri].route_table.contains_key(&dst) {
+            let Some(entry) = spec.routers[ri].route_table.get(dst) else {
                 continue;
-            }
+            };
             if dist[ri] == UNREACHED {
                 summary.unreachable.push((ri, dst));
                 continue;
@@ -173,21 +173,13 @@ pub fn reroute_around_faults(
                 })
                 .collect();
             debug_assert!(!candidates.is_empty(), "finite distance implies a next hop");
-            let entry = spec.routers[ri]
-                .route_table
-                .get_mut(&dst)
-                .expect("checked above");
             // Keep the original candidate ports that are still shortest
             // (preserving replication and round-robin order — and making the
             // whole pass a no-op on a healthy fabric); otherwise detour.
-            let kept: Vec<_> = entry
-                .iter()
-                .copied()
-                .filter(|p| candidates.contains(p))
-                .collect();
+            let kept: Vec<_> = entry.clone().filter(|p| candidates.contains(p)).collect();
             let new_entry = if kept.is_empty() { candidates } else { kept };
-            if *entry != new_entry {
-                *entry = new_entry;
+            if !entry.eq(new_entry.iter().copied()) {
+                spec.routers[ri].route_table.insert(dst, &new_entry);
                 summary.rerouted_entries += 1;
             }
         }
@@ -227,6 +219,17 @@ mod tests {
         let summary = reroute_around_faults(&mut spec, &[], &[]);
         assert!(summary.is_noop());
         assert_eq!(spec, original, "no faults must leave the spec untouched");
+        // Table by table, port by port.
+        for (router, before) in spec.routers.iter().zip(&original.routers) {
+            let routes = |r: &taqos_netsim::spec::RouterSpec| -> Vec<_> {
+                let table = r.route_table.iter();
+                table
+                    .map(|(dst, ports)| (dst, ports.collect::<Vec<_>>()))
+                    .collect()
+            };
+            assert_eq!(routes(router).len(), 64);
+            assert_eq!(routes(router), routes(before));
+        }
     }
 
     /// Index of the output port of `spec.routers[router]` sending in `dir`.
@@ -249,17 +252,17 @@ mod tests {
         let east = network_out(&spec, 0, taqos_netsim::ids::Direction::East);
         let original_entry = spec.routers[0]
             .route_table
-            .get(&config.node_at(7, 0))
-            .cloned()
+            .get(config.node_at(7, 0))
             .expect("mesh routes everywhere");
-        assert_eq!(original_entry, vec![OutPortId(east)]);
+        assert!(original_entry.eq([OutPortId(east)]));
         let summary = reroute_around_faults(&mut spec, &[(0, east)], &[]);
         assert!(summary.rerouted_entries > 0);
         assert!(summary.unreachable.is_empty(), "mesh stays connected");
-        let detour = spec.routers[0]
+        let detour: Vec<_> = spec.routers[0]
             .route_table
-            .get(&config.node_at(7, 0))
-            .expect("entry survives");
+            .get(config.node_at(7, 0))
+            .expect("entry survives")
+            .collect();
         assert!(
             !detour.contains(&OutPortId(east)),
             "detour must avoid the dead link, got {detour:?}"

@@ -8,7 +8,7 @@
 use crate::generators::{DestinationPattern, SyntheticGenerator};
 use crate::injection::PacketSizeMix;
 use taqos_netsim::closed_loop::{
-    ClosedLoopSpec, PhaseChange, PhaseSchedule, PhasedWorkload, RequesterSpec,
+    BurstTrain, ClosedLoopSpec, PhaseChange, PhaseSchedule, PhasedWorkload, RequesterSpec,
 };
 use taqos_netsim::fault::splitmix64;
 use taqos_netsim::packet::{IdleGenerator, PacketGenerator};
@@ -345,12 +345,20 @@ pub fn packet_budget(rate: f64, mix: PacketSizeMix, budget_cycles: u64) -> u64 {
 }
 
 /// A bursty on/off phase schedule for one flow: `burst_mlp`-deep bursts of
-/// `on_len` cycles every `period` cycles, off (window 0) in between, up to
-/// `horizon`. The burst offset within the period is a seeded per-flow hash,
-/// so a population of hogs built from one seed attacks out of phase. The
-/// flow starts *off* (unless its first burst begins at cycle 0) — give the
-/// requester spec any non-zero static window; the schedule overrides it from
-/// the first cycle.
+/// `on_len` cycles every `period` cycles, off (window 0) in between, no burst
+/// starting at or after `horizon`. The burst offset within the period is a
+/// seeded per-flow hash, so a population of hogs built from one seed attacks
+/// out of phase. The flow starts *off* (unless its first burst begins at
+/// cycle 0) — give the requester spec any non-zero static window; the
+/// schedule overrides it from the first cycle.
+///
+/// What is stored is the closed form ([`BurstTrain`]: window, offset, period,
+/// length, horizon), not one record per change, so the cost does not depend
+/// on `horizon` and `Cycle::MAX` is a legal, endless train.
+///
+/// # Panics
+///
+/// Panics unless `0 < on_len < period`.
 pub fn bursty_schedule(
     flow: FlowId,
     burst_mlp: usize,
@@ -360,28 +368,11 @@ pub fn bursty_schedule(
     seed: u64,
 ) -> PhaseSchedule {
     assert!(period > 0, "burst period must be non-zero");
-    assert!(
-        on_len > 0 && on_len < period,
-        "burst length must be non-zero and shorter than the period"
-    );
     let offset = splitmix64(seed ^ ((flow.index() as u64) << 17)) % period;
-    let mut changes = Vec::new();
-    if offset > 0 {
-        changes.push(PhaseChange { at: 0, mlp: 0 });
+    match BurstTrain::new(burst_mlp, offset, period, on_len, horizon) {
+        Ok(train) => PhaseSchedule::Bursts(train),
+        Err(e) => panic!("{e}"),
     }
-    let mut start = offset;
-    while start < horizon {
-        changes.push(PhaseChange {
-            at: start,
-            mlp: burst_mlp,
-        });
-        changes.push(PhaseChange {
-            at: start + on_len,
-            mlp: 0,
-        });
-        start += period;
-    }
-    PhaseSchedule::new(changes)
 }
 
 /// A phased workload of bursty on/off hogs: every flow in `hogs` gets a
@@ -408,13 +399,13 @@ pub fn bursty_hogs(
 /// `(flow, cycle, mlp)` triples (each flow's cycles strictly increasing, as
 /// a demand trace replay would produce them).
 pub fn trace_phases(num_flows: usize, changes: &[(FlowId, u64, usize)]) -> PhasedWorkload {
-    let mut workload = PhasedWorkload::new(num_flows);
+    let mut lists = vec![Vec::new(); num_flows];
     for &(flow, at, mlp) in changes {
-        workload.schedules[flow.index()]
-            .changes
-            .push(PhaseChange { at, mlp });
+        lists[flow.index()].push(PhaseChange { at, mlp });
     }
-    workload
+    PhasedWorkload {
+        schedules: lists.into_iter().map(PhaseSchedule::new).collect(),
+    }
 }
 
 /// Demands (flits per cycle) offered by each flow of a generator set built by
@@ -457,22 +448,145 @@ mod tests {
             .collect()
     }
 
+    /// The executable specification of [`bursty_schedule`]: the loop that
+    /// used to materialise the schedule, one record per change up to the
+    /// horizon. The closed form must equal it change for change.
+    fn materialised_bursts(
+        flow: FlowId,
+        burst_mlp: usize,
+        period: u64,
+        on_len: u64,
+        horizon: u64,
+        seed: u64,
+    ) -> Vec<PhaseChange> {
+        let offset = splitmix64(seed ^ ((flow.index() as u64) << 17)) % period;
+        let mut changes = Vec::new();
+        if offset > 0 {
+            changes.push(PhaseChange { at: 0, mlp: 0 });
+        }
+        let mut start = offset;
+        while start < horizon {
+            changes.push(PhaseChange {
+                at: start,
+                mlp: burst_mlp,
+            });
+            changes.push(PhaseChange {
+                at: start + on_len,
+                mlp: 0,
+            });
+            start += period;
+        }
+        changes
+    }
+
+    fn changes(schedule: &PhaseSchedule) -> Vec<PhaseChange> {
+        schedule.iter().collect()
+    }
+
+    #[test]
+    fn burst_trains_equal_the_materialising_model_change_for_change() {
+        let mut draws = 0;
+        let (mut offset_zero, mut empty, mut ragged) = (0, 0, 0);
+        for draw in 0..4_000u64 {
+            let r = |salt: u64| splitmix64(draw.wrapping_mul(0x9E37_79B9) ^ (salt << 56));
+            let flow = FlowId((r(1) % 256) as u16);
+            // Period 1 cannot hold a burst; small periods make offset 0 and
+            // `horizon <= offset` common enough to be drawn.
+            let period = 2 + r(2) % if draw % 2 == 0 { 6 } else { 400 };
+            let on_len = 1 + r(3) % (period - 1);
+            let horizon = r(4) % (6 * period);
+            let (mlp, seed) = (1 + (r(5) % 16) as usize, r(6));
+            let model = materialised_bursts(flow, mlp, period, on_len, horizon, seed);
+            let train = bursty_schedule(flow, mlp, period, on_len, horizon, seed);
+            assert_eq!(changes(&train), model, "draw {draw}");
+            // Random access agrees with iteration, and ends where it ends.
+            for (i, &want) in model.iter().enumerate().rev() {
+                assert_eq!(train.change(i), Some(want), "draw {draw} change {i}");
+            }
+            assert_eq!(train.change(model.len()), None);
+            assert_eq!(train.is_empty(), model.is_empty());
+            let offset = splitmix64(seed ^ ((flow.index() as u64) << 17)) % period;
+            draws += 1;
+            offset_zero += u64::from(offset == 0);
+            empty += u64::from(horizon <= offset);
+            ragged += u64::from(horizon > offset && !(horizon - offset).is_multiple_of(period));
+        }
+        // The edge cases the model is there for were all exercised.
+        assert!(
+            offset_zero > 50 && empty > 50 && ragged > 1_000,
+            "{draws} draws"
+        );
+    }
+
     #[test]
     fn bursty_schedules_are_deterministic_offset_and_strictly_increasing() {
         let a = bursty_schedule(FlowId(3), 8, 1_000, 250, 10_000, 42);
         let b = bursty_schedule(FlowId(3), 8, 1_000, 250, 10_000, 42);
         assert_eq!(a, b, "same seed, same schedule");
         assert!(!a.is_empty());
-        assert!(a.changes.windows(2).all(|w| w[0].at < w[1].at));
+        let a = changes(&a);
+        assert!(a.windows(2).all(|w| w[0].at < w[1].at));
         // On/off changes alternate between the burst window and zero.
-        assert!(a.changes.iter().all(|c| c.mlp == 0 || c.mlp == 8));
-        assert!(a.changes.iter().any(|c| c.mlp == 8));
+        assert!(a.iter().all(|c| c.mlp == 0 || c.mlp == 8));
+        assert!(a.iter().any(|c| c.mlp == 8));
         // A different flow of the same seed bursts at a different offset.
         let other = bursty_schedule(FlowId(4), 8, 1_000, 250, 10_000, 42);
         assert_ne!(
-            a.changes.iter().find(|c| c.mlp == 8).map(|c| c.at),
-            other.changes.iter().find(|c| c.mlp == 8).map(|c| c.at),
+            a.iter().find(|c| c.mlp == 8).map(|c| c.at),
+            other.iter().find(|c| c.mlp == 8).map(|c| c.at),
         );
+    }
+
+    /// At the parent commit this test cannot finish: the schedule was
+    /// materialised, 32 bytes per period, until the process died (and near
+    /// the top of the range `start + on_len` overflowed).
+    #[test]
+    fn an_unbounded_bursty_schedule_costs_nothing_to_build() {
+        let (period, on_len) = (1_000, 250);
+        let endless = bursty_schedule(FlowId(3), 8, period, on_len, Cycle::MAX, 42);
+        let bounded = bursty_schedule(FlowId(3), 8, period, on_len, 10_000, 42);
+        assert_eq!(
+            std::mem::size_of_val(&endless),
+            std::mem::size_of::<PhaseSchedule>()
+        );
+        assert!(
+            matches!(endless, PhaseSchedule::Bursts(_)),
+            "no list behind it"
+        );
+        // The first changes are the bounded schedule's...
+        let head = changes(&bounded);
+        assert_eq!(endless.iter().take(head.len()).collect::<Vec<_>>(), head);
+        // ...and the last burst is the last one whose start is representable:
+        // on, then an off that saturates instead of wrapping, then nothing.
+        let offset = head[1].at;
+        let bursts = (Cycle::MAX - 1 - offset) / period + 1;
+        let last = usize::try_from(2 * bursts).expect("64-bit usize");
+        let start = offset + (bursts - 1) * period;
+        assert_eq!(
+            endless.change(last - 1),
+            Some(PhaseChange { at: start, mlp: 8 })
+        );
+        let off = endless.change(last).expect("every burst ends");
+        assert_eq!(off.mlp, 0);
+        assert_eq!(off.at, start.saturating_add(on_len));
+        assert!(off.at > start);
+        assert_eq!(endless.change(last + 1), None);
+        assert_eq!(endless.change(usize::MAX), None);
+
+        // A whole population of endless hogs validates without walking them.
+        let config = ColumnConfig::paper();
+        let spec = taqos_topology::column::ColumnTopology::MeshX1.build(&config);
+        let hogs = config.terminal_flows();
+        let closed = hogs
+            .iter()
+            .fold(ClosedLoopSpec::new(config.num_flows()), |c, &f| {
+                c.with_requester(f, RequesterSpec::paper(NodeId(0), 4))
+            });
+        let phases = bursty_hogs(config.num_flows(), &hogs, 8, period, on_len, Cycle::MAX, 7);
+        closed
+            .with_phases(phases)
+            .validate(&spec)
+            .expect("an endless train is a legal schedule");
     }
 
     #[test]
@@ -485,7 +599,7 @@ mod tests {
         assert!(!hogs.is_static());
         let trace = trace_phases(4, &[(FlowId(2), 100, 0), (FlowId(2), 900, 6)]);
         assert_eq!(
-            trace.schedules[2].changes,
+            changes(&trace.schedules[2]),
             vec![
                 PhaseChange { at: 100, mlp: 0 },
                 PhaseChange { at: 900, mlp: 6 }

@@ -159,7 +159,11 @@ fn every_node_reaches_a_shared_column_in_one_mecs_hop() {
             for &c in &shared {
                 for dy in 0..height {
                     let dst = config.node_at(usize::from(c), dy);
-                    let out = router.route_table[&dst][0];
+                    let out = router
+                        .route_table
+                        .get(dst)
+                        .and_then(|mut p| p.next())
+                        .unwrap();
                     let port = &router.outputs[out.0];
                     // The route uses an express channel, not a mesh link.
                     let OutputKind::Network { channel, .. } = port.kind else {
@@ -432,7 +436,11 @@ fn fabric_routes_match_architectural_rules_for_every_pair() {
         let mut current = from.index();
         for _hop in 0..=chip.spec.routers.len() {
             let router = &chip.spec.routers[current];
-            let out = router.route_table[&dst][0];
+            let out = router
+                .route_table
+                .get(dst)
+                .and_then(|mut p| p.next())
+                .unwrap();
             let port = &router.outputs[out.0];
             let target = port
                 .targets

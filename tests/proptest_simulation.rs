@@ -108,7 +108,7 @@ fn generated_column_specs_are_always_valid() {
         for router in &spec.routers {
             for dest in 0..nodes {
                 let dest = NodeId(dest as u16);
-                let has_route = router.route_table.contains_key(&dest)
+                let has_route = router.route_table.contains(dest)
                     || router.inputs.iter().any(|p| p.fixed_route.is_some());
                 assert!(has_route, "router {} cannot reach {dest}", router.node);
             }
