@@ -53,16 +53,25 @@ where
     let queue = std::sync::Mutex::new(work);
     let results = std::sync::Mutex::new(&mut slots);
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(n) {
-            scope.spawn(|| loop {
-                let item = {
-                    let mut queue = queue.lock().expect("queue lock");
-                    queue.pop()
-                };
-                let Some((idx, item)) = item else { break };
-                let result = f(item);
-                results.lock().expect("result lock")[idx] = Some(result);
-            });
+        let handles: Vec<_> = (0..workers.min(n))
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let item = {
+                        let mut queue = queue.lock().expect("queue lock");
+                        queue.pop()
+                    };
+                    let Some((idx, item)) = item else { break };
+                    let result = f(item);
+                    results.lock().expect("result lock")[idx] = Some(result);
+                })
+            })
+            .collect();
+        // The scope only waits for the closures to return. Joining waits
+        // for the threads to exit, so a worker's exit (its allocator cache
+        // flush) cannot interleave with the caller's next allocations and
+        // move the process's memory high-water mark from run to run.
+        for handle in handles {
+            handle.join().expect("a worker panicked");
         }
     });
     slots

@@ -2,7 +2,7 @@
 //! decided, where their request list comes from and where a flow's priority
 //! is read are the engine's business (`engine.rs`).
 
-use super::{mark_router, Network};
+use super::Network;
 use crate::event::Event;
 use crate::ids::{Cycle, FlowId, InPortId, VcId};
 use crate::port::Transfer;
@@ -108,8 +108,14 @@ impl Network {
         let router_latency = if req.passthrough {
             1
         } else {
-            rspec.va_latency + rspec.xt_latency
+            rspec.pipeline_latency()
         };
+        let launch_start = self.now + Cycle::from(router_latency);
+        // The head of an empty queue leaves the pipeline on `launch_start`; a
+        // transfer queued behind another is woken when that one retires.
+        if out_state.granted.is_empty() {
+            self.launch_ring.arm(launch_start, ri, oi);
+        }
         // Per-packet flit-maturation template: every non-head
         // flit of this transfer schedules a copy of this event.
         let body_event = match target.endpoint {
@@ -138,7 +144,7 @@ impl Network {
             to_vc,
             to_vc_reserved,
             flits_launched: 0,
-            launch_start: self.now + Cycle::from(router_latency),
+            launch_start,
             wire_delay: target.wire_delay,
             passthrough: req.passthrough,
             body_event,
@@ -152,8 +158,6 @@ impl Network {
             router: ri as u64,
             out_port: oi as u64,
         });
-        router.granted_mask |= 1 << oi;
-        mark_router(&mut self.launch_work, ri);
         // taqos-lint: allow(panic-index) -- request coordinates were recorded from an enumeration of these vectors
         router.inputs[req.in_port as usize].vcs[req.vc as usize].set_granted();
         // Flow-state bookkeeping. Pass-through merge points (DPS

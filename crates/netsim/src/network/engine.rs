@@ -44,6 +44,21 @@ pub struct EngineProfile {
     /// Candidates examined by controller reply picks: flows with a reply
     /// waiting (optimized engine) or waiting replies (reference engine).
     pub reply_candidates_scanned: u64,
+    /// Heads assigned an output by the routing phase. A property of the run,
+    /// not of the engine: equal on both.
+    pub heads_routed: u64,
+    /// Input VCs the routing phase checked for an unrouted head: every VC of
+    /// every router each cycle (reference engine), or exactly the heads on
+    /// the routers' unrouted lists, so equal to `heads_routed` (optimized
+    /// engine).
+    pub route_checks: u64,
+    /// Outputs the launch phase tried to launch a flit from: every output of
+    /// every router each cycle (reference engine), or the launch-ready ones
+    /// (optimized engine), which exceed `flits_launched` only by visits that
+    /// find the crossbar taken, the next flit not yet buffered or a fault.
+    pub launch_visits: u64,
+    /// Flits launched onto a channel. Equal on both engines.
+    pub flits_launched: u64,
 }
 
 // ---- The reference engine: exhaustive and stateless between cycles ------
@@ -72,6 +87,10 @@ impl Network {
                     self.route_head(ri, pi, vi);
                 }
             }
+            // Every head is routed now; the list only the optimized driver
+            // reads must not grow.
+            // taqos-lint: allow(panic-index) -- ri ranges over the router indices
+            self.routers[ri].unrouted_heads.clear();
         }
     }
 
@@ -121,6 +140,7 @@ impl Network {
 
     // taqos-lint: hot
     fn launch_reference(&mut self) {
+        self.drain_launch_ring();
         let faults_on = self.fault.as_ref().is_some_and(|f| f.any_active());
         for ri in 0..self.routers.len() {
             let mut xbar_used = 0;
@@ -263,33 +283,34 @@ impl Network {
     }
 
     /// Route computation only concerns heads that arrived since the last
-    /// routing pass: routers holding one are tracked in `routing_work`, ports
-    /// in their `unrouted` counters.
+    /// routing pass: routers holding one are tracked in `routing_work`, the
+    /// heads themselves in the router's `unrouted_heads`. Sorting the list
+    /// restores the `(in_port, vc)` order of the reference scan, so the
+    /// round-robin route cursor makes the same picks.
     // taqos-lint: hot
     pub(super) fn routing_optimized(&mut self) {
         let mut scan = std::mem::take(&mut self.router_scan);
         scan_routers(&self.routing_work, &mut scan);
         for &ri in &scan {
             let ri = ri as usize;
+            // Every listed head is routed below; an empty list is a stale
+            // bit (its head was preempted since).
+            unmark_router(&mut self.routing_work, ri);
             // taqos-lint: allow(panic-index) -- scan holds indices of routers whose mask bit was set, all in bounds
-            for pi in 0..self.routers[ri].inputs.len() {
-                if self.routers[ri].inputs[pi].unrouted == 0 {
-                    continue;
-                }
-                for vi in 0..self.routers[ri].inputs[pi].vcs.len() {
-                    if let Some((out, id, packet)) = self.route_head(ri, pi, vi) {
-                        let request =
-                            ArbRequest::new(&self.spec.routers[ri], out, pi, vi, id, packet);
-                        file_request(&mut self.routers[ri], out.0, request);
-                    }
+            let mut heads = std::mem::take(&mut self.routers[ri].unrouted_heads);
+            heads.sort_unstable();
+            for &(pi, vi) in &heads {
+                let (pi, vi) = (usize::from(pi), usize::from(vi));
+                if let Some((out, id, packet)) = self.route_head(ri, pi, vi) {
+                    // taqos-lint: allow(panic-index) -- the spec's routers and their states are built 1:1, and ri is a scanned router index
+                    let request = ArbRequest::new(&self.spec.routers[ri], out, pi, vi, id, packet);
+                    // taqos-lint: allow(panic-index) -- same bound as above
+                    file_request(&mut self.routers[ri], out.0, request);
                 }
             }
-            // Every head is routed now, or the bit was stale (the head was
-            // preempted since): reconcile the mask.
+            heads.clear();
             // taqos-lint: allow(panic-index) -- same bound as above
-            if self.routers[ri].unrouted_vcs == 0 {
-                unmark_router(&mut self.routing_work, ri);
-            }
+            self.routers[ri].unrouted_heads = heads;
         }
         self.router_scan = scan;
     }
@@ -398,27 +419,32 @@ impl Network {
         self.router_scan = scan;
     }
 
-    /// Only routers holding granted transfers can launch: they are tracked
-    /// in `launch_work`, and within a router `granted_mask` names the
-    /// outputs (walked ascending, the order of the linear scan).
+    /// Only outputs whose head transfer has left the router pipeline can
+    /// launch: the launch ring marks them in their router's `launch_ready`
+    /// on their `launch_start` cycle, and their routers in `launch_work`.
+    /// Within a router the outputs are walked ascending, the order of the
+    /// linear scan (the crossbar conflict check depends on it). An output
+    /// not in the mask is provably a no-op visit: its queue is empty or its
+    /// head's `launch_start` lies ahead.
     // taqos-lint: hot
     pub(super) fn launch_optimized(&mut self) {
+        self.drain_launch_ring();
         let faults_on = self.fault.as_ref().is_some_and(|f| f.any_active());
         let mut scan = std::mem::take(&mut self.router_scan);
         scan_routers(&self.launch_work, &mut scan);
         for &ri in &scan {
             let ri = ri as usize;
             // taqos-lint: allow(panic-index) -- scan holds indices of routers whose mask bit was set, all in bounds
-            let mut granted = self.routers[ri].granted_mask;
-            if granted == 0 {
-                // Stale-set bit (the last transfer completed since).
+            let mut ready = self.routers[ri].launch_ready;
+            if ready == 0 {
+                // Stale-set bit (the last ready transfer completed since).
                 unmark_router(&mut self.launch_work, ri);
                 continue;
             }
             let mut xbar_used = 0;
-            while granted != 0 {
-                let oi = granted.trailing_zeros() as usize;
-                granted &= granted - 1;
+            while ready != 0 {
+                let oi = ready.trailing_zeros() as usize;
+                ready &= ready - 1;
                 self.launch_output(ri, oi, &mut xbar_used, faults_on);
             }
         }

@@ -1,15 +1,99 @@
 //! Phase 6: flit launch from one output port, the fault layer's interception
-//! of a head launch, and the release of an input VC (shared with preemption).
-//! Which outputs are visited is the engine's business (`engine.rs`).
+//! of a head launch, and the release of an input VC (shared with preemption);
+//! plus the launch ring that wakes an output when its head transfer leaves
+//! the router pipeline. Which outputs are visited is the engine's business
+//! (`engine.rs`).
 
-use super::Network;
+use super::{mark_router, Network};
 use crate::config::SimConfig;
 use crate::event::Event;
 use crate::ids::{Cycle, VcId};
 use crate::port::Feeder;
-use crate::spec::TargetEndpoint;
+use crate::spec::{NetworkSpec, RouterSpec, TargetEndpoint};
+
+/// Outputs whose head transfer is still in the router pipeline, bucketed by
+/// the cycle it may launch (`Transfer::launch_start`): one slot per cycle of
+/// a power-of-two window longer than the spec's largest pipeline latency, so
+/// a slot never holds two different cycles. A slot is laid out like the
+/// engine's activity masks, a word of due outputs per router plus a bit per
+/// router that has any, so the ring is sized once at construction and never
+/// allocates. An output is armed at most once, and only while its
+/// `launch_ready` bit is clear.
+#[derive(Debug)]
+pub(super) struct LaunchRing {
+    /// Slot-major: the outputs due at each router (bit `oi`).
+    outputs: Vec<u64>,
+    /// Slot-major: the routers with an output due, 64 routers a word.
+    routers: Vec<u64>,
+    /// Routers of the network.
+    num_routers: usize,
+    /// Number of slots minus one.
+    mask: usize,
+}
+
+impl LaunchRing {
+    /// A ring for `spec`, whose routers' latencies `validate` has bounded by
+    /// [`RouterSpec::MAX_PIPELINE_LATENCY`]. A pass-through hop takes one
+    /// cycle, so the window covers at least that.
+    pub(super) fn for_spec(spec: &NetworkSpec) -> Self {
+        let latency = spec.routers.iter().map(RouterSpec::pipeline_latency);
+        let longest = latency.max().unwrap_or(0).max(1) as usize;
+        let slots = (longest + 1).next_power_of_two();
+        let num_routers = spec.routers.len();
+        LaunchRing {
+            outputs: vec![0; slots * num_routers],
+            routers: vec![0; slots * num_routers.div_ceil(64)],
+            num_routers,
+            mask: slots - 1,
+        }
+    }
+
+    /// The due-output words and the router mask of cycle `at`'s slot.
+    // taqos-lint: hot
+    #[inline]
+    fn slot(&mut self, at: Cycle) -> (&mut [u64], &mut [u64]) {
+        let (n, slot) = (self.num_routers, at as usize & self.mask);
+        let blocks = n.div_ceil(64);
+        (
+            // taqos-lint: allow(panic-index) -- slot is masked below the slot count, and each slot holds n words
+            &mut self.outputs[slot * n..][..n],
+            // taqos-lint: allow(panic-index) -- likewise, each slot holds one word per 64 routers
+            &mut self.routers[slot * blocks..][..blocks],
+        )
+    }
+
+    /// Wakes output `oi` of router `ri` on cycle `at`, which lies within the
+    /// window: at most the largest pipeline latency ahead. Armed by a grant
+    /// into an empty queue and by [`Network::retire_head_transfer`].
+    // taqos-lint: hot
+    #[inline]
+    pub(super) fn arm(&mut self, at: Cycle, ri: usize, oi: usize) {
+        let (outputs, routers) = self.slot(at);
+        // taqos-lint: allow(panic-index) -- ri is a live router index, and a slot holds a word per router
+        outputs[ri] |= 1 << oi;
+        mark_router(routers, ri);
+    }
+}
 
 impl Network {
+    /// Marks every output whose head transfer may launch from this cycle on
+    /// ready, and its router as launch work. Both launch drivers call it
+    /// first, so the ring stays drained whichever engine runs.
+    // taqos-lint: hot
+    pub(super) fn drain_launch_ring(&mut self) {
+        let (outputs, routers) = self.launch_ring.slot(self.now);
+        for (block, (due, work)) in routers.iter_mut().zip(&mut self.launch_work).enumerate() {
+            let mut bits = std::mem::take(due);
+            *work |= bits;
+            while bits != 0 {
+                let ri = block << 6 | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // taqos-lint: allow(panic-index) -- ri is a set bit of the slot's router mask, so below the router count
+                self.routers[ri].launch_ready |= std::mem::take(&mut outputs[ri]);
+            }
+        }
+    }
+
     /// Launches the next flit of the head transfer granted at output `oi` of
     /// router `ri`, if the link, the pipeline, the crossbar and the buffered
     /// flits allow. `xbar_used` is the bitmask of the router's crossbar input
@@ -25,6 +109,7 @@ impl Network {
         xbar_used: &mut u64,
         faults_on: bool,
     ) {
+        self.profile.launch_visits += 1;
         let now = self.now;
         let router = &mut self.routers[ri];
         let out_state = &mut router.outputs[oi];
@@ -100,6 +185,7 @@ impl Network {
         out_state.flits_launched_total += 1;
         vc.flits_sent += 1;
 
+        self.profile.flits_launched += 1;
         self.stats.energy.buffer_reads += 1;
         self.stats.energy.link_flit_hops += u64::from(transfer.wire_delay);
         if !passthrough {
@@ -150,16 +236,26 @@ impl Network {
     }
 
     /// Removes the head transfer of output `oi` of router `ri` from its
-    /// grant queue (it completed, or a fault dropped it). The queue shrank:
-    /// `can_grant` may flip, so the output's arbitration decision is stale.
+    /// grant queue (it completed, or a fault dropped it). The output stays
+    /// launch-ready if the next transfer can launch by the next cycle (this
+    /// output is visited once a cycle); otherwise it leaves the ready mask,
+    /// and the ring wakes it on the next transfer's `launch_start`. The queue
+    /// shrank: `can_grant` may flip, so the output's arbitration decision is
+    /// stale.
     // taqos-lint: hot
     #[inline]
     fn retire_head_transfer(&mut self, ri: usize, oi: usize) {
         let router = &mut self.routers[ri];
         let granted = &mut router.outputs[oi].granted;
         granted.remove(0);
-        if granted.is_empty() {
-            router.granted_mask &= !(1 << oi);
+        match granted.first().map(|next| next.launch_start) {
+            Some(start) if start <= self.now + 1 => {}
+            next => {
+                router.launch_ready &= !(1 << oi);
+                if let Some(start) = next {
+                    self.launch_ring.arm(start, ri, oi);
+                }
+            }
         }
         router.mark_output_dirty(oi);
     }

@@ -95,20 +95,24 @@ pub struct Network {
     /// Reusable buffer for events drained each cycle.
     event_scratch: Vec<Event>,
     /// Per-phase router activity masks (read by the optimized engine; one
-    /// bit per router, 64-router blocks). A bit is set *eagerly* wherever a router
-    /// gains the corresponding work — a head flit arrives (`routing_work`,
-    /// `alloc_work`) or a transfer is granted (`launch_work`) — and cleared
-    /// *lazily* by the owning phase when it visits a router and finds it
-    /// idle. Stale-set bits therefore self-heal and no decrement site needs
-    /// mask bookkeeping, while each phase scans a handful of contiguous
-    /// words instead of touching every `RouterState` to read its activity
-    /// counters.
+    /// bit per router, 64-router blocks). A bit is set *eagerly* wherever a
+    /// router gains the corresponding work — a head flit arrives
+    /// (`routing_work`, `alloc_work`) or the launch ring wakes an output
+    /// (`launch_work`) — and cleared *lazily* by the owning phase when it
+    /// visits a router and finds it idle. Stale-set bits therefore self-heal
+    /// and no decrement site needs mask bookkeeping, while each phase scans a
+    /// handful of contiguous words instead of touching every `RouterState` to
+    /// read its activity counters.
     routing_work: Vec<u64>,
     /// Routers with occupied input VCs (allocation candidates); see
     /// [`Self::routing_work`].
     alloc_work: Vec<u64>,
-    /// Routers holding granted transfers; see [`Self::routing_work`].
+    /// Routers with a launch-ready output (set when the launch ring wakes
+    /// one); see [`Self::routing_work`].
     launch_work: Vec<u64>,
+    /// Outputs whose head transfer is still in the router pipeline, woken on
+    /// its `launch_start` cycle (see [`launch::LaunchRing`]).
+    launch_ring: launch::LaunchRing,
     /// Awake sources (read by the optimized engine; one bit per source), in the same
     /// eager-set / lazy-clear discipline as [`Self::routing_work`]: every
     /// event that can give a sleeping source work sets its bit
@@ -260,6 +264,7 @@ impl Network {
         let frame_len = policy.frame_len();
         let num_router_blocks = spec.routers.len().div_ceil(64);
         let num_sources = sources.len();
+        let launch_ring = launch::LaunchRing::for_spec(&spec);
 
         let mut network = Network {
             spec,
@@ -280,6 +285,7 @@ impl Network {
             routing_work: vec![0; num_router_blocks],
             alloc_work: vec![0; num_router_blocks],
             launch_work: vec![0; num_router_blocks],
+            launch_ring,
             source_work: vec![0; num_sources.div_ceil(64)],
             source_timers: WakeTimers::new(num_sources),
             profile: EngineProfile::default(),

@@ -47,13 +47,17 @@ impl Network {
             .iter()
             .position(|vc| vc.packet() == Some(victim) && vc.is_resident_idle())?;
         // A victim can be flushed in the event phase of the same cycle its
-        // head arrived, i.e. before the routing phase ran; keep the
-        // unrouted bookkeeping exact in that case.
+        // head arrived, i.e. before the routing phase ran; its entry then
+        // leaves the unrouted list (whose order the routing driver restores
+        // by sorting).
         // taqos-lint: allow(panic-index) -- vc was just produced by position() over this vector
         let route = port.vcs[vc].route();
         if route.is_none() {
-            port.unrouted -= 1;
-            router_state.unrouted_vcs -= 1;
+            let heads = &mut router_state.unrouted_heads;
+            let head = (in_port as u16, vc as u16);
+            if let Some(pos) = heads.iter().position(|&h| h == head) {
+                heads.swap_remove(pos);
+            }
         }
         let node = router_state.node;
 

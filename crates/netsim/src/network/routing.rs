@@ -19,6 +19,7 @@ impl Network {
         pi: usize,
         vi: usize,
     ) -> Option<(OutPortId, PacketId, HotPacket)> {
+        self.profile.route_checks += 1;
         let (rspec, router) = (&self.spec.routers[ri], &mut self.routers[ri]);
         let vc = &router.inputs[pi].vcs[vi];
         let (Some(id), None) = (vc.packet(), vc.route()) else {
@@ -35,10 +36,9 @@ impl Network {
         let cursor = &mut router.route_rr_cursor;
         // taqos-lint: allow(panic-index) -- the router's input states mirror the spec's input ports, and pi just indexed the states
         let out = compute_route(rspec, &rspec.inputs[pi], packet.dst, cursor);
-        let port = &mut router.inputs[pi];
-        port.vcs[vi].set_route(out);
-        port.unrouted -= 1;
-        router.unrouted_vcs -= 1;
+        // taqos-lint: allow(panic-index) -- the same pi and vi indexed the VC whose packet was just read
+        router.inputs[pi].vcs[vi].set_route(out);
+        self.profile.heads_routed += 1;
         // A routed head is allocation work (the allocation phase unmarks
         // routers with nothing pending).
         mark_router(&mut self.alloc_work, ri);

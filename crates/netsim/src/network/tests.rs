@@ -6,7 +6,7 @@
 mod release_and_bounce;
 
 use super::*;
-use crate::ids::{Direction, InPortId, NodeId, OutPortId};
+use crate::ids::{Direction, InPortId, NodeId, OutPortId, VcId};
 use crate::packet::{GeneratedPacket, PacketGenerator};
 use crate::qos::FifoPolicy;
 use crate::spec::{
@@ -976,4 +976,159 @@ fn an_open_loop_source_never_sleeps_while_its_generator_is_live() {
     net.run_for(200);
     assert_eq!(net.engine_profile().sources_visited, visited);
     assert_eq!(net.stats().delivered_packets, 5);
+}
+
+// ---- Routing and launch worklists: lock-step ----------------------------
+
+/// `spec` on both engines, its one source sending `count` packets of `len`
+/// flits to node 1, one every `gap` cycles.
+fn chain_pair(spec: &NetworkSpec, count: u32, gap: u64, len: u8) -> (Network, Network) {
+    let build = |engine| {
+        let generators: Vec<Box<dyn PacketGenerator>> = vec![Box::new(BurstGenerator {
+            dst: NodeId(1),
+            remaining: count,
+            gap,
+            len,
+        })];
+        let config = SimConfig::default().with_engine(engine);
+        Network::new(
+            spec.clone(),
+            Box::new(FifoPolicy::new()),
+            generators,
+            config,
+        )
+        .expect("chain network builds")
+    };
+    (
+        build(crate::config::EngineKind::Optimized),
+        build(crate::config::EngineKind::Reference),
+    )
+}
+
+#[test]
+fn a_queued_transfer_launches_on_its_own_launch_start_after_the_head_retires() {
+    // A six-cycle pipeline at router 0 and packets two cycles apart: the
+    // second grant queues behind the first and leaves the pipeline a cycle
+    // after the first transfer's tail has launched, so the output sleeps in
+    // between and the ring must wake it.
+    let mut spec = chain_spec_with(2);
+    spec.routers[0].va_latency = 5;
+    let (mut optimized, mut reference) = chain_pair(&spec, 2, 2, 1);
+    let launched = |net: &Network| net.routers[0].outputs[0].flits_launched_total;
+    let (mut starts, mut launches) = (None, Vec::new());
+    while optimized.now() < 100 {
+        if let [head, next] = optimized.routers[0].outputs[0].granted.as_slice() {
+            starts.get_or_insert((head.launch_start, next.launch_start));
+        }
+        let before = launched(&optimized);
+        step_both(&mut optimized, &mut reference);
+        let now = optimized.now();
+        assert_eq!(launched(&optimized), launched(&reference), "cycle {now}");
+        if launched(&optimized) > before {
+            launches.push(now);
+        }
+    }
+    let (head, next) = starts.expect("the second grant queues behind the first");
+    assert!(next > head + 1, "launch starts {head} and {next}");
+    assert_eq!(launches, [head, next]);
+    assert_eq!(optimized.stats().delivered_packets, 2);
+}
+
+/// A router whose injection port has four VCs and whose two outputs are
+/// replicated channels to node 1, so injected heads are spread over them by
+/// the round-robin route cursor; node 1 ejects both channels into its sink.
+fn replicated_channel_spec() -> NetworkSpec {
+    let to_router_1 = |in_port| {
+        vec![TargetSpec::single(
+            TargetEndpoint::Router {
+                router: 1,
+                in_port: InPortId(in_port),
+            },
+            1,
+        )]
+    };
+    let r0 = RouterSpec {
+        node: NodeId(0),
+        inputs: vec![InputPortSpec::injection("term", VcConfig::new(4, 4), 0)],
+        outputs: vec![
+            OutputPortSpec::network("east_ch0", Direction::East, 0, to_router_1(0)),
+            OutputPortSpec::network("east_ch1", Direction::East, 1, to_router_1(1)),
+        ],
+        route_table: RouteTable::from_iter([(NodeId(1), [OutPortId(0), OutPortId(1)])]),
+        va_latency: 1,
+        xt_latency: 1,
+    };
+    let from_router_0 = |channel: u8| {
+        let name = format!("west_ch{channel}");
+        InputPortSpec::network(
+            name,
+            NodeId(0),
+            Direction::East,
+            channel,
+            VcConfig::new(4, 4),
+            channel,
+        )
+    };
+    let r1 = RouterSpec {
+        node: NodeId(1),
+        inputs: vec![from_router_0(0), from_router_0(1)],
+        outputs: vec![OutputPortSpec::ejection("eject", 0, 0)],
+        route_table: RouteTable::from_iter([(NodeId(1), [OutPortId(0)])]),
+        va_latency: 1,
+        xt_latency: 1,
+    };
+    let mut spec = chain_spec();
+    spec.name = "replicated".to_string();
+    spec.routers = vec![r0, r1];
+    spec
+}
+
+#[test]
+fn heads_arriving_out_of_vc_order_take_the_reference_route_picks() {
+    // Two heads reach the injection port of router 0 in one cycle, VC 3
+    // first: the optimized engine lists them in arrival order, the reference
+    // scan meets VC 1 first, and the round-robin cursor hands the two
+    // channels out in visiting order.
+    let build = |engine| {
+        let generators: Vec<Box<dyn PacketGenerator>> =
+            vec![Box::new(crate::packet::IdleGenerator)];
+        let config = SimConfig::default().with_engine(engine);
+        let mut net = Network::new(
+            replicated_channel_spec(),
+            Box::new(FifoPolicy::new()),
+            generators,
+            config,
+        )
+        .expect("replicated-channel network builds");
+        net.sources[0].free_vcs.retain(|vc| ![1, 3].contains(&vc.0));
+        for vc in [3, 1] {
+            let packet = net.packets.insert_with(|id| {
+                let class = crate::packet::PacketClass::Request;
+                crate::packet::Packet::new(id, FlowId(0), NodeId(0), NodeId(1), 1, class, 0)
+            });
+            let head = Event::HeadToRouter {
+                router: 0,
+                in_port: 0,
+                vc: VcId(vc),
+                len: 1,
+                packet,
+            };
+            net.events.schedule(1, head);
+        }
+        net
+    };
+    let mut optimized = build(crate::config::EngineKind::Optimized);
+    let mut reference = build(crate::config::EngineKind::Reference);
+    step_both(&mut optimized, &mut reference);
+    let routes = |net: &Network| {
+        let vcs = &net.routers[0].inputs[0].vcs;
+        (vcs[1].route(), vcs[3].route())
+    };
+    assert_eq!(routes(&reference), (Some(OutPortId(0)), Some(OutPortId(1))));
+    assert_eq!(routes(&optimized), routes(&reference));
+    while !optimized.is_quiescent() {
+        assert!(optimized.now() < 100, "the two packets never drained");
+        step_both(&mut optimized, &mut reference);
+    }
+    assert_eq!(optimized.stats().delivered_packets, 2);
 }

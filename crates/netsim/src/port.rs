@@ -15,11 +15,6 @@ pub struct InputPortState {
     /// Feeder of this port (set when the network is built): the upstream
     /// output port or source that holds credits for this port's VCs.
     pub feeder: Option<Feeder>,
-    /// Number of occupied VCs whose route has not been computed yet. A head
-    /// flit arrival increments this; the routing phase decrements it when it
-    /// assigns the route. Ports (and routers) with no unrouted heads are
-    /// skipped by the routing phase entirely.
-    pub unrouted: usize,
 }
 
 /// Upstream entity that holds credits for an input port.
@@ -49,11 +44,7 @@ impl InputPortState {
         let vcs = (0..count)
             .map(|i| VcState::new(i >= count - reserved))
             .collect();
-        InputPortState {
-            vcs,
-            feeder: None,
-            unrouted: 0,
-        }
+        InputPortState { vcs, feeder: None }
     }
 
     /// Packets fully resident (and idle) in this port, as preemption victim

@@ -89,9 +89,14 @@ pub struct RouterState {
     /// zero (active-set tracking): every unit of per-cycle router work is
     /// rooted in a buffered packet.
     pub active_vcs: usize,
-    /// Number of occupied input VCs still awaiting route computation
-    /// (router-level sum of the ports' `unrouted` counters).
-    pub unrouted_vcs: usize,
+    /// Heads awaiting route computation, as `(in_port, vc)` in arrival order:
+    /// appended by [`Self::accept_head`], removed by a preemption flush of an
+    /// unrouted victim, emptied by every routing pass. The optimized routing
+    /// driver sorts the list and routes exactly these heads. Sized at
+    /// construction to its bound, one head per input port: a port's single
+    /// feeder delivers at most one head a cycle, so the list never
+    /// allocates while the network runs.
+    pub(crate) unrouted_heads: Vec<(u16, u16)>,
     /// Persistent per-output arbitration request lists (see [`ArbRequest`]).
     /// The optimized engine maintains them incrementally — a request is
     /// inserted (ordered by `(in_port, vc)`, the reference scan order) when
@@ -101,11 +106,13 @@ pub struct RouterState {
     /// credit state are refreshed each decision, as they change cycle to
     /// cycle.
     pub(crate) alloc_buckets: Vec<Vec<ArbRequest>>,
-    /// Bitmask of output ports that currently hold granted transfers (bit
-    /// `oi` set ⇔ `outputs[oi].granted` is non-empty), so the optimized
-    /// launch phase can walk set bits instead of scanning every output. One
-    /// word suffices: `NetworkSpec::validate` caps a router at 64 outputs.
-    pub(crate) granted_mask: u64,
+    /// Bitmask of output ports whose head transfer may launch (bit `oi` set ⇔
+    /// `outputs[oi].granted` is non-empty and its head's `launch_start` has
+    /// come), so the optimized launch phase walks only outputs with work. A
+    /// head still in its router pipeline waits in the network's launch ring,
+    /// which sets the bit on its `launch_start` cycle. One word suffices:
+    /// `NetworkSpec::validate` caps a router at 64 outputs.
+    pub(crate) launch_ready: u64,
     /// Dirty bits for arbitration (read by the optimized engine only). An
     /// output's bit is set whenever anything feeding its
     /// decision changes: a request enters or leaves its bucket, one of its
@@ -157,8 +164,8 @@ impl RouterState {
                 .collect(),
             route_rr_cursor: 0,
             active_vcs: 0,
-            unrouted_vcs: 0,
-            granted_mask: 0,
+            unrouted_heads: Vec::with_capacity(spec.inputs.len()),
+            launch_ready: 0,
             alloc_dirty: u64::MAX,
             alloc_pending: 0,
             cached_probe: vec![None; spec.outputs.len()],
@@ -177,15 +184,15 @@ impl RouterState {
 
     /// Registers the head flit of `packet` (of `len` flits) claiming VC `vc`
     /// of input port `in_port`: the VC becomes occupied and awaits route
-    /// computation. The one place the unrouted counter of the port and the
-    /// occupancy and unrouted counters of the router move up together.
+    /// computation. The one place the occupancy counter moves up and a head
+    /// joins the unrouted list (`NetworkSpec::validate` bounds port indices
+    /// and `VcId` bounds VC indices by `u16`).
+    // taqos-lint: hot
     #[inline]
     pub(crate) fn accept_head(&mut self, in_port: usize, vc: usize, packet: PacketId, len: u8) {
-        let port = &mut self.inputs[in_port];
-        port.vcs[vc].accept_head(packet, len);
-        port.unrouted += 1;
+        self.inputs[in_port].vcs[vc].accept_head(packet, len);
         self.active_vcs += 1;
-        self.unrouted_vcs += 1;
+        self.unrouted_heads.push((in_port as u16, vc as u16));
     }
 
     /// Number of packets currently buffered in the router.

@@ -444,9 +444,18 @@ impl RouterSpec {
         self.outputs.iter().filter(|o| !o.passthrough).count()
     }
 
+    /// Largest router pipeline latency ([`Self::pipeline_latency`]) a spec
+    /// may declare, in cycles: the event wheel's default horizon.
+    /// [`NetworkSpec::validate`] rejects a router above it, and the launch
+    /// phase's ready ring is sized from the largest latency of the spec, so
+    /// this bound also caps the ring.
+    pub const MAX_PIPELINE_LATENCY: u32 = 256;
+
     /// Router pipeline latency in cycles for a normal (non-pass-through) hop.
+    /// Saturates instead of overflowing on a spec that has not been
+    /// validated; a validated spec is at most [`Self::MAX_PIPELINE_LATENCY`].
     pub fn pipeline_latency(&self) -> u32 {
-        self.va_latency + self.xt_latency
+        self.va_latency.saturating_add(self.xt_latency)
     }
 }
 
@@ -522,7 +531,9 @@ impl NetworkSpec {
     /// out-of-range router/port/sink references, empty ports, routers with
     /// more ports than the engine's packed state holds, routing-table
     /// entries pointing at missing output ports, crossbar groups of 64 or
-    /// above, sources attached to non-injection ports, input ports with more
+    /// above, a router pipeline latency above
+    /// [`RouterSpec::MAX_PIPELINE_LATENCY`], sources attached to
+    /// non-injection ports, input ports with more
     /// than one feeder, flow identifiers that are not exactly
     /// `0..num_sources`, or multi-target ports with ambiguous coverage.
     pub fn validate(&self) -> Result<(), SpecError> {
@@ -551,6 +562,16 @@ impl NetworkSpec {
                     "router {ri} has {} input ports; a router must have at most {}",
                     router.inputs.len(),
                     u16::MAX
+                )));
+            }
+            let latency = u64::from(router.va_latency) + u64::from(router.xt_latency);
+            if latency > u64::from(RouterSpec::MAX_PIPELINE_LATENCY) {
+                return Err(SpecError::new(format!(
+                    "router {ri} has a pipeline latency of {latency} cycles \
+                     (va {} + xt {}); a router must take at most {}",
+                    router.va_latency,
+                    router.xt_latency,
+                    RouterSpec::MAX_PIPELINE_LATENCY
                 )));
             }
             for (pi, port) in router.inputs.iter().enumerate() {
@@ -924,6 +945,32 @@ mod tests {
             crate::config::SimConfig::default(),
         );
         assert_eq!(built.err(), Some(crate::error::SimError::Spec(err)));
+    }
+
+    #[test]
+    fn a_router_pipeline_latency_beyond_the_bound_is_rejected() {
+        let bound = RouterSpec::MAX_PIPELINE_LATENCY;
+        let mut spec = tiny_spec();
+        spec.routers[1].va_latency = bound - 1;
+        spec.validate().expect("a latency at the bound is accepted");
+        // One past the bound, and a sum that does not fit a u32 at all.
+        for (va, xt, total) in [(bound, 1, u64::from(bound) + 1), (u32::MAX, 1, 1 << 32)] {
+            let mut spec = tiny_spec();
+            spec.routers[1].va_latency = va;
+            spec.routers[1].xt_latency = xt;
+            assert_eq!(spec.routers[1].pipeline_latency(), va.saturating_add(xt));
+            let err = spec.validate().expect_err("the latency must be rejected");
+            let expected = format!("router 1 has a pipeline latency of {total} cycles");
+            assert!(err.to_string().contains(&expected), "{err}");
+            // Rejected before the first grant could compute a launch cycle.
+            let built = crate::network::Network::new(
+                spec,
+                Box::new(crate::qos::FifoPolicy::new()),
+                vec![Box::new(crate::packet::IdleGenerator)],
+                crate::config::SimConfig::default(),
+            );
+            assert_eq!(built.err(), Some(crate::error::SimError::Spec(err)));
+        }
     }
 
     #[test]

@@ -194,8 +194,10 @@ impl SweepRng {
 /// One randomly drawn closed-loop chip configuration of the property sweep:
 /// topology dimensions, MLP window, optional DRAM model (scheduler, page
 /// policy, backpressure, geometry all drawn), optional retry layer, optional
-/// fault plan, and a per-case cycle budget.
-fn sweep_case_stats(case_seed: u64, engine: EngineKind) -> NetStats {
+/// fault plan, per-router pipeline latencies on odd fault-free cases, and a
+/// per-case cycle budget. Returns the statistics and the longest router
+/// pipeline latency of the case.
+fn sweep_case_stats(case_seed: u64, engine: EngineKind) -> (NetStats, u32) {
     use taqos_core::chip_sim::ChipSim;
     use taqos_core::experiment::chip_scale::chip_fault_bench_plan;
     use taqos_netsim::closed_loop::{
@@ -241,27 +243,125 @@ fn sweep_case_stats(case_seed: u64, engine: EngineKind) -> NetStats {
     if with_retry {
         spec = spec.with_retry(RetryPolicy::new(2_000, 4));
     }
-    let mut network = sim
-        .build_closed_loop(sim.default_policy(), spec)
-        .expect("sweep chip builds");
+    let mut network = if case_seed % 2 == 1 && !faulted {
+        // A stream of its own, so the draws above stay those of the case.
+        let mut latencies = SweepRng(case_seed.wrapping_mul(0xC2B2_AE3D_27D4_EB4F) | 1);
+        build_with_drawn_latencies(&sim, spec, engine, &mut latencies)
+    } else {
+        sim.build_closed_loop(sim.default_policy(), spec)
+            .expect("sweep chip builds")
+    };
     network.run_for(3_000 + 500 * rng.pick(4));
-    network.into_stats()
+    let routers = &network.spec().routers;
+    let longest = routers.iter().map(|r| r.pipeline_latency()).max();
+    (network.into_stats(), longest.unwrap_or(0))
+}
+
+/// `sim.build_closed_loop(sim.default_policy(), spec)` on a fault-free chip,
+/// with every router's pipeline latency redrawn from 1..=12 and split at
+/// random between VC allocation and crossbar traversal. Shipped routers take
+/// 2-3 cycles, so a grant waits at most three of the launch ring's four
+/// slots; here it waits up to 12 of 16, queued transfers leave the pipeline
+/// long after the head retires, and every router has its own latency.
+fn build_with_drawn_latencies(
+    sim: &taqos_core::chip_sim::ChipSim,
+    mut spec: taqos_netsim::closed_loop::ClosedLoopSpec,
+    engine: EngineKind,
+    rng: &mut SweepRng,
+) -> Network {
+    use taqos_qos::scoped::ScopedQosPolicy;
+
+    let mut chip = sim.build_spec();
+    for router in &mut chip.spec.routers {
+        let latency = 1 + rng.pick(12) as u32;
+        router.xt_latency = 1 + rng.pick(u64::from(latency)) as u32;
+        router.va_latency = latency - router.xt_latency;
+    }
+    let nodes = chip.config.num_nodes();
+    let pvc = PvcPolicy::equal_rates(nodes);
+    spec.dram = sim.dram().copied();
+    spec.flow_weights = pvc.rates().priority_weights();
+    let policy = ScopedQosPolicy::new(pvc, chip.qos_nodes.clone());
+    Network::new(
+        chip.spec,
+        Box::new(policy),
+        workloads::idle_terminals(nodes),
+        SimConfig::default().with_engine(engine),
+    )
+    .and_then(|network| network.with_closed_loop(spec))
+    .expect("a chip with drawn latencies builds")
+}
+
+/// The sweep's unlimited-buffering configuration: ideal per-flow queuing on
+/// a line of eight routers, every node but node 0 streaming to node 0
+/// through a 64-packet window. Downstream buffers never run short, so the
+/// ports behind the bottleneck grow VCs on demand. Frames sample router
+/// occupancy every 100 cycles. Returns the spec with the statistics.
+fn unlimited_line_stats(engine: EngineKind) -> (NetworkSpec, NetStats) {
+    use taqos_qos::per_flow::PerFlowQueuedPolicy;
+
+    let config = Mesh2dConfig {
+        width: 8,
+        height: 1,
+        source_window: 64,
+        ..Mesh2dConfig::default()
+    };
+    let plan: workloads::NodePlan = (0..8)
+        .map(|node| (node > 0).then_some((0.5, NodeId(0))))
+        .collect();
+    let generators = workloads::per_node_fixed(&plan, PacketSizeMix::paper(), 5);
+    let telemetry = TelemetryConfig::default().with_frames(100);
+    let mut network = Network::new(
+        config.build(),
+        Box::new(PerFlowQueuedPolicy::equal_rates(8)),
+        generators,
+        SimConfig::default()
+            .with_engine(engine)
+            .with_telemetry(telemetry),
+    )
+    .expect("the line builds");
+    network.run_for(3_000);
+    (network.spec().clone(), network.into_stats())
+}
+
+/// Whether some sampled frame proves an input port held more than 64 VCs:
+/// injection ports never grow (their source's credits are finite), so a
+/// router holding more packets than its injection VCs plus 64 per network
+/// input has a network input above 64.
+fn a_port_grew_past_64_vcs(spec: &NetworkSpec, stats: &NetStats) -> bool {
+    let frames = stats.frames.as_ref().expect("frames were sampled");
+    let bounds: Vec<u64> = spec
+        .routers
+        .iter()
+        .map(|router| {
+            let bound = |port: &InputPortSpec| match port.kind {
+                InputKind::Injection => u64::from(port.vcs.count),
+                _ => 64,
+            };
+            router.inputs.iter().map(bound).sum()
+        })
+        .collect();
+    frames.frames.iter().any(|frame| {
+        let mut occupancy = frame.router_occupancy.iter().zip(&bounds);
+        occupancy.any(|(&held, &bound)| held > bound)
+    })
 }
 
 /// Property sweep: across a seeded family of random chip configurations —
 /// topology dimensions and column counts, MLP windows, DRAM scheduler /
 /// page-policy / backpressure / geometry draws, retry layers and fault
-/// plans — the optimized engine stays bit-identical to the reference engine
-/// on the full `NetStats` value. This is the broad-spectrum guard behind the
-/// targeted tests above: a hot-path layout change that breaks any corner of
-/// the configuration space shows up here as a diverging case seed.
+/// plans, router pipeline latencies — plus one unlimited-buffering
+/// configuration, the optimized engine stays bit-identical to the reference
+/// engine on the full `NetStats` value. This is the broad-spectrum guard
+/// behind the targeted tests above: a hot-path layout change that breaks any
+/// corner of the configuration space shows up here as a diverging case seed.
 #[test]
 fn seeded_property_sweep_matches_reference_engine() {
     let mut delivered_total = 0u64;
-    let mut dram_cases = 0u32;
+    let (mut dram_cases, mut long_pipeline_cases) = (0u32, 0u32);
     for case_seed in 0..12u64 {
-        let optimized = sweep_case_stats(case_seed, EngineKind::Optimized);
-        let reference = sweep_case_stats(case_seed, EngineKind::Reference);
+        let (optimized, longest) = sweep_case_stats(case_seed, EngineKind::Optimized);
+        let (reference, _) = sweep_case_stats(case_seed, EngineKind::Reference);
         assert_eq!(
             optimized, reference,
             "engines diverged on sweep case {case_seed}"
@@ -270,7 +370,24 @@ fn seeded_property_sweep_matches_reference_engine() {
         if optimized.dram.serviced_requests > 0 {
             dram_cases += 1;
         }
+        if longest > 3 {
+            long_pipeline_cases += 1;
+        }
     }
+    assert!(
+        long_pipeline_cases >= 2,
+        "{long_pipeline_cases} cases drew router latencies beyond the shipped ones"
+    );
+    let (spec, optimized) = unlimited_line_stats(EngineKind::Optimized);
+    let (_, reference) = unlimited_line_stats(EngineKind::Reference);
+    assert_eq!(
+        optimized, reference,
+        "engines diverged on the unlimited line"
+    );
+    assert!(
+        a_port_grew_past_64_vcs(&spec, &optimized),
+        "no port of the unlimited line outgrew 64 VCs"
+    );
     assert!(
         delivered_total > 0,
         "the sweep delivered nothing — every case degenerated"
@@ -507,37 +624,51 @@ fn open_mesh(engine: EngineKind) -> Network {
 fn incast_work_counters_stay_proportional_to_work() {
     const CYCLES: u64 = 20_000;
     // sources_visited, source_wakes, outputs_walked, outputs_arbitrated,
-    // outputs_replayed, reply_candidates_scanned.
-    let profile = |c: [u64; 6]| EngineProfile {
+    // outputs_replayed, reply_candidates_scanned, heads_routed,
+    // route_checks, launch_visits, flits_launched.
+    let profile = |c: [u64; 10]| EngineProfile {
         sources_visited: c[0],
         source_wakes: c[1],
         outputs_walked: c[2],
         outputs_arbitrated: c[3],
         outputs_replayed: c[4],
         reply_candidates_scanned: c[5],
+        heads_routed: c[6],
+        route_checks: c[7],
+        launch_visits: c[8],
+        flits_launched: c[9],
     };
     struct Pin {
         name: &'static str,
         build: fn(EngineKind) -> Network,
         /// Mostly idle: the sources must sleep.
         sparse: bool,
-        optimized: [u64; 6],
-        reference: [u64; 6],
+        optimized: [u64; 10],
+        reference: [u64; 10],
     }
     let pins = [
         Pin {
             name: "incast chip",
             build: |engine| incast_chip(engine, CYCLES),
             sparse: true,
-            optimized: [39_825, 17_204, 65_933, 58_364, 7_477, 269_189],
-            reference: [1_280_000, 64, 6_880_000, 65_841, 0, 1_269_257],
+            optimized: [
+                39_825, 17_204, 65_933, 58_364, 7_477, 269_189, 47_465, 47_465, 126_582, 126_582,
+            ],
+            reference: [
+                1_280_000, 64, 6_880_000, 65_841, 0, 1_269_257, 47_465, 27_200_000, 6_880_000,
+                126_582,
+            ],
         },
         Pin {
             name: "open mesh",
             build: open_mesh,
             sparse: false,
-            optimized: [1_280_000, 64, 257_340, 257_003, 132, 0],
-            reference: [1_280_000, 64, 5_760_000, 257_135, 0, 0],
+            optimized: [
+                1_280_000, 64, 257_340, 257_003, 132, 0, 256_300, 256_300, 642_448, 640_038,
+            ],
+            reference: [
+                1_280_000, 64, 5_760_000, 257_135, 0, 0, 256_300, 20_480_000, 5_760_000, 640_038,
+            ],
         },
     ];
     for pin in pins {
@@ -574,6 +705,19 @@ fn incast_work_counters_stay_proportional_to_work() {
             "{name}: the reply pick scans replies, not flows: {} vs {}",
             optimized.reply_candidates_scanned,
             reference.reply_candidates_scanned
+        );
+        // Routing and launch do the same work on both engines; the
+        // optimized engine checks exactly the heads it routes, and visits
+        // an output only when a flit can go.
+        assert_eq!(optimized.heads_routed, reference.heads_routed, "{name}");
+        assert_eq!(optimized.flits_launched, reference.flits_launched, "{name}");
+        assert_eq!(
+            optimized.route_checks, optimized.heads_routed,
+            "{name}: the routing phase checks VCs that hold no new head"
+        );
+        assert!(
+            (optimized.launch_visits - optimized.flits_launched) * 100 <= optimized.flits_launched,
+            "{name}: the launch phase polls outputs that cannot launch: {optimized:?}"
         );
         if pin.sparse {
             // Live open-loop generators are polled every cycle by contract;
