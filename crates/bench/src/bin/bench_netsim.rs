@@ -71,7 +71,6 @@ use taqos_netsim::config::EngineKind;
 use taqos_netsim::network::Network;
 use taqos_netsim::qos::QosPolicy;
 use taqos_netsim::stats::NetStats;
-use taqos_netsim::FlowId;
 use taqos_netsim::{ChromeTraceSink, JsonlSink, SimConfig, TelemetryConfig, TraceSink};
 use taqos_qos::pvc::PvcPolicy;
 use taqos_qos::rates::RateAllocation;
@@ -89,8 +88,6 @@ const CLOSED_LOOP_MLP: usize = 4;
 const SEED: u64 = 1;
 /// Frame cadence of the instrumented `--trace-out`/`--series-out` run.
 const EXPORT_FRAME_LEN: u64 = 500;
-/// MLP window of each incast attacker; the incast victim keeps MLP 1.
-const INCAST_ATTACKER_MLP: usize = 6;
 /// On/off cadence of the bursty incast attackers: `INCAST_BURST_ON` cycles
 /// of attack out of every `INCAST_BURST_PERIOD`-cycle period.
 const INCAST_BURST_PERIOD: u64 = 1_000;
@@ -197,11 +194,13 @@ impl BenchCase {
     fn workload_spec(self) -> String {
         match self {
             BenchCase::ChipIncast8x8 => format!(
-                "{{ \"victim\": \"node (0,4), mlp 1\", \
-                 \"attacker_mlp\": {INCAST_ATTACKER_MLP}, \
+                "{{ \"victim\": \"node (0,4), mlp {}\", \
+                 \"attacker_mlp\": {}, \
                  \"burst_period\": {INCAST_BURST_PERIOD}, \
                  \"burst_on\": {INCAST_BURST_ON}, \
-                 \"pattern\": \"all-to-one column controller, seeded bursty phases\" }}"
+                 \"pattern\": \"all-to-one column controller, seeded bursty phases\" }}",
+                ChipSim::INCAST_VICTIM_MLP,
+                ChipSim::INCAST_ATTACKER_MLP
             ),
             BenchCase::ChipWeighted8x8 => format!(
                 "{{ \"weights\": \"rows 0-1:{}, rows 2-4:{}, rest:{} (normalised)\" }}",
@@ -321,25 +320,11 @@ impl BenchCase {
                 // (driving the per-cycle phase hook), while an MLP-1 victim
                 // shares the controller throughout.
                 let sim = ChipSim::paper_default().with_sim_config(sim_config);
-                let victim = sim.node_id(Coord::new(0, 4)).index();
-                let mut plan = sim.nearest_mc_mlp_plan(INCAST_ATTACKER_MLP);
-                let mc = plan[victim].expect("the victim node issues requests").1;
-                let mut hogs = Vec::new();
-                for (node, slot) in plan.iter_mut().enumerate() {
-                    let Some((mlp, dest)) = slot.as_mut() else {
-                        continue;
-                    };
-                    *dest = mc;
-                    if node == victim {
-                        *mlp = 1;
-                    } else {
-                        hogs.push(FlowId(node as u16));
-                    }
-                }
+                let (plan, hogs) = sim.incast_plan(Coord::new(0, 4));
                 let phases = workloads::bursty_hogs(
                     plan.len(),
                     &hogs,
-                    INCAST_ATTACKER_MLP,
+                    ChipSim::INCAST_ATTACKER_MLP,
                     INCAST_BURST_PERIOD,
                     INCAST_BURST_ON,
                     horizon,

@@ -20,11 +20,17 @@
 //! requester's row, then the mesh back out) — because the fabric's routing
 //! tables are generated from the same topology-aware rules.
 //!
-//! Memory traffic can run **closed-loop**: [`ChipSim::run_closed_loop`]
+//! Memory traffic can run **closed-loop**: [`ChipSim::build_closed_loop`]
 //! gives every requester node an MLP window (outstanding-miss budget), the
 //! controllers answer each delivered request with a cache-line reply, and
 //! per-domain round-trip latency and accepted request throughput fall out of
 //! the round-trip statistics.
+//!
+//! The facade only builds. A built network runs through one of netsim's two
+//! drivers: [`taqos_netsim::sim::run_open_loop`] (warm-up, measurement
+//! window, drain) or [`taqos_netsim::sim::run_closed`] (a fixed workload run
+//! to completion). Mid-run rate changes are scheduled on the built network
+//! with [`Network::schedule_reprogram`].
 //!
 //! Controllers can additionally be **DRAM-backed** ([`ChipSim::with_dram`]):
 //! each column memory controller then owns a set of address-interleaved
@@ -35,6 +41,7 @@
 //! column controller serves.
 
 use crate::chip::{ChipError, DomainId, TopologyAwareChip};
+use crate::shared_region::build_with_faults;
 use std::collections::{BTreeMap, BTreeSet};
 use taqos_netsim::closed_loop::{
     ClosedLoopSpec, DramConfig, PhaseChange, PhaseSchedule, PhasedWorkload,
@@ -43,16 +50,13 @@ use taqos_netsim::error::SimError;
 use taqos_netsim::fault::FaultPlan;
 use taqos_netsim::network::Network;
 use taqos_netsim::qos::{FifoPolicy, QosPolicy};
-use taqos_netsim::sim::{run_closed, run_open_loop, OpenLoopConfig};
-use taqos_netsim::stats::NetStats;
 use taqos_netsim::{Cycle, FlowId, NodeId, SimConfig};
 use taqos_qos::pvc::{PvcConfig, PvcPolicy};
 use taqos_qos::rates::RateAllocation;
 use taqos_qos::scoped::ScopedQosPolicy;
 use taqos_topology::chip::{ChipConfig, ChipSpec};
 use taqos_topology::grid::Coord;
-use taqos_topology::reroute::{failover_controller, reroute_around_faults};
-use taqos_traffic::injection::PacketSizeMix;
+use taqos_topology::reroute::failover_controller;
 use taqos_traffic::workloads::{self, GeneratorSet, MlpPlan, NodePlan};
 
 /// QOS configuration of a chip simulation.
@@ -77,6 +81,11 @@ pub struct ChipSim {
 }
 
 impl ChipSim {
+    /// MLP window of each attacker of [`Self::incast_plan`].
+    pub const INCAST_ATTACKER_MLP: usize = 6;
+    /// MLP window of the victim of [`Self::incast_plan`].
+    pub const INCAST_VICTIM_MLP: usize = 1;
+
     /// Creates a simulation of the given architectural chip, deriving the
     /// fabric dimensions and shared columns from it.
     pub fn new(chip: TopologyAwareChip) -> Self {
@@ -135,18 +144,9 @@ impl ChipSim {
         self
     }
 
-    /// Switches telemetry (latency histograms, per-frame time series) on
-    /// every network built by this simulation, keeping the other simulation
-    /// constants as configured.
-    pub fn with_telemetry(mut self, telemetry: taqos_netsim::TelemetryConfig) -> Self {
-        self.sim = self.sim.with_telemetry(telemetry);
-        self
-    }
-
     /// Installs a DRAM service-time model at every memory controller of
-    /// closed-loop runs built through [`Self::build_closed_loop`] (and hence
-    /// [`Self::run_closed_loop`]). Without it, controllers answer every
-    /// request instantly, as before.
+    /// closed-loop networks built through [`Self::build_closed_loop`].
+    /// Without it, controllers answer every request instantly.
     pub fn with_dram(mut self, dram: DramConfig) -> Self {
         self.dram = Some(dram);
         self
@@ -421,6 +421,40 @@ impl ChipSim {
             .collect()
     }
 
+    /// Closed-loop incast plan: every node outside the shared columns runs an
+    /// MLP-[`Self::INCAST_ATTACKER_MLP`] loop against the `victim`'s own-row
+    /// controller (one MECS express hop from the victim); the victim keeps an
+    /// MLP-[`Self::INCAST_VICTIM_MLP`] window. Returns the plan and the
+    /// attackers' flows (every active node but the victim), in node order.
+    /// The plan ignores any installed fault plan: it aims at the victim's
+    /// controller whether or not that controller is dark.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `victim` lies in a shared column (it has no requester).
+    pub fn incast_plan(&self, victim: Coord) -> (MlpPlan, Vec<FlowId>) {
+        assert!(
+            !self.chip.is_shared(victim),
+            "incast victim {victim:?} lies in a shared column"
+        );
+        let mc = self.memory_controller_for(victim);
+        let mut plan: MlpPlan = vec![None; self.config.num_nodes()];
+        let mut attackers = Vec::new();
+        for (node, slot) in plan.iter_mut().enumerate() {
+            let c = self.coord(NodeId(node as u16));
+            if self.chip.is_shared(c) {
+                continue;
+            }
+            if c == victim {
+                *slot = Some((Self::INCAST_VICTIM_MLP, mc));
+            } else {
+                *slot = Some((Self::INCAST_ATTACKER_MLP, mc));
+                attackers.push(FlowId(node as u16));
+            }
+        }
+        (plan, attackers)
+    }
+
     /// Closed-loop plan over an explicit node set: each listed node runs an
     /// MLP-limited loop against the controller on its own row of the nearest
     /// shared column; every other node idles. Used by migration experiments,
@@ -473,7 +507,7 @@ impl ChipSim {
     /// or the installed fault plan references components the fabric does not
     /// have.
     pub fn build(&self, policy: ChipPolicy, generators: GeneratorSet) -> Result<Network, SimError> {
-        let (mut spec, policy): (ChipSpec, Box<dyn QosPolicy>) = match policy {
+        let (spec, policy): (ChipSpec, Box<dyn QosPolicy>) = match policy {
             ChipPolicy::ColumnPvc(pvc) => {
                 let spec = self.config.build();
                 let qos_nodes: BTreeSet<NodeId> = spec.qos_nodes.clone();
@@ -486,55 +520,7 @@ impl ChipSim {
                 Box::new(FifoPolicy::new()),
             ),
         };
-        if let Some(plan) = &self.fault {
-            let (dead_links, dead_routers) = plan.permanent_hard_faults();
-            reroute_around_faults(&mut spec.spec, &dead_links, &dead_routers);
-        }
-        let network = Network::new(spec.spec, policy, generators, self.sim)?;
-        match &self.fault {
-            Some(plan) => network.with_fault_plan(plan.clone()),
-            None => Ok(network),
-        }
-    }
-
-    /// Builds and runs an open-loop experiment.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors from [`Self::build`].
-    pub fn run_open(
-        &self,
-        policy: ChipPolicy,
-        generators: GeneratorSet,
-        config: OpenLoopConfig,
-    ) -> Result<NetStats, SimError> {
-        let network = self.build(policy, generators)?;
-        Ok(run_open_loop(network, config))
-    }
-
-    /// Builds and runs a closed (fixed) workload to completion, measuring
-    /// per-flow throughput and latency over `[warmup, warmup + window)` when
-    /// a measurement window is given — the same convention as the open-loop
-    /// driver, so closed measurements can exclude the cold-start transient.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors and reports a timeout if the workload
-    /// does not complete within `max_cycles`.
-    pub fn run_closed(
-        &self,
-        policy: ChipPolicy,
-        generators: GeneratorSet,
-        warmup: Cycle,
-        measure_window: Option<Cycle>,
-        max_cycles: Cycle,
-    ) -> Result<NetStats, SimError> {
-        let mut network = self.build(policy, generators)?;
-        if let Some(window) = measure_window {
-            network.stats_mut().measure_start = Some(warmup);
-            network.stats_mut().measure_end = Some(warmup + window);
-        }
-        run_closed(network, max_cycles)
+        build_with_faults(spec.spec, policy, generators, self.sim, self.fault.as_ref())
     }
 
     /// Builds a [`Network`] with idle generators and the given closed-loop
@@ -568,107 +554,37 @@ impl ChipSim {
         self.build(policy, workloads::idle_terminals(self.config.num_nodes()))?
             .with_closed_loop(spec)
     }
-
-    /// Builds and runs a closed-loop request/reply experiment from an
-    /// [`MlpPlan`] with the paper's packet mix, using the open-loop phases
-    /// (warm-up, measurement window, drain). The returned statistics carry
-    /// per-flow round-trip latency and completed-round-trip throughput; map
-    /// flows to domains with [`Self::domain_flows`] for per-domain figures.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors from [`Self::build_closed_loop`].
-    pub fn run_closed_loop(
-        &self,
-        policy: ChipPolicy,
-        plan: &MlpPlan,
-        config: OpenLoopConfig,
-    ) -> Result<NetStats, SimError> {
-        let network = self.build_closed_loop(policy, workloads::mlp_closed_loop(plan))?;
-        Ok(run_open_loop(network, config))
-    }
-
-    /// Like [`Self::run_closed_loop`] but from a fully-specified
-    /// [`ClosedLoopSpec`] — the entry point for runs that tune the loop
-    /// beyond the plan (per-request deadline/retry policies, custom reply
-    /// lengths, explicit flow weights).
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors from [`Self::build_closed_loop`].
-    pub fn run_closed_loop_spec(
-        &self,
-        policy: ChipPolicy,
-        spec: ClosedLoopSpec,
-        config: OpenLoopConfig,
-    ) -> Result<NetStats, SimError> {
-        let network = self.build_closed_loop(policy, spec)?;
-        Ok(run_open_loop(network, config))
-    }
-
-    /// Like [`Self::build_closed_loop`] with mid-run rate re-provisionings
-    /// scheduled on top: each `(cycle, rates)` entry reprograms the QOS
-    /// policy, every column router's virtual clock, and the closed-loop
-    /// engine's flow weights at the first frame rollover at or after `cycle`
-    /// (rate changes land only at frame boundaries, where the PVC counters
-    /// flush — mid-frame priorities never move under a live programme).
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors and rejects reprogrammings whose rate
-    /// vector does not cover every flow or is not finite and positive.
-    pub fn build_closed_loop_reprogrammed(
-        &self,
-        policy: ChipPolicy,
-        spec: ClosedLoopSpec,
-        reprograms: &[(Cycle, RateAllocation)],
-    ) -> Result<Network, SimError> {
-        let mut network = self.build_closed_loop(policy, spec)?;
-        for (at, rates) in reprograms {
-            network.schedule_reprogram(*at, rates.rates().to_vec())?;
-        }
-        Ok(network)
-    }
-
-    /// Builds and runs a closed-loop experiment with mid-run rate
-    /// re-provisionings ([`Self::build_closed_loop_reprogrammed`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction and scheduling errors.
-    pub fn run_closed_loop_reprogrammed(
-        &self,
-        policy: ChipPolicy,
-        spec: ClosedLoopSpec,
-        reprograms: &[(Cycle, RateAllocation)],
-        config: OpenLoopConfig,
-    ) -> Result<NetStats, SimError> {
-        let network = self.build_closed_loop_reprogrammed(policy, spec, reprograms)?;
-        Ok(run_open_loop(network, config))
-    }
-
-    /// Convenience: open-loop run of a [`NodePlan`] with the paper's packet
-    /// size mix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors from [`Self::build`].
-    pub fn run_plan(
-        &self,
-        policy: ChipPolicy,
-        plan: &NodePlan,
-        config: OpenLoopConfig,
-        seed: u64,
-    ) -> Result<NetStats, SimError> {
-        let generators = workloads::per_node_fixed(plan, PacketSizeMix::paper(), seed);
-        self.run_open(policy, generators, config)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taqos_netsim::sim::{run_closed, run_open_loop, OpenLoopConfig};
+    use taqos_netsim::stats::NetStats;
     use taqos_topology::grid::ChipGrid;
+    use taqos_traffic::injection::PacketSizeMix;
+
+    /// The short run phases of the small-chip tests.
+    const SHORT: OpenLoopConfig = OpenLoopConfig {
+        warmup: 500,
+        measure: 2_000,
+        drain: 500,
+    };
+
+    /// A 4x4 chip with one shared column.
+    fn small_chip() -> ChipSim {
+        ChipSim::new(
+            TopologyAwareChip::new(ChipGrid::new(4, 4, 4), [2u16].into_iter().collect()).unwrap(),
+        )
+    }
+
+    /// Builds `plan`'s closed loop and runs it through the open-loop driver.
+    fn run_loop(sim: &ChipSim, policy: ChipPolicy, plan: &MlpPlan) -> NetStats {
+        let network = sim
+            .build_closed_loop(policy, workloads::mlp_closed_loop(plan))
+            .expect("closed-loop chip builds");
+        run_open_loop(network, SHORT)
+    }
 
     #[test]
     fn facade_defaults_match_the_paper_chip() {
@@ -739,44 +655,30 @@ mod tests {
 
     #[test]
     fn open_loop_chip_run_delivers_memory_traffic() {
-        let sim = ChipSim::new(
-            TopologyAwareChip::new(ChipGrid::new(4, 4, 4), [2u16].into_iter().collect()).unwrap(),
+        let sim = small_chip();
+        let generators =
+            workloads::per_node_fixed(&sim.nearest_mc_plan(0.05), PacketSizeMix::paper(), 7);
+        let network = sim
+            .build(sim.default_policy(), generators)
+            .expect("chip builds");
+        let stats = run_open_loop(
+            network,
+            OpenLoopConfig {
+                warmup: 200,
+                measure: 2_000,
+                drain: 500,
+            },
         );
-        let plan = sim.nearest_mc_plan(0.05);
-        let stats = sim
-            .run_plan(
-                sim.default_policy(),
-                &plan,
-                OpenLoopConfig {
-                    warmup: 200,
-                    measure: 2_000,
-                    drain: 500,
-                },
-                7,
-            )
-            .expect("chip run succeeds");
         assert!(stats.delivered_packets > 0);
         assert!(stats.avg_latency() > 0.0);
     }
 
     #[test]
     fn closed_loop_chip_run_completes_round_trips() {
-        let sim = ChipSim::new(
-            TopologyAwareChip::new(ChipGrid::new(4, 4, 4), [2u16].into_iter().collect()).unwrap(),
-        );
+        let sim = small_chip();
         let plan = sim.nearest_mc_mlp_plan(2);
         assert_eq!(plan.iter().filter(|e| e.is_some()).count(), 12);
-        let stats = sim
-            .run_closed_loop(
-                sim.default_policy(),
-                &plan,
-                OpenLoopConfig {
-                    warmup: 500,
-                    measure: 2_000,
-                    drain: 500,
-                },
-            )
-            .expect("closed-loop chip run succeeds");
+        let stats = run_loop(&sim, sim.default_policy(), &plan);
         assert!(stats.round_trips > 0, "no round trips completed");
         let rt = stats.avg_round_trip().expect("round trips measured");
         // A round trip spans both directions, so it exceeds the one-way
@@ -793,6 +695,27 @@ mod tests {
                 assert_eq!(fs.round_trips, 0);
             }
         }
+    }
+
+    #[test]
+    fn incast_plans_aim_every_requester_at_the_victims_controller() {
+        let sim = ChipSim::paper_default();
+        let victim = Coord::new(0, 4);
+        let (plan, attackers) = sim.incast_plan(victim);
+        let mc = sim.memory_controller_for(victim);
+        assert_eq!(plan[sim.node_id(victim).index()], Some((1, mc)));
+        assert_eq!(attackers.len(), 55, "every other non-column node attacks");
+        for flow in &attackers {
+            assert_eq!(plan[flow.index()], Some((6, mc)));
+        }
+        assert_eq!(plan.iter().flatten().count(), 56);
+    }
+
+    #[test]
+    #[should_panic(expected = "lies in a shared column")]
+    fn an_incast_victim_in_a_shared_column_is_rejected() {
+        let sim = ChipSim::paper_default();
+        let _ = sim.incast_plan(Coord::new(4, 4));
     }
 
     #[test]
@@ -816,9 +739,10 @@ mod tests {
         let sim = ChipSim::paper_default();
         let plan = sim.nearest_mc_plan(0.05);
         let generators = workloads::per_node_fixed_budget(&plan, PacketSizeMix::paper(), 400, 11);
-        let stats = sim
-            .run_closed(sim.default_policy(), generators, 300, Some(1_000), 200_000)
-            .expect("closed run completes");
+        let network = sim
+            .build(sim.default_policy(), generators)
+            .expect("chip builds");
+        let stats = run_closed(network, Some((300, 1_000)), 200_000).expect("closed run completes");
         assert_eq!(stats.measure_start, Some(300));
         assert_eq!(stats.measure_end, Some(1_300));
         // Deliveries before the offset are excluded from the window.
@@ -864,9 +788,7 @@ mod tests {
 
     #[test]
     fn reprogramming_rates_mid_run_changes_the_outcome() {
-        let sim = ChipSim::new(
-            TopologyAwareChip::new(ChipGrid::new(4, 4, 4), [2u16].into_iter().collect()).unwrap(),
-        );
+        let sim = small_chip();
         let n = sim.config().num_nodes();
         // Short frames so the run crosses several rollovers.
         let policy = || {
@@ -878,48 +800,38 @@ mod tests {
                 RateAllocation::equal(n),
             ))
         };
-        let plan = sim.nearest_mc_mlp_plan(4);
+        let spec = workloads::mlp_closed_loop(&sim.nearest_mc_mlp_plan(4));
+        let build = |policy: ChipPolicy| {
+            sim.build_closed_loop(policy, spec.clone())
+                .expect("closed-loop chip builds")
+        };
         let config = OpenLoopConfig {
             warmup: 500,
             measure: 5_000,
             drain: 500,
         };
-        let baseline = sim
-            .run_closed_loop(policy(), &plan, config)
-            .expect("baseline runs");
+        let baseline = run_open_loop(build(policy()), config);
         // Strongly favour node 0's flow from the second frame on.
         let mut skew = vec![1.0; n];
         skew[0] = 60.0;
         let total: f64 = skew.iter().sum();
-        let skewed = RateAllocation::from_rates(skew.into_iter().map(|r| r / total).collect());
-        let reprogrammed = sim
-            .run_closed_loop_reprogrammed(
-                policy(),
-                workloads::mlp_closed_loop(&plan),
-                &[(1_000, skewed.clone())],
-                config,
-            )
-            .expect("reprogrammed run succeeds");
+        let skewed: Vec<f64> = skew.into_iter().map(|r| r / total).collect();
+        let mut network = build(policy());
+        network
+            .schedule_reprogram(1_000, skewed.clone())
+            .expect("reprogramme schedules");
+        let reprogrammed = run_open_loop(network, config);
         assert_ne!(
             baseline, reprogrammed,
             "a mid-run rate change must be observable"
         );
         // Bad programmes are rejected up front, not at the rollover.
-        let short = RateAllocation::equal(n - 1);
-        assert!(sim
-            .build_closed_loop_reprogrammed(
-                policy(),
-                workloads::mlp_closed_loop(&plan),
-                &[(1_000, short)]
-            )
+        assert!(build(policy())
+            .schedule_reprogram(1_000, vec![1.0 / (n - 1) as f64; n - 1])
             .is_err());
         // The QOS-free fabric has no frames to anchor a change to.
-        assert!(sim
-            .build_closed_loop_reprogrammed(
-                ChipPolicy::NoQos,
-                workloads::mlp_closed_loop(&plan),
-                &[(1_000, skewed)]
-            )
+        assert!(build(ChipPolicy::NoQos)
+            .schedule_reprogram(1_000, skewed)
             .is_err());
     }
 
@@ -991,9 +903,7 @@ mod tests {
     #[test]
     fn faulted_chip_still_completes_round_trips() {
         use taqos_netsim::fault::{FaultEvent, FaultKind};
-        let base = ChipSim::new(
-            TopologyAwareChip::new(ChipGrid::new(4, 4, 4), [2u16].into_iter().collect()).unwrap(),
-        );
+        let base = small_chip();
         // Permanently kill one mesh link plus a transient corruption burst;
         // routes detour and NACKed packets retransmit.
         let plan = FaultPlan::new(11)
@@ -1012,18 +922,7 @@ mod tests {
                 },
             ));
         let sim = base.with_fault_plan(plan);
-        let mlp_plan = sim.nearest_mc_mlp_plan(2);
-        let stats = sim
-            .run_closed_loop(
-                sim.default_policy(),
-                &mlp_plan,
-                OpenLoopConfig {
-                    warmup: 500,
-                    measure: 2_000,
-                    drain: 500,
-                },
-            )
-            .expect("faulted chip run succeeds");
+        let stats = run_loop(&sim, sim.default_policy(), &sim.nearest_mc_mlp_plan(2));
         assert!(
             stats.round_trips > 0,
             "faulted chip must still make progress"
@@ -1036,24 +935,12 @@ mod tests {
 
     #[test]
     fn dram_backed_closed_loop_runs_and_reports_controller_stats() {
-        let sim = ChipSim::new(
-            TopologyAwareChip::new(ChipGrid::new(4, 4, 4), [2u16].into_iter().collect()).unwrap(),
-        );
+        let sim = small_chip();
         let dram = sim.topology_dram(DramConfig::paper());
         let sim = sim.with_dram(dram);
         assert_eq!(sim.dram(), Some(&dram));
         let plan = sim.nearest_mc_mlp_plan(4);
-        let stats = sim
-            .run_closed_loop(
-                sim.default_policy(),
-                &plan,
-                OpenLoopConfig {
-                    warmup: 500,
-                    measure: 2_000,
-                    drain: 500,
-                },
-            )
-            .expect("DRAM-backed chip run succeeds");
+        let stats = run_loop(&sim, sim.default_policy(), &plan);
         assert!(stats.round_trips > 0, "no round trips completed");
         assert!(stats.dram.serviced_requests > 0, "no DRAM services");
         assert!(
@@ -1061,20 +948,8 @@ mod tests {
             "every service is classified hit or miss"
         );
         // The same workload without DRAM completes round trips faster.
-        let instant = ChipSim::new(
-            TopologyAwareChip::new(ChipGrid::new(4, 4, 4), [2u16].into_iter().collect()).unwrap(),
-        );
-        let instant_stats = instant
-            .run_closed_loop(
-                instant.default_policy(),
-                &plan,
-                OpenLoopConfig {
-                    warmup: 500,
-                    measure: 2_000,
-                    drain: 500,
-                },
-            )
-            .expect("instant-controller run succeeds");
+        let instant = small_chip();
+        let instant_stats = run_loop(&instant, instant.default_policy(), &plan);
         assert_eq!(instant_stats.dram, Default::default());
         assert!(
             stats.avg_round_trip().expect("completes")

@@ -15,7 +15,7 @@ use crate::shared_region::SharedRegionSim;
 use serde::{Deserialize, Serialize};
 use taqos_netsim::error::SimError;
 use taqos_netsim::network::Network;
-use taqos_netsim::sim::{run_open_loop, OpenLoopConfig};
+use taqos_netsim::sim::{run_closed, run_open_loop, OpenLoopConfig};
 use taqos_netsim::{Cycle, NodeId, SimConfig};
 use taqos_qos::pvc::{PvcConfig, PvcPolicy};
 use taqos_qos::rates::RateAllocation;
@@ -55,17 +55,17 @@ pub fn frame_length_sweep(
             RateAllocation::equal(column.num_flows()),
         );
         let generators = workloads::hotspot(column, 0.05, PacketSizeMix::paper(), NodeId(0), seed);
-        let stats = sim
-            .run_open(
-                Box::new(policy),
-                generators,
-                OpenLoopConfig {
-                    warmup: measure / 8,
-                    measure,
-                    drain: 1_000,
-                },
-            )
-            .expect("hotspot ablation runs");
+        let network = sim
+            .build(Box::new(policy), generators)
+            .expect("hotspot ablation builds");
+        let stats = run_open_loop(
+            network,
+            OpenLoopConfig {
+                warmup: measure / 8,
+                measure,
+                drain: 1_000,
+            },
+        );
         let per_flow = stats.measured_flits_per_flow();
         let mean = per_flow.iter().sum::<u64>() as f64 / per_flow.len().max(1) as f64;
         let max_dev = per_flow
@@ -120,13 +120,8 @@ pub fn reserved_quota_ablation(
             budget_cycles,
             seed,
         );
-        let stats = sim.run_closed(
-            Box::new(policy),
-            generators,
-            0,
-            Some(budget_cycles),
-            2_000_000,
-        )?;
+        let network = sim.build(Box::new(policy), generators)?;
+        let stats = run_closed(network, Some((0, budget_cycles)), 2_000_000)?;
         Ok((
             stats.preempted_packet_fraction(),
             stats.completion_cycle.unwrap_or(stats.cycles),

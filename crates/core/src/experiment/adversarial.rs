@@ -28,13 +28,15 @@
 
 use crate::chip::{Hypervisor, TopologyAwareChip, VmSpec};
 use crate::chip_sim::{ChipPolicy, ChipSim};
+use crate::experiment::{domain_outcome, histograms_on, share_error};
 use serde::{Deserialize, Serialize};
 use taqos_netsim::closed_loop::{DramBackpressure, DramConfig, DramScheduler};
 use taqos_netsim::prelude::Hist64;
-use taqos_netsim::sim::OpenLoopConfig;
+use taqos_netsim::sim::{run_open_loop, OpenLoopConfig};
 use taqos_netsim::stats::NetStats;
-use taqos_netsim::{Cycle, FlowId, TelemetryConfig};
+use taqos_netsim::{Cycle, FlowId};
 use taqos_topology::grid::Coord;
+use taqos_traffic::injection::PacketSizeMix;
 use taqos_traffic::workloads::{self, MlpPlan, NodePlan};
 
 /// The four arbitration points of the memory path an adversary can contend.
@@ -72,12 +74,8 @@ pub struct AttackConfig {
     pub height: u16,
     /// Shared columns.
     pub columns: usize,
-    /// Warm-up cycles.
-    pub warmup: Cycle,
-    /// Measurement window in cycles.
-    pub measure: Cycle,
-    /// Drain cycles.
-    pub drain: Cycle,
+    /// Run phases: warm-up, measurement window, drain.
+    pub open_loop: OpenLoopConfig,
     /// Random seed for the open-loop generators.
     pub seed: u64,
 }
@@ -88,9 +86,11 @@ impl Default for AttackConfig {
             width: 8,
             height: 8,
             columns: 1,
-            warmup: 5_000,
-            measure: 30_000,
-            drain: 5_000,
+            open_loop: OpenLoopConfig {
+                warmup: 5_000,
+                measure: 30_000,
+                drain: 5_000,
+            },
             seed: 0xBAD,
         }
     }
@@ -100,24 +100,18 @@ impl AttackConfig {
     /// A shorter configuration for tests and smoke runs.
     pub fn quick() -> Self {
         AttackConfig {
-            warmup: 1_000,
-            measure: 6_000,
-            drain: 1_000,
+            open_loop: OpenLoopConfig {
+                warmup: 1_000,
+                measure: 6_000,
+                drain: 1_000,
+            },
             ..Self::default()
-        }
-    }
-
-    fn open_loop(&self) -> OpenLoopConfig {
-        OpenLoopConfig {
-            warmup: self.warmup,
-            measure: self.measure,
-            drain: self.drain,
         }
     }
 
     fn sim(&self) -> ChipSim {
         ChipSim::multi_column(self.width, self.height, self.columns)
-            .with_telemetry(TelemetryConfig::off().with_histograms(true))
+            .with_sim_config(histograms_on())
     }
 }
 
@@ -161,19 +155,39 @@ fn merged_latency_p99(stats: &NetStats, flows: &[FlowId]) -> u64 {
     hist.p99().unwrap_or(0)
 }
 
-fn merged_rt_p99(stats: &NetStats, flows: &[FlowId]) -> u64 {
-    let mut hist = Hist64::default();
-    for flow in flows {
-        hist.merge(&stats.flows[flow.index()].rt_hist);
+/// The closed-loop attack report: the victim's p99 round trip and measured
+/// round trips on the unprotected fabric and under PVC.
+fn round_trip_report(
+    attack: &str,
+    point: ArbitrationPoint,
+    victim: FlowId,
+    config: &AttackConfig,
+    unprotected: &NetStats,
+    pvc: &NetStats,
+) -> AttackReport {
+    let outcome = |stats| domain_outcome(stats, &[victim], config.open_loop.measure);
+    let (unprotected, pvc) = (outcome(unprotected), outcome(pvc));
+    AttackReport {
+        attack: attack.to_string(),
+        point,
+        victim_p99_unprotected: unprotected.p99_round_trip.unwrap_or(0),
+        victim_p99_pvc: pvc.p99_round_trip.unwrap_or(0),
+        victim_service_unprotected: unprotected.round_trips,
+        victim_service_pvc: pvc.round_trips,
     }
-    hist.p99().unwrap_or(0)
 }
 
-fn measured_round_trips(stats: &NetStats, flows: &[FlowId]) -> u64 {
-    flows
-        .iter()
-        .map(|f| stats.flows[f.index()].measured_round_trips)
-        .sum()
+/// Builds `plan`'s closed loop on `sim` and runs it for the attack's phases.
+fn run_attack(
+    sim: &ChipSim,
+    policy: ChipPolicy,
+    plan: &MlpPlan,
+    config: &AttackConfig,
+) -> NetStats {
+    let network = sim
+        .build_closed_loop(policy, workloads::mlp_closed_loop(plan))
+        .expect("attack builds");
+    run_open_loop(network, config.open_loop)
 }
 
 /// `row-flood`: the victim's row-mates flood their shared controller with
@@ -195,8 +209,9 @@ pub fn row_flood(config: &AttackConfig) -> AttackReport {
         plan[sim.node_id(c).index()] = Some((rate, sim.memory_controller_for(c)));
     }
     let run = |policy: ChipPolicy| {
-        sim.run_plan(policy, &plan, config.open_loop(), config.seed)
-            .expect("row-flood runs")
+        let generators = workloads::per_node_fixed(&plan, PacketSizeMix::paper(), config.seed);
+        let network = sim.build(policy, generators).expect("row-flood builds");
+        run_open_loop(network, config.open_loop)
     };
     let unprotected = run(ChipPolicy::NoQos);
     let pvc = run(sim.default_policy());
@@ -210,31 +225,6 @@ pub fn row_flood(config: &AttackConfig) -> AttackReport {
     }
 }
 
-/// Closed-loop incast plan: every non-column node of the chip runs an
-/// MLP-limited loop against the single controller at `mc`; the `victim` node
-/// gets its own (small) window.
-fn incast_plan(
-    sim: &ChipSim,
-    mc: Coord,
-    attacker_mlp: usize,
-    victim: Coord,
-    victim_mlp: usize,
-) -> MlpPlan {
-    let mc_node = sim.node_id(mc);
-    (0..sim.config().num_nodes())
-        .map(|node| {
-            let c = sim.coord(taqos_netsim::NodeId(node as u16));
-            if sim.chip().is_shared(c) {
-                None
-            } else if c == victim {
-                Some((victim_mlp, mc_node))
-            } else {
-                Some((attacker_mlp, mc_node))
-            }
-        })
-        .collect()
-}
-
 /// `incast-mob`: every node of the chip incasts into the victim's memory
 /// controller with a deep MLP window (controllers answer instantly, so the
 /// column's PVC arbitration is the contended resource). The victim keeps a
@@ -244,22 +234,11 @@ pub fn incast_mob(config: &AttackConfig) -> AttackReport {
     let row = config.height / 2;
     let victim = Coord::new(0, row);
     let victim_flow = FlowId(sim.node_id(victim).0);
-    let mc = Coord::new(sim.coord(sim.memory_controller_for(victim)).x, row);
-    let plan = incast_plan(&sim, mc, 6, victim, 1);
-    let run = |policy: ChipPolicy| {
-        sim.run_closed_loop(policy, &plan, config.open_loop())
-            .expect("incast-mob runs")
-    };
-    let unprotected = run(ChipPolicy::NoQos);
-    let pvc = run(sim.default_policy());
-    AttackReport {
-        attack: "incast-mob".to_string(),
-        point: ArbitrationPoint::ColumnPvc,
-        victim_p99_unprotected: merged_rt_p99(&unprotected, &[victim_flow]),
-        victim_p99_pvc: merged_rt_p99(&pvc, &[victim_flow]),
-        victim_service_unprotected: measured_round_trips(&unprotected, &[victim_flow]),
-        victim_service_pvc: measured_round_trips(&pvc, &[victim_flow]),
-    }
+    let (plan, _) = sim.incast_plan(victim);
+    let unprotected = run_attack(&sim, ChipPolicy::NoQos, &plan, config);
+    let pvc = run_attack(&sim, sim.default_policy(), &plan, config);
+    let point = ArbitrationPoint::ColumnPvc;
+    round_trip_report("incast-mob", point, victim_flow, config, &unprotected, &pvc)
 }
 
 /// `queue-storm`: the same incast mob against a DRAM-backed controller with
@@ -272,8 +251,7 @@ pub fn queue_storm(config: &AttackConfig) -> AttackReport {
     let row = config.height / 2;
     let victim = Coord::new(0, row);
     let victim_flow = FlowId(base.node_id(victim).0);
-    let mc = Coord::new(base.coord(base.memory_controller_for(victim)).x, row);
-    let plan = incast_plan(&base, mc, 6, victim, 1);
+    let (plan, _) = base.incast_plan(victim);
     // A shallow queue in front of slow banks keeps admission — not bank
     // throughput or the fabric — the binding constraint. Single-line rows
     // (a fully line-interleaved map) spread every window across all banks
@@ -289,20 +267,22 @@ pub fn queue_storm(config: &AttackConfig) -> AttackReport {
         .clone()
         .with_dram(dram.with_scheduler(DramScheduler::Fcfs));
     let protected_sim = base.with_dram(dram.with_scheduler(DramScheduler::PriorityAdmission));
-    let unprotected = unprotected_sim
-        .run_closed_loop(ChipPolicy::NoQos, &plan, config.open_loop())
-        .expect("queue-storm runs");
-    let pvc = protected_sim
-        .run_closed_loop(protected_sim.default_policy(), &plan, config.open_loop())
-        .expect("queue-storm runs");
-    AttackReport {
-        attack: "queue-storm".to_string(),
-        point: ArbitrationPoint::DramAdmission,
-        victim_p99_unprotected: merged_rt_p99(&unprotected, &[victim_flow]),
-        victim_p99_pvc: merged_rt_p99(&pvc, &[victim_flow]),
-        victim_service_unprotected: measured_round_trips(&unprotected, &[victim_flow]),
-        victim_service_pvc: measured_round_trips(&pvc, &[victim_flow]),
-    }
+    let unprotected = run_attack(&unprotected_sim, ChipPolicy::NoQos, &plan, config);
+    let pvc = run_attack(
+        &protected_sim,
+        protected_sim.default_policy(),
+        &plan,
+        config,
+    );
+    let point = ArbitrationPoint::DramAdmission;
+    round_trip_report(
+        "queue-storm",
+        point,
+        victim_flow,
+        config,
+        &unprotected,
+        &pvc,
+    )
 }
 
 /// `open-row-squatter`: a streaming hog next to the controller keeps its
@@ -329,20 +309,22 @@ pub fn open_row_squatter(config: &AttackConfig) -> AttackReport {
         .with_scheduler(DramScheduler::FrFcfs);
     let unprotected_sim = base.clone().with_dram(dram.with_age_cap(1_000_000));
     let protected_sim = base.with_dram(dram);
-    let unprotected = unprotected_sim
-        .run_closed_loop(ChipPolicy::NoQos, &plan, config.open_loop())
-        .expect("open-row-squatter runs");
-    let pvc = protected_sim
-        .run_closed_loop(protected_sim.default_policy(), &plan, config.open_loop())
-        .expect("open-row-squatter runs");
-    AttackReport {
-        attack: "open-row-squatter".to_string(),
-        point: ArbitrationPoint::DramBanks,
-        victim_p99_unprotected: merged_rt_p99(&unprotected, &[victim_flow]),
-        victim_p99_pvc: merged_rt_p99(&pvc, &[victim_flow]),
-        victim_service_unprotected: measured_round_trips(&unprotected, &[victim_flow]),
-        victim_service_pvc: measured_round_trips(&pvc, &[victim_flow]),
-    }
+    let unprotected = run_attack(&unprotected_sim, ChipPolicy::NoQos, &plan, config);
+    let pvc = run_attack(
+        &protected_sim,
+        protected_sim.default_policy(),
+        &plan,
+        config,
+    );
+    let point = ArbitrationPoint::DramBanks;
+    round_trip_report(
+        "open-row-squatter",
+        point,
+        victim_flow,
+        config,
+        &unprotected,
+        &pvc,
+    )
 }
 
 /// Runs the full battery: one named attack per arbitration point.
@@ -371,12 +353,8 @@ pub struct WeightedVmConfig {
     /// Outstanding-miss window per VM node (deep enough to saturate the
     /// shared controller, so the weights are the binding constraint).
     pub mlp: usize,
-    /// Warm-up cycles.
-    pub warmup: Cycle,
-    /// Measurement window in cycles.
-    pub measure: Cycle,
-    /// Drain cycles.
-    pub drain: Cycle,
+    /// Run phases: warm-up, measurement window, drain.
+    pub open_loop: OpenLoopConfig,
 }
 
 impl Default for WeightedVmConfig {
@@ -384,9 +362,11 @@ impl Default for WeightedVmConfig {
         WeightedVmConfig {
             vm_weights: vec![8, 4, 1],
             mlp: 8,
-            warmup: 5_000,
-            measure: 30_000,
-            drain: 5_000,
+            open_loop: OpenLoopConfig {
+                warmup: 5_000,
+                measure: 30_000,
+                drain: 5_000,
+            },
         }
     }
 }
@@ -395,9 +375,11 @@ impl WeightedVmConfig {
     /// A shorter configuration for tests and smoke runs.
     pub fn quick() -> Self {
         WeightedVmConfig {
-            warmup: 1_000,
-            measure: 8_000,
-            drain: 1_000,
+            open_loop: OpenLoopConfig {
+                warmup: 1_000,
+                measure: 8_000,
+                drain: 1_000,
+            },
             ..Self::default()
         }
     }
@@ -454,24 +436,20 @@ pub fn weighted_vm_experiment(config: &WeightedVmConfig) -> WeightedVmResult {
     let plan = sim
         .memory_mlp_plan(&demands, mc)
         .expect("controller is a shared-column terminal");
-    let stats = sim
-        .run_closed_loop(
+    let network = sim
+        .build_closed_loop(
             sim.weighted_policy(rates.clone()),
-            &plan,
-            OpenLoopConfig {
-                warmup: config.warmup,
-                measure: config.measure,
-                drain: config.drain,
-            },
+            workloads::mlp_closed_loop(&plan),
         )
-        .expect("weighted-VM experiment runs");
+        .expect("weighted-VM experiment builds");
+    let stats = run_open_loop(network, config.open_loop);
     let vm_flows: Vec<Vec<FlowId>> = domains
         .iter()
         .map(|&d| sim.domain_flows(d).expect("domain exists"))
         .collect();
     let round_trips_per_vm: Vec<u64> = vm_flows
         .iter()
-        .map(|flows| measured_round_trips(&stats, flows))
+        .map(|flows| domain_outcome(&stats, flows, config.open_loop.measure).round_trips)
         .collect();
     let programmed_weight_per_vm: Vec<f64> = vm_flows
         .iter()
@@ -482,22 +460,8 @@ pub fn weighted_vm_experiment(config: &WeightedVmConfig) -> WeightedVmResult {
         .iter()
         .map(|w| w / programmed_total)
         .collect();
-    let delivered_total: u64 = round_trips_per_vm.iter().sum();
-    let delivered_shares: Vec<f64> = round_trips_per_vm
-        .iter()
-        .map(|&d| {
-            if delivered_total == 0 {
-                0.0
-            } else {
-                d as f64 / delivered_total as f64
-            }
-        })
-        .collect();
-    let worst_share_error = delivered_shares
-        .iter()
-        .zip(&programmed_shares)
-        .map(|(actual, expected)| ((actual - expected) / expected).abs())
-        .fold(0.0, f64::max);
+    let (delivered_shares, worst_share_error) =
+        share_error(&round_trips_per_vm, &programmed_shares);
     WeightedVmResult {
         vm_weights: config.vm_weights.clone(),
         round_trips_per_vm,
@@ -517,12 +481,9 @@ pub struct MigrationConfig {
     pub mlp: usize,
     /// Hog MLP window per node.
     pub hog_mlp: usize,
-    /// Warm-up cycles.
-    pub warmup: Cycle,
-    /// Measurement window in cycles (straddles `switch_at`).
-    pub measure: Cycle,
-    /// Drain cycles.
-    pub drain: Cycle,
+    /// Run phases: warm-up, measurement window (straddles `switch_at`),
+    /// drain.
+    pub open_loop: OpenLoopConfig,
 }
 
 impl Default for MigrationConfig {
@@ -531,9 +492,11 @@ impl Default for MigrationConfig {
             switch_at: 20_000,
             mlp: 2,
             hog_mlp: 12,
-            warmup: 5_000,
-            measure: 30_000,
-            drain: 5_000,
+            open_loop: OpenLoopConfig {
+                warmup: 5_000,
+                measure: 30_000,
+                drain: 5_000,
+            },
         }
     }
 }
@@ -543,9 +506,11 @@ impl MigrationConfig {
     pub fn quick() -> Self {
         MigrationConfig {
             switch_at: 4_000,
-            warmup: 1_000,
-            measure: 6_000,
-            drain: 1_000,
+            open_loop: OpenLoopConfig {
+                warmup: 1_000,
+                measure: 6_000,
+                drain: 1_000,
+            },
             ..Self::default()
         }
     }
@@ -615,8 +580,7 @@ pub fn migration_experiment(config: &MigrationConfig) -> MigrationResult {
         .collect();
     let rates_after = hv.program_node_rates();
 
-    let sim = ChipSim::new(hv.chip().clone())
-        .with_telemetry(TelemetryConfig::off().with_histograms(true));
+    let sim = ChipSim::new(hv.chip().clone()).with_sim_config(histograms_on());
     let mut plan = sim.mlp_plan_for(&old_nodes, config.mlp);
     for (slot, extra) in plan
         .iter_mut()
@@ -636,21 +600,13 @@ pub fn migration_experiment(config: &MigrationConfig) -> MigrationResult {
     }
     let phases = sim.migration_phases(&old_nodes, &new_nodes, config.switch_at, config.mlp);
     let spec = workloads::mlp_closed_loop(&plan).with_phases(phases);
-    let network = sim
-        .build_closed_loop_reprogrammed(
-            sim.weighted_policy(rates_before),
-            spec,
-            &[(config.switch_at, rates_after)],
-        )
+    let mut network = sim
+        .build_closed_loop(sim.weighted_policy(rates_before), spec)
         .expect("migration run builds");
-    let stats = taqos_netsim::sim::run_open_loop(
-        network,
-        OpenLoopConfig {
-            warmup: config.warmup,
-            measure: config.measure,
-            drain: config.drain,
-        },
-    );
+    network
+        .schedule_reprogram(config.switch_at, rates_after.rates().to_vec())
+        .expect("programmed rates are valid");
+    let stats = run_open_loop(network, config.open_loop);
 
     let flows_of = |nodes: &[Coord]| -> Vec<FlowId> {
         nodes.iter().map(|&c| FlowId(sim.node_id(c).0)).collect()
@@ -665,7 +621,9 @@ pub fn migration_experiment(config: &MigrationConfig) -> MigrationResult {
         old_site_round_trips: sum(&old_flows, |f| f.round_trips),
         new_site_round_trips: sum(&new_flows, |f| f.round_trips),
         old_site_in_flight: sum(&old_flows, |f| f.requests_in_flight),
-        victim_p99: merged_rt_p99(&stats, &victim_flows),
+        victim_p99: domain_outcome(&stats, &victim_flows, config.open_loop.measure)
+            .p99_round_trip
+            .unwrap_or(0),
         conserved: stats.flows.iter().all(|f| {
             f.issued_requests == f.round_trips + f.abandoned_requests + f.requests_in_flight
         }),

@@ -47,15 +47,14 @@
 //! [`ChipSpec::qos_router_fraction`] instead of the whole chip.
 
 use crate::chip_sim::{ChipPolicy, ChipSim};
-use crate::experiment::parallel_map;
+use crate::experiment::{domain_outcome, histograms_on, parallel_map};
 use serde::{Deserialize, Serialize};
 use taqos_netsim::closed_loop::{DramConfig, DramScheduler, RetryPolicy};
 use taqos_netsim::fault::{FaultEvent, FaultKind, FaultPlan};
 use taqos_netsim::ids::Direction;
-use taqos_netsim::sim::OpenLoopConfig;
+use taqos_netsim::sim::{run_open_loop, OpenLoopConfig};
 use taqos_netsim::spec::{NetworkSpec, OutputKind};
 use taqos_netsim::stats::NetStats;
-use taqos_netsim::{Cycle, FlowId, Hist64, TelemetryConfig};
 use taqos_power::area::AreaModel;
 use taqos_topology::chip::{ChipConfig, ChipSpec};
 use taqos_topology::grid::Coord;
@@ -73,12 +72,8 @@ pub struct ChipIsolationConfig {
     /// DRAM service-time model at the contended controller; `None` keeps
     /// instant controllers (fabric-only contention).
     pub dram: Option<DramConfig>,
-    /// Warm-up cycles.
-    pub warmup: Cycle,
-    /// Measurement window in cycles.
-    pub measure: Cycle,
-    /// Drain cycles after the window.
-    pub drain: Cycle,
+    /// Run phases: warm-up, measurement window, drain.
+    pub open_loop: OpenLoopConfig,
 }
 
 impl Default for ChipIsolationConfig {
@@ -87,9 +82,11 @@ impl Default for ChipIsolationConfig {
             victim_mlp: 2,
             hog_mlp: 16,
             dram: None,
-            warmup: 5_000,
-            measure: 30_000,
-            drain: 5_000,
+            open_loop: OpenLoopConfig {
+                warmup: 5_000,
+                measure: 30_000,
+                drain: 5_000,
+            },
         }
     }
 }
@@ -98,9 +95,11 @@ impl ChipIsolationConfig {
     /// A shorter configuration for tests and smoke runs.
     pub fn quick() -> Self {
         ChipIsolationConfig {
-            warmup: 1_000,
-            measure: 8_000,
-            drain: 1_000,
+            open_loop: OpenLoopConfig {
+                warmup: 1_000,
+                measure: 8_000,
+                drain: 1_000,
+            },
             ..Self::default()
         }
     }
@@ -208,36 +207,6 @@ fn p99_slowdown(outcome: &DomainOutcome, baseline: &DomainOutcome) -> Option<f64
     }
 }
 
-/// Folds the per-flow round-trip counters of a domain's flows into one
-/// outcome. When the run recorded histograms, the per-flow round-trip
-/// histograms are merged (merge order is immaterial — see
-/// [`Hist64::merge`]) into the domain's percentile columns.
-fn domain_outcome(stats: &NetStats, flows: &[FlowId], measure: Cycle) -> DomainOutcome {
-    let mut rt_sum = 0u64;
-    let mut rt_samples = 0u64;
-    let mut completed = 0u64;
-    let mut issued = 0u64;
-    let mut rt_hist = Hist64::new();
-    for flow in flows {
-        let fs = &stats.flows[flow.index()];
-        rt_sum += fs.rt_latency_sum;
-        rt_samples += fs.rt_samples;
-        completed += fs.measured_round_trips;
-        issued += fs.issued_requests;
-        rt_hist.merge(&fs.rt_hist);
-    }
-    DomainOutcome {
-        avg_round_trip: (rt_samples > 0).then(|| rt_sum as f64 / rt_samples as f64),
-        round_trips: completed,
-        issued_requests: issued,
-        throughput: completed as f64 / measure.max(1) as f64,
-        p50_round_trip: rt_hist.p50(),
-        p95_round_trip: rt_hist.p95(),
-        p99_round_trip: rt_hist.p99(),
-        max_round_trip: rt_hist.max(),
-    }
-}
-
 /// The three scenarios of the isolation experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scenario {
@@ -255,11 +224,7 @@ enum Scenario {
 /// downstream of the victim's and its replies leave the controller first,
 /// the adversarial placement for round-robin arbitration on both legs.
 fn isolation_chip() -> (ChipSim, crate::chip::DomainId, crate::chip::DomainId, Coord) {
-    // Histograms on: the isolation experiments bound the victim's p99 tail,
-    // not just its mean. (Frame sampling stays off — the experiments compare
-    // endpoint aggregates.)
-    let mut sim =
-        ChipSim::paper_default().with_telemetry(TelemetryConfig::default().with_histograms(true));
+    let mut sim = ChipSim::paper_default().with_sim_config(histograms_on());
     let grid = *sim.chip().grid();
     let victim = sim
         .chip_mut()
@@ -284,11 +249,6 @@ pub fn chip_isolation(config: &ChipIsolationConfig) -> ChipIsolationResult {
     };
     let victim_flows = sim.domain_flows(victim).expect("victim exists");
     let hog_flows = sim.domain_flows(hog).expect("hog exists");
-    let open_loop = OpenLoopConfig {
-        warmup: config.warmup,
-        measure: config.measure,
-        drain: config.drain,
-    };
 
     let scenarios = vec![Scenario::Protected, Scenario::Unprotected, Scenario::Solo];
     let stats = parallel_map(scenarios, |scenario| {
@@ -303,16 +263,18 @@ pub fn chip_isolation(config: &ChipIsolationConfig) -> ChipIsolationResult {
             Scenario::Unprotected => ChipPolicy::NoQos,
             _ => sim.default_policy(),
         };
-        sim.run_closed_loop(policy, &plan, open_loop)
-            .expect("chip isolation scenario runs")
+        let network = sim
+            .build_closed_loop(policy, workloads::mlp_closed_loop(&plan))
+            .expect("chip isolation scenario builds");
+        run_open_loop(network, config.open_loop)
     });
 
-    let victim_outcome = |s: &NetStats| domain_outcome(s, &victim_flows, config.measure);
+    let victim_outcome = |s: &NetStats| domain_outcome(s, &victim_flows, config.open_loop.measure);
     ChipIsolationResult {
         protected: victim_outcome(&stats[0]),
         unprotected: victim_outcome(&stats[1]),
         solo: victim_outcome(&stats[2]),
-        protected_hog: domain_outcome(&stats[0], &hog_flows, config.measure),
+        protected_hog: domain_outcome(&stats[0], &hog_flows, config.open_loop.measure),
     }
 }
 
@@ -327,12 +289,8 @@ pub struct ColumnScalingConfig {
     pub columns: Vec<usize>,
     /// MLP window of every requester node.
     pub mlp: usize,
-    /// Warm-up cycles.
-    pub warmup: Cycle,
-    /// Measurement window in cycles.
-    pub measure: Cycle,
-    /// Drain cycles after the window.
-    pub drain: Cycle,
+    /// Run phases: warm-up, measurement window, drain.
+    pub open_loop: OpenLoopConfig,
 }
 
 impl Default for ColumnScalingConfig {
@@ -342,9 +300,11 @@ impl Default for ColumnScalingConfig {
             height: 16,
             columns: vec![1, 2, 4],
             mlp: 4,
-            warmup: 2_000,
-            measure: 20_000,
-            drain: 2_000,
+            open_loop: OpenLoopConfig {
+                warmup: 2_000,
+                measure: 20_000,
+                drain: 2_000,
+            },
         }
     }
 }
@@ -353,9 +313,11 @@ impl ColumnScalingConfig {
     /// A shorter configuration for tests and smoke runs.
     pub fn quick() -> Self {
         ColumnScalingConfig {
-            warmup: 500,
-            measure: 4_000,
-            drain: 500,
+            open_loop: OpenLoopConfig {
+                warmup: 500,
+                measure: 4_000,
+                drain: 500,
+            },
             ..Self::default()
         }
     }
@@ -381,20 +343,17 @@ pub struct ColumnScalingPoint {
 /// ports and shorter express hops, so accepted request throughput grows with
 /// the column count (the ROADMAP's multi-column scaling study).
 pub fn multi_column_scaling(config: &ColumnScalingConfig) -> Vec<ColumnScalingPoint> {
-    let open_loop = OpenLoopConfig {
-        warmup: config.warmup,
-        measure: config.measure,
-        drain: config.drain,
-    };
     let points = config.columns.clone();
-    let (width, height, mlp) = (config.width, config.height, config.mlp);
+    let (width, height, mlp, open_loop) =
+        (config.width, config.height, config.mlp, config.open_loop);
     parallel_map(points, move |columns| {
         let sim = ChipSim::multi_column(width, height, columns);
         let plan = sim.nearest_mc_mlp_plan(mlp);
         let requesters = plan.iter().filter(|e| e.is_some()).count();
-        let stats = sim
-            .run_closed_loop(sim.default_policy(), &plan, open_loop)
-            .expect("scaling point runs");
+        let network = sim
+            .build_closed_loop(sim.default_policy(), workloads::mlp_closed_loop(&plan))
+            .expect("scaling point builds");
+        let stats = run_open_loop(network, open_loop);
         let measured: u64 = stats.flows.iter().map(|f| f.measured_round_trips).sum();
         ColumnScalingPoint {
             columns,
@@ -420,12 +379,8 @@ pub struct LatencyLoadConfig {
     /// DRAM model at every controller (scaled to the chip via
     /// [`ChipSim::topology_dram`] before the run).
     pub dram: DramConfig,
-    /// Warm-up cycles.
-    pub warmup: Cycle,
-    /// Measurement window in cycles.
-    pub measure: Cycle,
-    /// Drain cycles after the window.
-    pub drain: Cycle,
+    /// Run phases: warm-up, measurement window, drain.
+    pub open_loop: OpenLoopConfig,
 }
 
 impl Default for LatencyLoadConfig {
@@ -434,9 +389,11 @@ impl Default for LatencyLoadConfig {
             mlps: vec![1, 2, 4, 8, 16, 32],
             schedulers: vec![DramScheduler::Fcfs, DramScheduler::FrFcfs],
             dram: DramConfig::paper(),
-            warmup: 2_000,
-            measure: 15_000,
-            drain: 2_000,
+            open_loop: OpenLoopConfig {
+                warmup: 2_000,
+                measure: 15_000,
+                drain: 2_000,
+            },
         }
     }
 }
@@ -445,9 +402,11 @@ impl LatencyLoadConfig {
     /// A shorter configuration for tests and smoke runs.
     pub fn quick() -> Self {
         LatencyLoadConfig {
-            warmup: 1_000,
-            measure: 6_000,
-            drain: 1_000,
+            open_loop: OpenLoopConfig {
+                warmup: 1_000,
+                measure: 6_000,
+                drain: 1_000,
+            },
             ..Self::default()
         }
     }
@@ -496,15 +455,11 @@ pub struct LoadPoint {
 /// throughput saturates at the controllers' service bandwidth — the
 /// saturation knee. Points are returned scheduler-major in the order of
 /// [`LatencyLoadConfig::schedulers`]. Each point is one
-/// [`ChipSim::run_closed_loop`] call; the points run across threads via
+/// closed-loop build run through [`run_open_loop`]; the points run across
+/// threads via
 /// [`crate::experiment::parallel_map`].
 pub fn latency_under_load(config: &LatencyLoadConfig) -> Vec<LoadPoint> {
-    let open_loop = OpenLoopConfig {
-        warmup: config.warmup,
-        measure: config.measure,
-        drain: config.drain,
-    };
-    let base = config.dram;
+    let (base, open_loop) = (config.dram, config.open_loop);
     let mut runs = Vec::new();
     for &scheduler in &config.schedulers {
         for &mlp in &config.mlps {
@@ -512,15 +467,15 @@ pub fn latency_under_load(config: &LatencyLoadConfig) -> Vec<LoadPoint> {
         }
     }
     parallel_map(runs, move |(scheduler, mlp)| {
-        let sim = ChipSim::paper_default()
-            .with_telemetry(TelemetryConfig::default().with_histograms(true));
+        let sim = ChipSim::paper_default().with_sim_config(histograms_on());
         let dram = sim.topology_dram(base).with_scheduler(scheduler);
         let sim = sim.with_dram(dram);
         let plan = sim.nearest_mc_mlp_plan(mlp);
         let requesters = plan.iter().filter(|e| e.is_some()).count();
-        let stats = sim
-            .run_closed_loop(sim.default_policy(), &plan, open_loop)
-            .expect("load point runs");
+        let network = sim
+            .build_closed_loop(sim.default_policy(), workloads::mlp_closed_loop(&plan))
+            .expect("load point builds");
+        let stats = run_open_loop(network, open_loop);
         LoadPoint {
             scheduler,
             mlp,
@@ -553,12 +508,8 @@ pub struct MlpMixConfig {
     pub schedulers: Vec<DramScheduler>,
     /// DRAM model at the contended controller.
     pub dram: DramConfig,
-    /// Warm-up cycles.
-    pub warmup: Cycle,
-    /// Measurement window in cycles.
-    pub measure: Cycle,
-    /// Drain cycles after the window.
-    pub drain: Cycle,
+    /// Run phases: warm-up, measurement window, drain.
+    pub open_loop: OpenLoopConfig,
 }
 
 impl Default for MlpMixConfig {
@@ -568,9 +519,11 @@ impl Default for MlpMixConfig {
             hog_mlps: vec![2, 8, 32],
             schedulers: vec![DramScheduler::Fcfs, DramScheduler::FrFcfs],
             dram: DramConfig::paper(),
-            warmup: 2_000,
-            measure: 12_000,
-            drain: 2_000,
+            open_loop: OpenLoopConfig {
+                warmup: 2_000,
+                measure: 12_000,
+                drain: 2_000,
+            },
         }
     }
 }
@@ -579,9 +532,11 @@ impl MlpMixConfig {
     /// A shorter configuration for tests and smoke runs.
     pub fn quick() -> Self {
         MlpMixConfig {
-            warmup: 1_000,
-            measure: 6_000,
-            drain: 1_000,
+            open_loop: OpenLoopConfig {
+                warmup: 1_000,
+                measure: 6_000,
+                drain: 1_000,
+            },
             ..Self::default()
         }
     }
@@ -648,16 +603,11 @@ enum MixRun {
 /// protected victim at least as tightly as FCFS at every hog window,
 /// closing the last unprotected arbitration point. Points are returned
 /// scheduler-major in the order of [`MlpMixConfig::schedulers`]. One
-/// [`ChipSim::run_closed_loop`] call per (flavour, point, scenario), all
+/// closed-loop run per (flavour, point, scenario), all
 /// sharded via [`crate::experiment::parallel_map`].
 pub fn mlp_mix_divergence(config: &MlpMixConfig) -> Vec<MixPoint> {
     let (sim, victim, hog, mc) = isolation_chip();
     let victim_flows = sim.domain_flows(victim).expect("victim exists");
-    let open_loop = OpenLoopConfig {
-        warmup: config.warmup,
-        measure: config.measure,
-        drain: config.drain,
-    };
 
     let mut runs = Vec::new();
     for &scheduler in &config.schedulers {
@@ -675,8 +625,7 @@ pub fn mlp_mix_divergence(config: &MlpMixConfig) -> Vec<MixPoint> {
             });
         }
     }
-    let victim_mlp = config.victim_mlp;
-    let base_dram = config.dram;
+    let (victim_mlp, base_dram, open_loop) = (config.victim_mlp, config.dram, config.open_loop);
     let stats = {
         let sim = &sim;
         parallel_map(runs, move |run| {
@@ -696,12 +645,14 @@ pub fn mlp_mix_divergence(config: &MlpMixConfig) -> Vec<MixPoint> {
                 } => ChipPolicy::NoQos,
                 _ => sim.default_policy(),
             };
-            sim.run_closed_loop(policy, &plan, open_loop)
-                .expect("mix scenario runs")
+            let network = sim
+                .build_closed_loop(policy, workloads::mlp_closed_loop(&plan))
+                .expect("mix scenario builds");
+            run_open_loop(network, open_loop)
         })
     };
 
-    let outcome = |s: &NetStats| domain_outcome(s, &victim_flows, config.measure);
+    let outcome = |s: &NetStats| domain_outcome(s, &victim_flows, config.open_loop.measure);
     let per_scheduler = 1 + 2 * config.hog_mlps.len();
     let mut points = Vec::new();
     for (si, &scheduler) in config.schedulers.iter().enumerate() {
@@ -773,12 +724,8 @@ pub struct DegradationConfig {
     pub corruption_ppm_per_fault: u32,
     /// Seed of the fault plans (corruption draws and retry jitter).
     pub seed: u64,
-    /// Warm-up cycles.
-    pub warmup: Cycle,
-    /// Measurement window in cycles.
-    pub measure: Cycle,
-    /// Drain cycles after the window.
-    pub drain: Cycle,
+    /// Run phases: warm-up, measurement window, drain.
+    pub open_loop: OpenLoopConfig,
 }
 
 impl Default for DegradationConfig {
@@ -790,9 +737,11 @@ impl Default for DegradationConfig {
             retry: RetryPolicy::new(2_000, 4),
             corruption_ppm_per_fault: 15_000,
             seed: 0xFA17,
-            warmup: 2_000,
-            measure: 12_000,
-            drain: 2_000,
+            open_loop: OpenLoopConfig {
+                warmup: 2_000,
+                measure: 12_000,
+                drain: 2_000,
+            },
         }
     }
 }
@@ -801,9 +750,11 @@ impl DegradationConfig {
     /// A shorter configuration for tests and smoke runs.
     pub fn quick() -> Self {
         DegradationConfig {
-            warmup: 1_000,
-            measure: 6_000,
-            drain: 1_000,
+            open_loop: OpenLoopConfig {
+                warmup: 1_000,
+                measure: 6_000,
+                drain: 1_000,
+            },
             ..Self::default()
         }
     }
@@ -932,17 +883,17 @@ pub fn chip_fault_bench_plan(sim: &ChipSim, seed: u64) -> FaultPlan {
 /// Each `(fault count, scenario)` pair is one deterministic simulation; all
 /// of them run across threads via [`crate::experiment::parallel_map`].
 ///
+/// An empty [`DegradationConfig::fault_counts`] gives an empty sweep.
+///
 /// # Panics
 ///
 /// Panics if a fault count exceeds [`degradation_fault_sites`].
 pub fn degradation_under_faults(config: &DegradationConfig) -> Vec<DegradationPoint> {
+    if config.fault_counts.is_empty() {
+        return Vec::new();
+    }
     let (sim, victim, hog, mc) = isolation_chip();
     let victim_flows = sim.domain_flows(victim).expect("victim exists");
-    let open_loop = OpenLoopConfig {
-        warmup: config.warmup,
-        measure: config.measure,
-        drain: config.drain,
-    };
     let fabric = sim.build_spec();
     let sites = victim_reply_links(&fabric.spec, sim.config());
     let max = config.fault_counts.iter().copied().max().unwrap_or(0);
@@ -957,7 +908,7 @@ pub fn degradation_under_faults(config: &DegradationConfig) -> Vec<DegradationPo
         .iter()
         .flat_map(|&k| [(k, true), (k, false)])
         .collect();
-    let (retry, seed) = (config.retry, config.seed);
+    let (retry, seed, open_loop) = (config.retry, config.seed, config.open_loop);
     let corruption_ppm = config.corruption_ppm_per_fault;
     let stats = {
         let (sim, sites, demands) = (&sim, &sites, &demands);
@@ -994,12 +945,14 @@ pub fn degradation_under_faults(config: &DegradationConfig) -> Vec<DegradationPo
             } else {
                 (ChipPolicy::NoQos, spec)
             };
-            sim.run_closed_loop_spec(policy, spec, open_loop)
-                .expect("degradation point runs")
+            let network = sim
+                .build_closed_loop(policy, spec)
+                .expect("degradation point builds");
+            run_open_loop(network, open_loop)
         })
     };
 
-    let victim_outcome = |s: &NetStats| domain_outcome(s, &victim_flows, config.measure);
+    let victim_outcome = |s: &NetStats| domain_outcome(s, &victim_flows, config.open_loop.measure);
     let baseline_protected = victim_outcome(&stats[0]);
     let baseline_unprotected = victim_outcome(&stats[1]);
     config
@@ -1031,6 +984,7 @@ pub fn degradation_under_faults(config: &DegradationConfig) -> Vec<DegradationPo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taqos_netsim::FlowId;
     use taqos_topology::chip::ChipConfig;
 
     // The end-to-end isolation assertions (three full chip simulations) live

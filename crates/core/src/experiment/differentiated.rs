@@ -12,9 +12,10 @@
 //! of tenants with different weights and measures how closely the delivered
 //! bandwidth tracks the programmed proportions.
 
+use crate::experiment::{share_error, with_fixed_drain};
 use crate::shared_region::SharedRegionSim;
 use serde::{Deserialize, Serialize};
-use taqos_netsim::sim::OpenLoopConfig;
+use taqos_netsim::sim::run_open_loop;
 use taqos_netsim::{Cycle, NodeId};
 use taqos_qos::pvc::{PvcConfig, PvcPolicy};
 use taqos_qos::rates::RateAllocation;
@@ -121,27 +122,19 @@ pub struct SlaResult {
 impl SlaResult {
     /// Delivered bandwidth share of each node (fractions summing to 1).
     pub fn delivered_shares(&self) -> Vec<f64> {
-        let total: u64 = self.delivered_per_node.iter().sum();
-        self.delivered_per_node
-            .iter()
-            .map(|&d| {
-                if total == 0 {
-                    0.0
-                } else {
-                    d as f64 / total as f64
-                }
-            })
-            .collect()
+        share_error(&self.delivered_per_node, &self.programmed_shares()).0
     }
 
     /// Programmed (expected) bandwidth share of each node.
     pub fn programmed_shares(&self) -> Vec<f64> {
-        let total: f64 = self.node_weights.iter().map(|&w| f64::from(w)).sum();
-        self.node_weights
-            .iter()
-            .map(|&w| f64::from(w) / total)
-            .collect()
+        weight_shares(&self.node_weights)
     }
+}
+
+/// Each node's share of the total weight.
+fn weight_shares(node_weights: &[u32]) -> Vec<f64> {
+    let total: f64 = node_weights.iter().map(|&w| f64::from(w)).sum();
+    node_weights.iter().map(|&w| f64::from(w) / total).collect()
 }
 
 /// Runs the differentiated-service experiment on one topology.
@@ -156,17 +149,10 @@ pub fn sla_experiment(topology: ColumnTopology, config: &SlaConfig) -> SlaResult
         config.hotspot,
         config.seed,
     );
-    let stats = sim
-        .run_open(
-            Box::new(policy),
-            generators,
-            OpenLoopConfig {
-                warmup: config.warmup,
-                measure: config.measure,
-                drain: 2_000,
-            },
-        )
-        .expect("SLA experiment runs");
+    let network = sim
+        .build(Box::new(policy), generators)
+        .expect("SLA experiment builds");
+    let stats = run_open_loop(network, with_fixed_drain(config.warmup, config.measure));
 
     let per_flow = stats.measured_flits_per_flow();
     let delivered_per_node: Vec<u64> = (0..config.column.nodes)
@@ -177,22 +163,8 @@ pub fn sla_experiment(topology: ColumnTopology, config: &SlaConfig) -> SlaResult
         })
         .collect();
 
-    let total_weight: f64 = config.node_weights.iter().map(|&w| f64::from(w)).sum();
-    let total_delivered: u64 = delivered_per_node.iter().sum();
-    let worst_share_error = delivered_per_node
-        .iter()
-        .zip(&config.node_weights)
-        .map(|(&delivered, &weight)| {
-            let expected = f64::from(weight) / total_weight;
-            let actual = if total_delivered == 0 {
-                0.0
-            } else {
-                delivered as f64 / total_delivered as f64
-            };
-            ((actual - expected) / expected).abs()
-        })
-        .fold(0.0, f64::max);
-
+    let (_, worst_share_error) =
+        share_error(&delivered_per_node, &weight_shares(&config.node_weights));
     SlaResult {
         topology,
         delivered_per_node,

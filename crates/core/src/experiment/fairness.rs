@@ -8,10 +8,11 @@
 //! the per-flow delivered throughput statistics of Table 2 (mean, minimum,
 //! maximum, standard deviation) plus Jain's fairness index.
 
+use crate::experiment::with_fixed_drain;
 use crate::shared_region::SharedRegionSim;
 use serde::{Deserialize, Serialize};
 use taqos_netsim::qos::{FifoPolicy, QosPolicy};
-use taqos_netsim::sim::OpenLoopConfig;
+use taqos_netsim::sim::run_open_loop;
 use taqos_netsim::{Cycle, NodeId};
 use taqos_qos::fairness::jain_index;
 use taqos_qos::pvc::PvcPolicy;
@@ -153,17 +154,10 @@ pub fn hotspot_fairness(
         FairnessPolicy::NoQos => Box::new(FifoPolicy::new()),
     };
     let policy_name = boxed.name().to_string();
-    let stats = sim
-        .run_open(
-            boxed,
-            generators,
-            OpenLoopConfig {
-                warmup: config.warmup,
-                measure: config.measure,
-                drain: 2_000,
-            },
-        )
+    let network = sim
+        .build(boxed, generators)
         .expect("generated column configurations are always valid");
+    let stats = run_open_loop(network, with_fixed_drain(config.warmup, config.measure));
 
     let flits_per_flow = stats.measured_flits_per_flow();
     let values: Vec<f64> = flits_per_flow.iter().map(|&v| v as f64).collect();

@@ -7,7 +7,7 @@
 use crate::experiment::parallel_map;
 use crate::shared_region::SharedRegionSim;
 use serde::{Deserialize, Serialize};
-use taqos_netsim::sim::OpenLoopConfig;
+use taqos_netsim::sim::{run_open_loop, OpenLoopConfig};
 use taqos_qos::pvc::PvcPolicy;
 use taqos_topology::column::{ColumnConfig, ColumnTopology};
 use taqos_traffic::injection::PacketSizeMix;
@@ -105,9 +105,10 @@ pub fn latency_point(
         SweepPattern::Tornado => workloads::tornado(&config.column, rate, config.mix, config.seed),
     };
     let policy = Box::new(PvcPolicy::equal_rates(config.column.num_flows()));
-    let stats = sim
-        .run_open(policy, generators, config.open_loop)
+    let network = sim
+        .build(policy, generators)
         .expect("generated column configurations are always valid");
+    let stats = run_open_loop(network, config.open_loop);
     LatencyPoint {
         topology,
         injection_rate: rate,

@@ -27,6 +27,83 @@ pub mod fairness;
 pub mod latency;
 pub mod preemption;
 
+use chip_scale::DomainOutcome;
+use taqos_netsim::sim::OpenLoopConfig;
+use taqos_netsim::stats::NetStats;
+use taqos_netsim::{Cycle, FlowId, Hist64, SimConfig, TelemetryConfig};
+
+/// Run phases of the hotspot experiments whose configs set only the
+/// warm-up and the measurement window (`FairnessConfig`, `SlaConfig`): a
+/// fixed 2 000-cycle drain follows the window.
+pub(crate) fn with_fixed_drain(warmup: Cycle, measure: Cycle) -> OpenLoopConfig {
+    OpenLoopConfig {
+        warmup,
+        measure,
+        drain: 2_000,
+    }
+}
+
+/// Simulation constants with latency histograms on, for the experiments
+/// that bound a p99 tail rather than a mean. Frame sampling stays off: they
+/// compare endpoint aggregates.
+pub(crate) fn histograms_on() -> SimConfig {
+    SimConfig::default().with_telemetry(TelemetryConfig::off().with_histograms(true))
+}
+
+/// Folds the per-flow round-trip counters of a domain's flows into one
+/// outcome; `measure` is the window length the throughput is taken over.
+/// When the run recorded histograms, the per-flow round-trip histograms are
+/// merged (merge order is immaterial — see [`Hist64::merge`]) into the
+/// domain's percentile columns.
+pub(crate) fn domain_outcome(stats: &NetStats, flows: &[FlowId], measure: Cycle) -> DomainOutcome {
+    let mut rt_sum = 0u64;
+    let mut rt_samples = 0u64;
+    let mut completed = 0u64;
+    let mut issued = 0u64;
+    let mut rt_hist = Hist64::new();
+    for flow in flows {
+        let fs = &stats.flows[flow.index()];
+        rt_sum += fs.rt_latency_sum;
+        rt_samples += fs.rt_samples;
+        completed += fs.measured_round_trips;
+        issued += fs.issued_requests;
+        rt_hist.merge(&fs.rt_hist);
+    }
+    DomainOutcome {
+        avg_round_trip: (rt_samples > 0).then(|| rt_sum as f64 / rt_samples as f64),
+        round_trips: completed,
+        issued_requests: issued,
+        throughput: completed as f64 / measure.max(1) as f64,
+        p50_round_trip: rt_hist.p50(),
+        p95_round_trip: rt_hist.p95(),
+        p99_round_trip: rt_hist.p99(),
+        max_round_trip: rt_hist.max(),
+    }
+}
+
+/// Each tenant's share of the `delivered` service (all zero when nothing
+/// was delivered), and the worst relative error of those shares against the
+/// `expected` ones.
+pub(crate) fn share_error(delivered: &[u64], expected: &[f64]) -> (Vec<f64>, f64) {
+    let total: u64 = delivered.iter().sum();
+    let shares: Vec<f64> = delivered
+        .iter()
+        .map(|&d| {
+            if total == 0 {
+                0.0
+            } else {
+                d as f64 / total as f64
+            }
+        })
+        .collect();
+    let worst = shares
+        .iter()
+        .zip(expected)
+        .map(|(actual, expected)| ((actual - expected) / expected).abs())
+        .fold(0.0, f64::max);
+    (shares, worst)
+}
+
 /// Runs `f` over `items` in parallel (bounded by the available parallelism)
 /// and returns the results in input order.
 ///

@@ -21,6 +21,7 @@
 use crate::shared_region::SharedRegionSim;
 use serde::{Deserialize, Serialize};
 use taqos_netsim::error::SimError;
+use taqos_netsim::sim::run_closed;
 use taqos_netsim::{Cycle, NodeId};
 use taqos_qos::fairness::{max_min_fair_shares, DeviationSummary};
 use taqos_qos::per_flow::PerFlowQueuedPolicy;
@@ -166,22 +167,19 @@ pub fn preemption_impact(
     let sim = SharedRegionSim::new(topology).with_column(config.column);
     let num_flows = config.column.num_flows();
 
+    let window = Some((0, config.budget_cycles));
     // Preemptive Virtual Clock run.
-    let pvc_stats = sim.run_closed(
+    let pvc = sim.build(
         Box::new(PvcPolicy::equal_rates(num_flows)),
         config.generators(workload),
-        0,
-        Some(config.budget_cycles),
-        config.max_cycles,
     )?;
+    let pvc_stats = run_closed(pvc, window, config.max_cycles)?;
     // Preemption-free reference: same workload, ideal per-flow queuing.
-    let baseline_stats = sim.run_closed(
+    let baseline = sim.build(
         Box::new(PerFlowQueuedPolicy::equal_rates(num_flows)),
         config.generators(workload),
-        0,
-        Some(config.budget_cycles),
-        config.max_cycles,
     )?;
+    let baseline_stats = run_closed(baseline, window, config.max_cycles)?;
 
     let completion = pvc_stats.completion_cycle.unwrap_or(pvc_stats.cycles);
     let baseline_completion = baseline_stats

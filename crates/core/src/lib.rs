@@ -14,11 +14,17 @@
 //! * [`chip_sim`] — the chip-scale *simulation*: the hybrid 2-D-mesh +
 //!   MECS-express fabric with the QOS overlay confined to the shared
 //!   columns, run on the same cycle engine as the column experiments;
+//!   `ChipSim::build` takes per-node traffic generators,
+//!   `ChipSim::build_closed_loop` a closed-loop request/reply spec;
 //! * [`experiment`] — the experiments reproducing every table and figure of
 //!   the paper's evaluation (area, latency/throughput, fairness, preemption
 //!   behaviour, slowdown, energy).
 //!
 //! ## Quick start
+//!
+//! The facades only build a network; it runs through one of netsim's two
+//! drivers, [`run_open_loop`] (warm-up, measurement window, drain) or
+//! [`run_closed`] (a fixed workload run to completion).
 //!
 //! ```rust
 //! use taqos_core::prelude::*;
@@ -27,11 +33,8 @@
 //! // Simulate the DPS shared region under uniform-random traffic with PVC.
 //! let sim = SharedRegionSim::new(ColumnTopology::Dps);
 //! let generators = uniform_random(sim.column(), 0.05, PacketSizeMix::paper(), 7);
-//! let stats = sim.run_open(
-//!     Box::new(sim.default_policy()),
-//!     generators,
-//!     OpenLoopConfig::quick(),
-//! )?;
+//! let network = sim.build(Box::new(sim.default_policy()), generators)?;
+//! let stats = run_open_loop(network, OpenLoopConfig::quick());
 //! assert!(stats.delivered_packets > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -81,7 +84,7 @@ pub mod prelude {
         PreemptionImpact,
     };
     pub use crate::shared_region::SharedRegionSim;
-    pub use taqos_netsim::sim::OpenLoopConfig;
+    pub use taqos_netsim::sim::{run_closed, run_open_loop, OpenLoopConfig};
     pub use taqos_topology::column::{ColumnConfig, ColumnTopology};
 }
 

@@ -3,16 +3,18 @@
 //! A [`SharedRegionSim`] bundles a column topology, the column configuration,
 //! and the mechanical simulation constants, and builds ready-to-run
 //! [`Network`] instances for any combination of QOS policy and traffic. This
-//! is the entry point used by the examples and by every experiment.
+//! is the entry point used by the examples and by every column experiment.
+//! A built network runs through one of netsim's two drivers:
+//! [`taqos_netsim::sim::run_open_loop`] for rate-driven load, or
+//! [`taqos_netsim::sim::run_closed`] for a fixed workload run to completion.
 
 use taqos_netsim::error::SimError;
 use taqos_netsim::fault::FaultPlan;
 use taqos_netsim::network::Network;
 use taqos_netsim::packet::PacketGenerator;
 use taqos_netsim::qos::QosPolicy;
-use taqos_netsim::sim::{run_closed, run_open_loop, OpenLoopConfig};
-use taqos_netsim::stats::NetStats;
-use taqos_netsim::{Cycle, SimConfig};
+use taqos_netsim::spec::NetworkSpec;
+use taqos_netsim::SimConfig;
 use taqos_qos::pvc::PvcPolicy;
 use taqos_topology::column::{ColumnConfig, ColumnTopology};
 
@@ -94,56 +96,29 @@ impl SharedRegionSim {
         policy: Box<dyn QosPolicy>,
         generators: Vec<Box<dyn PacketGenerator>>,
     ) -> Result<Network, SimError> {
-        let mut spec = self.topology.build(&self.column);
-        if let Some(plan) = &self.fault {
-            let (dead_links, dead_routers) = plan.permanent_hard_faults();
-            taqos_topology::reroute::reroute_around_faults(&mut spec, &dead_links, &dead_routers);
-        }
-        let network = Network::new(spec, policy, generators, self.sim)?;
-        match &self.fault {
-            Some(plan) => network.with_fault_plan(plan.clone()),
-            None => Ok(network),
-        }
+        let spec = self.topology.build(&self.column);
+        build_with_faults(spec, policy, generators, self.sim, self.fault.as_ref())
     }
+}
 
-    /// Builds and runs an open-loop experiment.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors from [`Self::build`].
-    pub fn run_open(
-        &self,
-        policy: Box<dyn QosPolicy>,
-        generators: Vec<Box<dyn PacketGenerator>>,
-        config: OpenLoopConfig,
-    ) -> Result<NetStats, SimError> {
-        let network = self.build(policy, generators)?;
-        Ok(run_open_loop(network, config))
+/// The fault-aware assembly both facades share: reroutes `spec` around the
+/// plan's permanent link and router failures, builds the [`Network`], then
+/// installs the plan's runtime faults.
+pub(crate) fn build_with_faults(
+    mut spec: NetworkSpec,
+    policy: Box<dyn QosPolicy>,
+    generators: Vec<Box<dyn PacketGenerator>>,
+    sim: SimConfig,
+    fault: Option<&FaultPlan>,
+) -> Result<Network, SimError> {
+    if let Some(plan) = fault {
+        let (dead_links, dead_routers) = plan.permanent_hard_faults();
+        taqos_topology::reroute::reroute_around_faults(&mut spec, &dead_links, &dead_routers);
     }
-
-    /// Builds and runs a closed (fixed) workload to completion, measuring
-    /// per-flow throughput and latency over `[warmup, warmup + window)` when
-    /// a measurement window is given (pass `warmup = 0` to measure from the
-    /// cold start, e.g. for fixed-budget workloads that inject from cycle 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors and reports a timeout if the workload
-    /// does not complete within `max_cycles`.
-    pub fn run_closed(
-        &self,
-        policy: Box<dyn QosPolicy>,
-        generators: Vec<Box<dyn PacketGenerator>>,
-        warmup: Cycle,
-        measure_window: Option<Cycle>,
-        max_cycles: Cycle,
-    ) -> Result<NetStats, SimError> {
-        let mut network = self.build(policy, generators)?;
-        if let Some(window) = measure_window {
-            network.stats_mut().measure_start = Some(warmup);
-            network.stats_mut().measure_end = Some(warmup + window);
-        }
-        run_closed(network, max_cycles)
+    let network = Network::new(spec, policy, generators, sim)?;
+    match fault {
+        Some(plan) => network.with_fault_plan(plan.clone()),
+        None => Ok(network),
     }
 }
 
@@ -151,6 +126,7 @@ impl SharedRegionSim {
 mod tests {
     use super::*;
     use taqos_netsim::qos::FifoPolicy;
+    use taqos_netsim::sim::{run_closed, run_open_loop, OpenLoopConfig};
     use taqos_traffic::injection::PacketSizeMix;
     use taqos_traffic::workloads;
 
@@ -167,17 +143,17 @@ mod tests {
     fn open_loop_run_delivers_traffic() {
         let sim = SharedRegionSim::new(ColumnTopology::MeshX1).with_column(ColumnConfig::paper());
         let generators = workloads::uniform_random(sim.column(), 0.02, PacketSizeMix::paper(), 1);
-        let stats = sim
-            .run_open(
-                Box::new(FifoPolicy::new()),
-                generators,
-                OpenLoopConfig {
-                    warmup: 200,
-                    measure: 1_000,
-                    drain: 300,
-                },
-            )
-            .expect("run succeeds");
+        let network = sim
+            .build(Box::new(FifoPolicy::new()), generators)
+            .expect("column builds");
+        let stats = run_open_loop(
+            network,
+            OpenLoopConfig {
+                warmup: 200,
+                measure: 1_000,
+                drain: 300,
+            },
+        );
         assert!(stats.delivered_packets > 0);
         assert!(stats.avg_latency() > 0.0);
     }
@@ -193,10 +169,10 @@ mod tests {
             2_000,
             3,
         );
-        let policy = Box::new(sim.default_policy());
-        let stats = sim
-            .run_closed(policy, generators, 0, Some(2_000), 200_000)
-            .expect("workload completes");
+        let network = sim
+            .build(Box::new(sim.default_policy()), generators)
+            .expect("column builds");
+        let stats = run_closed(network, Some((0, 2_000)), 200_000).expect("workload completes");
         assert!(stats.completion_cycle.is_some());
         assert_eq!(stats.generated_packets, stats.delivered_packets);
     }

@@ -69,6 +69,14 @@ pub fn run_open_loop(mut network: Network, config: OpenLoopConfig) -> NetStats {
 
 /// Runs a closed (fixed) workload to completion.
 ///
+/// `window` is the measurement window as `(start, length)` in cycles:
+/// per-flow throughput and latency count only what falls in
+/// `[start, start + length)`, so a closed measurement can exclude the
+/// cold-start transient. The end saturates rather than overflowing, but the
+/// rates ([`NetStats::accepted_throughput`],
+/// [`NetStats::round_trip_throughput`]) divide by the window's nominal
+/// length, so pass `None` to measure the whole run.
+///
 /// # Errors
 ///
 /// Returns [`SimError::Timeout`] if the workload does not complete within
@@ -76,7 +84,15 @@ pub fn run_open_loop(mut network: Network, config: OpenLoopConfig) -> NetStats {
 /// watchdog ([`crate::config::SimConfig::progress_watchdog`]) trips first —
 /// a wedged (deadlocked or livelocked) run errors out structurally instead
 /// of burning the whole cycle budget.
-pub fn run_closed(mut network: Network, max_cycles: Cycle) -> Result<NetStats, SimError> {
+pub fn run_closed(
+    mut network: Network,
+    window: Option<(Cycle, Cycle)>,
+    max_cycles: Cycle,
+) -> Result<NetStats, SimError> {
+    if let Some((start, length)) = window {
+        network.stats_mut().measure_start = Some(start);
+        network.stats_mut().measure_end = Some(start.saturating_add(length));
+    }
     while !network.is_quiescent() {
         if network.now() >= max_cycles {
             return Err(SimError::Timeout {

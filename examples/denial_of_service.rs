@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = AttackConfig::default();
     println!(
         "adversarial battery on the {}x{} chip ({} shared column(s)), {}-cycle window",
-        config.width, config.height, config.columns, config.measure
+        config.width, config.height, config.columns, config.open_loop.measure
     );
     println!();
     println!(

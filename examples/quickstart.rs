@@ -38,15 +38,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Warm up, measure, drain.
-    let stats = sim.run_open(
-        Box::new(policy),
-        generators,
+    let network = sim.build(Box::new(policy), generators)?;
+    let stats = run_open_loop(
+        network,
         OpenLoopConfig {
             warmup: 5_000,
             measure: 20_000,
             drain: 5_000,
         },
-    )?;
+    );
 
     println!(
         "delivered       : {} packets ({} flits)",

@@ -61,15 +61,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // All injectors stream memory traffic towards the memory controller at
     // node 0 of the column, far beyond its capacity.
     let generators = hotspot(&column, 0.05, PacketSizeMix::paper(), NodeId(0), 7);
-    let stats = sim.run_open(
-        Box::new(policy),
-        generators,
+    let network = sim.build(Box::new(policy), generators)?;
+    let stats = run_open_loop(
+        network,
         OpenLoopConfig {
             warmup: 5_000,
             measure: 30_000,
             drain: 5_000,
         },
-    )?;
+    );
 
     // --- Report per-row memory bandwidth ------------------------------------
     println!();

@@ -41,15 +41,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for topology in ColumnTopology::all() {
         let sim = SharedRegionSim::new(topology).with_column(column);
         let generators = uniform_random(&column, rate, PacketSizeMix::paper(), 11);
-        let stats = sim.run_open(
-            Box::new(sim.default_policy()),
-            generators,
+        let network = sim.build(Box::new(sim.default_policy()), generators)?;
+        let stats = run_open_loop(
+            network,
             OpenLoopConfig {
                 warmup: 3_000,
                 measure: 15_000,
                 drain: 3_000,
             },
-        )?;
+        );
         let area = area_model.topology_area(topology, &column);
         let energy = energy_model.route_energy(topology, &column, 3);
         println!(

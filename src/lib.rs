@@ -24,11 +24,8 @@
 //! // Simulate the paper's new DPS topology under hotspot traffic with PVC.
 //! let sim = SharedRegionSim::new(ColumnTopology::Dps);
 //! let generators = hotspot(sim.column(), 0.03, PacketSizeMix::paper(), NodeId(0), 1);
-//! let stats = sim.run_open(
-//!     Box::new(sim.default_policy()),
-//!     generators,
-//!     OpenLoopConfig::quick(),
-//! )?;
+//! let network = sim.build(Box::new(sim.default_policy()), generators)?;
+//! let stats = run_open_loop(network, OpenLoopConfig::quick());
 //! assert!(stats.delivered_packets > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

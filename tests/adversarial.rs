@@ -172,13 +172,12 @@ fn reprogramming_lands_exactly_at_frame_rollover() {
     let total: f64 = skew.iter().sum();
     let skewed = RateAllocation::from_rates(skew.into_iter().map(|r| r / total).collect());
     let run = |at: Cycle| {
-        let network = sim
-            .build_closed_loop_reprogrammed(
-                policy(),
-                workloads::mlp_closed_loop(&plan),
-                &[(at, skewed.clone())],
-            )
+        let mut network = sim
+            .build_closed_loop(policy(), workloads::mlp_closed_loop(&plan))
             .expect("reprogrammed run builds");
+        network
+            .schedule_reprogram(at, skewed.rates().to_vec())
+            .expect("reprogramme schedules");
         run_open_loop(
             network,
             OpenLoopConfig {
@@ -237,13 +236,15 @@ fn migration_never_drops_or_double_counts_in_flight_requests() {
             },
             RateAllocation::equal(n),
         ));
-        let network = sim
-            .build_closed_loop_reprogrammed(
+        let mut network = sim
+            .build_closed_loop(
                 policy,
                 workloads::mlp_closed_loop(&plan).with_phases(phases),
-                &[(2_500, rates)],
             )
             .expect("migration run builds");
+        network
+            .schedule_reprogram(2_500, rates.rates().to_vec())
+            .expect("reprogramme schedules");
         let stats = run_open_loop(
             network,
             OpenLoopConfig {
@@ -290,8 +291,9 @@ fn migration_never_drops_or_double_counts_in_flight_requests() {
 #[test]
 fn frame_series_deltas_straddling_a_phase_change_sum_to_aggregates() {
     const FRAME_LEN: u64 = 500;
-    let sim = ChipSim::multi_column(4, 4, 1)
-        .with_telemetry(TelemetryConfig::off().with_frames(FRAME_LEN));
+    let sim = ChipSim::multi_column(4, 4, 1).with_sim_config(
+        SimConfig::default().with_telemetry(TelemetryConfig::off().with_frames(FRAME_LEN)),
+    );
     let n = sim.config().num_nodes();
     let plan = sim.nearest_mc_mlp_plan(2);
     // A phase change off a frame boundary, plus a reprogram near it.
@@ -310,13 +312,15 @@ fn frame_series_deltas_straddling_a_phase_change_sum_to_aggregates() {
         },
         RateAllocation::equal(n),
     ));
-    let network = sim
-        .build_closed_loop_reprogrammed(
+    let mut network = sim
+        .build_closed_loop(
             policy,
             workloads::mlp_closed_loop(&plan).with_phases(phases),
-            &[(2_500, RateAllocation::equal(n))],
         )
         .expect("phased telemetry run builds");
+    network
+        .schedule_reprogram(2_500, RateAllocation::equal(n).rates().to_vec())
+        .expect("reprogramme schedules");
     let stats = run_open_loop(
         network,
         OpenLoopConfig {
@@ -376,16 +380,17 @@ fn inter_domain_routing_keeps_engines_equal() {
             PacketSizeMix::paper(),
             11,
         );
-        sim.run_open(
-            sim.default_policy(),
-            generators,
+        let network = sim
+            .build(sim.default_policy(), generators)
+            .expect("inter-domain chip builds");
+        run_open_loop(
+            network,
             OpenLoopConfig {
                 warmup: 500,
                 measure: 3_000,
                 drain: 500,
             },
         )
-        .expect("inter-domain run succeeds")
     };
     let optimized = run(EngineKind::Optimized);
     assert!(optimized.delivered_packets > 0, "no traffic delivered");

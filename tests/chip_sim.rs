@@ -50,25 +50,26 @@ fn open_loop_chip_stats(engine: EngineKind, rate: f64, seed: u64) -> NetStats {
         },
         RateAllocation::equal(sim.config().num_nodes()),
     ));
-    sim.run_plan(
-        policy,
-        &plan,
+    let generators = workloads::per_node_fixed(&plan, PacketSizeMix::paper(), seed);
+    let network = sim.build(policy, generators).expect("chip builds");
+    run_open_loop(
+        network,
         OpenLoopConfig {
             warmup: 500,
             measure: 3_000,
             drain: 1_000,
         },
-        seed,
     )
-    .expect("chip open-loop run succeeds")
 }
 
 fn closed_chip_stats(engine: EngineKind, seed: u64) -> NetStats {
     let sim = paper_chip_sim(engine);
     let plan = saturating_plan(&sim, 0.10);
     let generators = workloads::per_node_fixed_budget(&plan, PacketSizeMix::paper(), 1_500, seed);
-    sim.run_closed(sim.default_policy(), generators, 200, Some(1_500), 500_000)
-        .expect("closed chip workload completes")
+    let network = sim
+        .build(sim.default_policy(), generators)
+        .expect("chip builds");
+    run_closed(network, Some((200, 1_500)), 500_000).expect("closed chip workload completes")
 }
 
 /// The optimized engine produces statistics identical to the reference
@@ -197,19 +198,26 @@ fn every_node_reaches_a_shared_column_in_one_mecs_hop() {
     }
 }
 
-fn closed_loop_chip_stats(engine: EngineKind, mlp: usize) -> NetStats {
-    let sim = paper_chip_sim(engine);
-    let plan = sim.nearest_mc_mlp_plan(mlp);
-    sim.run_closed_loop(
-        sim.default_policy(),
-        &plan,
+/// Builds `plan`'s closed loop under the default overlay and runs it for
+/// 500 + 3 000 + 500 cycles.
+fn run_chip_loop(sim: &ChipSim, plan: &workloads::MlpPlan) -> NetStats {
+    let network = sim
+        .build_closed_loop(sim.default_policy(), workloads::mlp_closed_loop(plan))
+        .expect("closed-loop chip builds");
+    run_open_loop(
+        network,
         OpenLoopConfig {
             warmup: 500,
             measure: 3_000,
             drain: 500,
         },
     )
-    .expect("closed-loop chip run succeeds")
+}
+
+fn closed_loop_chip_stats(engine: EngineKind, mlp: usize) -> NetStats {
+    let sim = paper_chip_sim(engine);
+    let plan = sim.nearest_mc_mlp_plan(mlp);
+    run_chip_loop(&sim, &plan)
 }
 
 /// Engine equivalence extends to the closed loop: the request/reply round
@@ -240,7 +248,7 @@ fn bounded_closed_loop_conserves_round_trips() {
         let network = sim
             .build_closed_loop(sim.default_policy(), spec)
             .expect("closed-loop network builds");
-        let stats = taqos::netsim::sim::run_closed(network, 500_000)
+        let stats = taqos::netsim::sim::run_closed(network, None, 500_000)
             .expect("bounded closed loop completes");
         let requesters = plan.iter().filter(|e| e.is_some()).count() as u64;
         assert_eq!(
@@ -280,16 +288,7 @@ fn dram_closed_loop_chip_stats(
         .with_page_policy(page_policy);
     let sim = sim.with_dram(dram);
     let plan = sim.nearest_mc_mlp_plan(8);
-    sim.run_closed_loop(
-        sim.default_policy(),
-        &plan,
-        OpenLoopConfig {
-            warmup: 500,
-            measure: 3_000,
-            drain: 500,
-        },
-    )
-    .expect("DRAM-backed closed-loop chip run succeeds")
+    run_chip_loop(&sim, &plan)
 }
 
 /// Engine equivalence extends to the DRAM-backed closed loop: bank

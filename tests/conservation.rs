@@ -31,8 +31,8 @@ fn closed_run(
         "per-flow" => Box::new(PerFlowQueuedPolicy::equal_rates(column.num_flows())),
         _ => Box::new(FifoPolicy::new()),
     };
-    sim.run_closed(policy, generators, 0, None, 500_000)
-        .expect("closed workload completes")
+    let network = sim.build(policy, generators).expect("column builds");
+    run_closed(network, None, 500_000).expect("closed workload completes")
 }
 
 #[test]
@@ -52,6 +52,48 @@ fn every_generated_packet_is_delivered_exactly_once() {
             }
         }
     }
+}
+
+/// A closed run's measurement window may reach past the end of the run: its
+/// end saturates instead of overflowing, so a `Cycle::MAX` length starting
+/// at cycle 1 (nothing is delivered at cycle 0) counts every delivery. The
+/// rates divide by the window's nominal length, so the whole-run rate is
+/// what `None` measures.
+#[test]
+fn an_overlong_closed_window_saturates_instead_of_overflowing() {
+    let column = ColumnConfig::paper();
+    let sim = SharedRegionSim::new(ColumnTopology::Dps).with_column(column);
+    let run = |window| {
+        let generators = workloads::workload1(
+            &column,
+            &workloads::WORKLOAD1_RATES,
+            PacketSizeMix::paper(),
+            NodeId(0),
+            2_000,
+            5,
+        );
+        let network = sim
+            .build(Box::new(sim.default_policy()), generators)
+            .expect("column builds");
+        run_closed(network, window, 500_000).expect("workload completes")
+    };
+    let overlong = run(Some((1, Cycle::MAX)));
+    assert_eq!(overlong.measure_end, Some(Cycle::MAX));
+    let measured: u64 = overlong
+        .flows
+        .iter()
+        .map(|f| f.measured_delivered_packets)
+        .sum();
+    assert!(overlong.delivered_packets > 0);
+    assert_eq!(measured, overlong.delivered_packets);
+
+    let whole = run(None);
+    assert_eq!(whole.delivered_flits, overlong.delivered_flits);
+    assert!(whole.accepted_throughput() > 0.0);
+    assert_eq!(
+        whole.accepted_throughput(),
+        whole.delivered_flits as f64 / whole.cycles as f64
+    );
 }
 
 #[test]

@@ -71,7 +71,7 @@ fn saturated_dram_loops_conserve_requests_and_replies() {
         let network = sim
             .build_closed_loop(sim.default_policy(), spec)
             .unwrap_or_else(|e| panic!("round {round}: closed-loop network fails to build: {e:?}"));
-        let stats = taqos::netsim::sim::run_closed(network, 2_000_000)
+        let stats = taqos::netsim::sim::run_closed(network, None, 2_000_000)
             .unwrap_or_else(|e| panic!("round {round}: saturated loop stuck: {e:?}"));
 
         // Exact conservation, per flow and in aggregate.
@@ -412,7 +412,7 @@ fn priority_admission_evicts_hogs_and_routes_nacks_to_their_sources() {
     let network = sim
         .build_closed_loop(sim.default_policy(), spec)
         .expect("network builds");
-    let stats = taqos::netsim::sim::run_closed(network, 2_000_000).expect("loop completes");
+    let stats = taqos::netsim::sim::run_closed(network, None, 2_000_000).expect("loop completes");
 
     let requesters = plan.iter().filter(|e| e.is_some()).count() as u64;
     assert_eq!(stats.round_trips, 40 * requesters, "lost replies");

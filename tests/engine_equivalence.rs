@@ -20,16 +20,17 @@ fn open_loop_stats(topology: ColumnTopology, engine: EngineKind, seed: u64) -> N
     let sim =
         SharedRegionSim::new(topology).with_sim_config(SimConfig::default().with_engine(engine));
     let generators = workloads::uniform_random(sim.column(), 0.08, PacketSizeMix::paper(), seed);
-    sim.run_open(
-        Box::new(sim.default_policy()),
-        generators,
+    let network = sim
+        .build(Box::new(sim.default_policy()), generators)
+        .expect("column builds");
+    run_open_loop(
+        network,
         OpenLoopConfig {
             warmup: 500,
             measure: 3_000,
             drain: 1_000,
         },
     )
-    .expect("open-loop run succeeds")
 }
 
 fn closed_stats(topology: ColumnTopology, engine: EngineKind, seed: u64) -> NetStats {
@@ -43,14 +44,10 @@ fn closed_stats(topology: ColumnTopology, engine: EngineKind, seed: u64) -> NetS
         1_000,
         seed,
     );
-    sim.run_closed(
-        Box::new(sim.default_policy()),
-        generators,
-        0,
-        Some(1_000),
-        300_000,
-    )
-    .expect("closed workload completes")
+    let network = sim
+        .build(Box::new(sim.default_policy()), generators)
+        .expect("column builds");
+    run_closed(network, Some((0, 1_000)), 300_000).expect("closed workload completes")
 }
 
 /// The slab/wheel/scratch-buffer engine produces statistics identical to the
@@ -576,22 +573,16 @@ fn incast_chip(engine: EngineKind, cycles: u64) -> Network {
     use taqos_topology::grid::Coord;
 
     let sim = ChipSim::paper_default().with_sim_config(SimConfig::default().with_engine(engine));
-    let victim = sim.node_id(Coord::new(0, 4)).index();
-    let mut plan = sim.nearest_mc_mlp_plan(6);
-    let mc = plan[victim].expect("the victim node issues requests").1;
-    let mut hogs = Vec::new();
-    for (node, slot) in plan.iter_mut().enumerate() {
-        let Some((mlp, dest)) = slot.as_mut() else {
-            continue;
-        };
-        *dest = mc;
-        if node == victim {
-            *mlp = 1;
-        } else {
-            hogs.push(FlowId(node as u16));
-        }
-    }
-    let phases = workloads::bursty_hogs(plan.len(), &hogs, 6, 1_000, 400, cycles, 1);
+    let (plan, hogs) = sim.incast_plan(Coord::new(0, 4));
+    let phases = workloads::bursty_hogs(
+        plan.len(),
+        &hogs,
+        ChipSim::INCAST_ATTACKER_MLP,
+        1_000,
+        400,
+        cycles,
+        1,
+    );
     let spec = workloads::mlp_closed_loop(&plan).with_phases(phases);
     sim.build_closed_loop(sim.default_policy(), spec)
         .expect("incast chip builds")

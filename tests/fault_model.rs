@@ -107,7 +107,7 @@ fn faulted_round(rng_seed: u64, engine: EngineKind) -> (NetStats, u64) {
     let network = sim
         .build_closed_loop(sim.default_policy(), spec)
         .unwrap_or_else(|e| panic!("round {rng_seed}: faulted loop fails to build: {e:?}"));
-    let stats = run_closed(network, 3_000_000)
+    let stats = run_closed(network, None, 3_000_000)
         .unwrap_or_else(|e| panic!("round {rng_seed}: faulted loop stuck: {e:?}"));
     (stats, total * requesters)
 }
@@ -268,7 +268,7 @@ fn wedged_chip(watchdog: Cycle) -> taqos_netsim::network::Network {
 /// which is exactly what the watchdog exists to prevent.
 #[test]
 fn wedged_fabric_errors_instead_of_spinning() {
-    match run_closed(wedged_chip(2_000), 60_000) {
+    match run_closed(wedged_chip(2_000), None, 60_000) {
         Err(SimError::NoForwardProgress {
             cycles,
             stalled_for,
@@ -280,10 +280,21 @@ fn wedged_fabric_errors_instead_of_spinning() {
         other => panic!("expected NoForwardProgress, got {other:?}"),
     }
 
-    match run_closed(wedged_chip(0), 30_000) {
+    match run_closed(wedged_chip(0), None, 30_000) {
         Err(SimError::Timeout { .. }) => {}
         other => panic!("expected a spin to Timeout with the watchdog off, got {other:?}"),
     }
+}
+
+/// A sweep over no fault counts runs nothing and returns no points (it has
+/// no baseline to compute ratios against).
+#[test]
+fn an_empty_fault_sweep_returns_no_points() {
+    let config = DegradationConfig {
+        fault_counts: Vec::new(),
+        ..DegradationConfig::quick()
+    };
+    assert!(degradation_under_faults(&config).is_empty());
 }
 
 /// Graceful degradation under accumulating faults: with the full protection

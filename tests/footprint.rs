@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use taqos_core::chip_sim::ChipSim;
-use taqos_netsim::{FlowId, Network};
+use taqos_netsim::Network;
 use taqos_topology::grid::Coord;
 use taqos_traffic::workloads;
 
@@ -91,27 +91,13 @@ fn chip_16x16() -> (ChipSim, Network) {
 /// cycles); `None` is the same closed loop with every window static.
 fn incast_8x8(horizon: Option<u64>) -> (ChipSim, Network) {
     let sim = ChipSim::paper_default();
-    let victim = sim.node_id(Coord::new(0, 4)).index();
-    let mut plan = sim.nearest_mc_mlp_plan(6);
-    let mc = plan[victim].expect("the victim node issues requests").1;
-    let mut hogs = Vec::new();
-    for (node, slot) in plan.iter_mut().enumerate() {
-        let Some((mlp, dest)) = slot.as_mut() else {
-            continue;
-        };
-        *dest = mc;
-        if node == victim {
-            *mlp = 1;
-        } else {
-            hogs.push(FlowId(node as u16));
-        }
-    }
+    let (plan, hogs) = sim.incast_plan(Coord::new(0, 4));
     let spec = workloads::mlp_closed_loop(&plan);
     let spec = match horizon {
         Some(horizon) => spec.with_phases(workloads::bursty_hogs(
             plan.len(),
             &hogs,
-            6,
+            ChipSim::INCAST_ATTACKER_MLP,
             1_000,
             400,
             horizon,

@@ -111,15 +111,9 @@ fn per_flow_queuing_baseline_never_preempts() {
         config.budget_cycles,
         config.seed,
     );
-    let stats = sim
-        .run_closed(
-            Box::new(PerFlowQueuedPolicy::equal_rates(config.column.num_flows())),
-            generators,
-            0,
-            None,
-            config.max_cycles,
-        )
-        .expect("baseline completes");
+    let policy = Box::new(PerFlowQueuedPolicy::equal_rates(config.column.num_flows()));
+    let network = sim.build(policy, generators).expect("column builds");
+    let stats = run_closed(network, None, config.max_cycles).expect("baseline completes");
     assert_eq!(stats.preemption_events, 0);
     assert_eq!(stats.wasted_hops, 0);
     assert_eq!(stats.generated_packets, stats.delivered_packets);

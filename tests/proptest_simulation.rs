@@ -50,9 +50,10 @@ fn single_packet_latency(topology: ColumnTopology, src: usize, dst: usize, len: 
             }
         }
     }
-    let stats = sim
-        .run_closed(Box::new(sim.default_policy()), generators, 0, None, 10_000)
-        .expect("single packet delivers");
+    let network = sim
+        .build(Box::new(sim.default_policy()), generators)
+        .expect("column builds");
+    let stats = run_closed(network, None, 10_000).expect("single packet delivers");
     assert_eq!(stats.delivered_packets, 1);
     stats.avg_latency()
 }
@@ -153,9 +154,10 @@ fn closed_workloads_conserve_packets() {
             1_500,
             seed,
         );
-        let stats = sim
-            .run_closed(Box::new(sim.default_policy()), generators, 0, None, 300_000)
-            .expect("workload completes");
+        let network = sim
+            .build(Box::new(sim.default_policy()), generators)
+            .expect("column builds");
+        let stats = run_closed(network, None, 300_000).expect("workload completes");
         assert_eq!(
             stats.generated_packets, stats.delivered_packets,
             "{topology} hotspot={hotspot} seed={seed}"

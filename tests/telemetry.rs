@@ -39,22 +39,25 @@ fn open_loop_stats(
             .with_telemetry(telemetry),
     );
     let generators = workloads::uniform_random(sim.column(), 0.08, PacketSizeMix::paper(), seed);
-    sim.run_open(
-        Box::new(sim.default_policy()),
-        generators,
+    let network = sim
+        .build(Box::new(sim.default_policy()), generators)
+        .expect("column builds");
+    run_open_loop(
+        network,
         OpenLoopConfig {
             warmup: 500,
             measure: 3_000,
             drain: 1_000,
         },
     )
-    .expect("open-loop run succeeds")
 }
 
 fn closed_chip_stats(engine: EngineKind, telemetry: TelemetryConfig) -> NetStats {
-    let sim = taqos_core::chip_sim::ChipSim::paper_default()
-        .with_sim_config(SimConfig::default().with_engine(engine))
-        .with_telemetry(telemetry);
+    let sim = taqos_core::chip_sim::ChipSim::paper_default().with_sim_config(
+        SimConfig::default()
+            .with_engine(engine)
+            .with_telemetry(telemetry),
+    );
     let plan = sim.nearest_mc_mlp_plan(4);
     let mut network = sim
         .build_closed_loop(sim.default_policy(), workloads::mlp_closed_loop(&plan))
