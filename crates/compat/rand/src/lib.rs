@@ -9,6 +9,10 @@
 //! traffic is statistically sound and fully deterministic per seed.
 //!
 //! The concrete generator lives in the sibling `rand_chacha` stub.
+//!
+//! Every generator is built from an explicit seed: neither stand-in defines
+//! `thread_rng`, `from_entropy` or `OsRng`, so an entropy-seeded RNG does
+//! not compile anywhere in the workspace.
 
 use std::ops::Range;
 

@@ -11,7 +11,10 @@
 //! * [`os`] — the operating-system (hypervisor) services: friendly
 //!   co-scheduling, domain allocation, and per-flow rate programming.
 
-#[allow(clippy::module_inception)]
+#[expect(
+    clippy::module_inception,
+    reason = "`chip::chip` holds the chip model; the parent module groups it with domains and the OS"
+)]
 pub mod chip;
 pub mod domain;
 pub mod os;

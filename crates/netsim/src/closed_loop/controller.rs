@@ -193,7 +193,6 @@ impl MemoryController {
     /// a request (Nack): the lowest-priority queued one if the scheduler is
     /// priority-aware and the arrival strictly outranks it, else the
     /// arrival itself.
-    // taqos-lint: hot
     pub(crate) fn offer(
         &mut self,
         request: McRequest,
@@ -232,7 +231,6 @@ impl MemoryController {
         }
     }
 
-    // taqos-lint: hot
     fn enqueue(&mut self, request: McRequest, stats: &mut NetStats) {
         self.queue.push_back(request);
         stats.record_dram_occupancy(self.queue.len());
@@ -243,7 +241,6 @@ impl MemoryController {
     /// and priority admission, row-hit-first with the priority-weighted age
     /// cap for FR-FCFS), and stall-lane arrivals are admitted FIFO while the
     /// bounded queue has room. Each step is reported as it happens.
-    // taqos-lint: hot
     pub(crate) fn pump(
         &mut self,
         now: Cycle,
@@ -306,14 +303,12 @@ impl MemoryController {
     /// owed its reply, or `None` if the bank was idle (a completion fires
     /// exactly once per service start, so that is a caller bug). Follow with
     /// [`Self::pump`] to pull waiting work onto the freed bank.
-    // taqos-lint: hot
     pub(crate) fn complete(&mut self, bank: usize, now: Cycle) -> Option<McRequest> {
         let bank = self.banks.get_mut(bank)?;
         debug_assert!(bank.in_service.is_none() || bank.busy_until == now);
         bank.in_service.take()
     }
 
-    // taqos-lint: hot
     fn bank_is_idle(&self, bank: usize) -> bool {
         self.banks.get(bank).is_some_and(|b| b.in_service.is_none())
     }
@@ -323,7 +318,6 @@ impl MemoryController {
     /// priority-aware scheduler it also advances the flow's virtual clock
     /// and records the deferred delivery. Shared by every scheduler flavour
     /// so the bank-timeline semantics cannot drift between them.
-    // taqos-lint: hot
     fn start_service(
         &mut self,
         bank_idx: usize,
@@ -333,7 +327,10 @@ impl MemoryController {
         trace: &mut TraceHook,
     ) -> McEffect {
         let row = self.config.row_of(request.line);
-        // taqos-lint: allow(panic-index) -- callers pass a bank they just found idle through banks.get()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "callers pass a bank they just found idle through banks.get()"
+        )]
         let bank = &mut self.banks[bank_idx];
         let (hit, latency) = self.config.service_outcome(bank.open_row, row);
         bank.busy_until = now + latency;
@@ -374,24 +371,27 @@ impl MemoryController {
     }
 
     /// Rate weight of `flow` (1 for a flow outside the programme).
-    // taqos-lint: hot
     fn weight(&self, flow: FlowId) -> u64 {
         self.weights.get(flow.index()).copied().unwrap_or(1)
     }
 
     /// Virtual clock of `flow`.
-    // taqos-lint: hot
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vclock is sized to the flow count and request flows are validated against it"
+    )]
     fn clock(&self, flow: FlowId) -> u64 {
-        // taqos-lint: allow(panic-index) -- vclock is sized to the flow count and request flows are validated against it
         self.vclock[flow.index()]
     }
 
     /// Charges `flow`'s virtual clock for `latency` cycles of bank time,
     /// scaled by its rate weight.
-    // taqos-lint: hot
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vclock is sized to the flow count and request flows are validated against it"
+    )]
     fn charge(&mut self, flow: FlowId, latency: Cycle) {
         let charge = latency * VCLOCK_SCALE / self.weight(flow).max(1);
-        // taqos-lint: allow(panic-index) -- vclock is sized to the flow count and request flows are validated against it
         self.vclock[flow.index()] += charge;
     }
 
@@ -401,7 +401,6 @@ impl MemoryController {
     /// seniority is preserved — provided the arrival **strictly** outranks
     /// it. `None` when no queued request ranks strictly below the arrival
     /// (the arrival is then bounced as a plain overflow).
-    // taqos-lint: hot
     fn eviction_victim(&self, arrival_flow: FlowId) -> Option<usize> {
         let arrival_clock = self.clock(arrival_flow);
         let mut worst: Option<(usize, u64)> = None;
@@ -419,7 +418,6 @@ impl MemoryController {
     /// any, else the best open-row hit, else the best remaining request —
     /// "best" ordering by (virtual clock, arrival cycle, queue position).
     /// `None` when no queued request maps to `bank`.
-    // taqos-lint: hot
     fn frfcfs_pick(&self, bank: usize, now: Cycle) -> Option<usize> {
         let dram = &self.config;
         let flows = self.weights.len().max(1) as u64;

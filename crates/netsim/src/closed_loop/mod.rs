@@ -31,6 +31,16 @@
 //! lane, banks, virtual clocks, scheduling). [`crate::network::Network`] is
 //! their client; its module header says how it applies what they report.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 mod controller;
 mod dram;
 mod replies;
@@ -116,8 +126,11 @@ impl ClosedLoopSpec {
     }
 
     /// Registers a requester for `flow`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build-time builder; an out-of-range flow is a caller bug worth a panic"
+    )]
     pub fn with_requester(mut self, flow: FlowId, spec: RequesterSpec) -> Self {
-        // taqos-lint: allow(panic-index) -- build-time builder; an out-of-range flow is a caller bug worth a panic
         self.requesters[flow.index()] = Some(spec);
         self
     }
@@ -203,7 +216,10 @@ impl ClosedLoopSpec {
                 if schedule.is_empty() {
                     continue;
                 }
-                // taqos-lint: allow(panic-index) -- schedules.len() == num_flows == requesters.len(), checked just above
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "schedules.len() == num_flows == requesters.len(), checked just above"
+                )]
                 if self.requesters[flow].is_none() {
                     return Err(SimError::Spec(SpecError::new(format!(
                         "flow {flow}: a phase schedule needs a requester to act on"
@@ -211,7 +227,10 @@ impl ClosedLoopSpec {
                 }
                 // A burst train is increasing by construction, however long.
                 if let PhaseSchedule::Explicit(changes) = schedule {
-                    // taqos-lint: allow(panic-index) -- windows(2) yields exactly-two-element slices
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "windows(2) yields exactly-two-element slices"
+                    )]
                     if !changes.windows(2).all(|w| w[0].at < w[1].at) {
                         return Err(SimError::Spec(SpecError::new(format!(
                             "flow {flow}: phase changes must be strictly increasing in cycle"
@@ -346,13 +365,11 @@ impl ClosedLoopState {
     }
 
     /// The requester of `flow`, if it has one.
-    // taqos-lint: hot
     pub(crate) fn requester_mut(&mut self, flow: FlowId) -> Option<&mut Requester> {
         self.requesters.get_mut(flow.index())?.as_mut()
     }
 
     /// The DRAM-backed controller at `node`, if there is one.
-    // taqos-lint: hot
     pub(crate) fn controller_mut(&mut self, node: usize) -> Option<&mut MemoryController> {
         self.controllers.get_mut(node)?.as_mut()
     }
@@ -411,7 +428,6 @@ impl ClosedLoopState {
     /// `node`. Only a requester flow's request arriving at that flow's own
     /// controller is answered: at once by an instant controller, through
     /// [`MemoryController::offer`] by a DRAM-backed one.
-    // taqos-lint: hot
     pub(crate) fn request_arrived(
         &mut self,
         now: Cycle,

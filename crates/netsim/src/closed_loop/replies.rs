@@ -33,12 +33,17 @@ impl PendingReplies {
     }
 
     /// Queues `packet`, a reply on `flow`, at reply port `source`.
-    // taqos-lint: hot
     pub(crate) fn push(&mut self, source: usize, flow: FlowId, packet: PacketId) {
-        // taqos-lint: allow(panic-index) -- by_flow is sized to the flow count and flow ids are validated against it
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "by_flow is sized to the flow count and flow ids are validated against it"
+        )]
         let fifo = &mut self.by_flow[flow.index()];
         if fifo.is_empty() {
-            // taqos-lint: allow(panic-index) -- port_flows is sized to the source count and reply ports are source indices
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "port_flows is sized to the source count and reply ports are source indices"
+            )]
             self.port_flows[source].push(flow);
         }
         fifo.push_back((self.next_stamp, packet));
@@ -46,37 +51,50 @@ impl PendingReplies {
     }
 
     /// Whether any reply is waiting at `source`.
-    // taqos-lint: hot
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "port_flows is sized to the source count"
+    )]
     pub(crate) fn has_pending(&self, source: usize) -> bool {
-        // taqos-lint: allow(panic-index) -- port_flows is sized to the source count
         !self.port_flows[source].is_empty()
     }
 
     /// Removes and returns the waiting reply at `source` whose flow has the
     /// best (lowest) priority, the earliest arrival among equals: one
     /// `priority` call per flow with a reply waiting.
-    // taqos-lint: hot
     pub(crate) fn pop_best(
         &mut self,
         source: usize,
         mut priority: impl FnMut(FlowId) -> u64,
     ) -> Option<(PacketId, FlowId)> {
-        // taqos-lint: allow(panic-index) -- port_flows is sized to the source count
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "port_flows is sized to the source count"
+        )]
         let flows = &mut self.port_flows[source];
         let mut best: Option<(usize, (u64, u64))> = None;
         for (idx, &flow) in flows.iter().enumerate() {
-            // taqos-lint: allow(panic-index) -- listed flows index by_flow, and a listed flow's FIFO is non-empty
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "listed flows index by_flow, and a listed flow's FIFO is non-empty"
+            )]
             let key = (priority(flow), self.by_flow[flow.index()][0].0);
             if best.is_none_or(|(_, k)| key < k) {
                 best = Some((idx, key));
             }
         }
         best.map(|(idx, _)| {
-            // taqos-lint: allow(panic-index) -- idx was produced by the enumeration of this list just above
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "idx was produced by the enumeration of this list just above"
+            )]
             let flow = flows[idx];
-            // taqos-lint: allow(panic-index) -- listed flows index by_flow
+            #[expect(clippy::indexing_slicing, reason = "listed flows index by_flow")]
             let fifo = &mut self.by_flow[flow.index()];
-            // taqos-lint: allow(panic-path) -- a listed flow's FIFO is non-empty (struct invariant)
+            #[expect(
+                clippy::expect_used,
+                reason = "a listed flow's FIFO is non-empty (struct invariant)"
+            )]
             let (_, packet) = fifo.pop_front().expect("listed flow has a waiting reply");
             if fifo.is_empty() {
                 flows.swap_remove(idx);
@@ -94,10 +112,15 @@ impl PendingReplies {
         mut priority: impl FnMut(FlowId) -> u64,
     ) -> Option<(PacketId, FlowId)> {
         let mut best: Option<(FlowId, (u64, u64))> = None;
-        // taqos-lint: allow(panic-index) -- port_flows is sized to the source count
-        for &flow in &self.port_flows[source] {
-            // taqos-lint: allow(panic-index) -- listed flows index by_flow
-            for &(stamp, _) in &self.by_flow[flow.index()] {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "port_flows is sized to the source count"
+        )]
+        let flows = &self.port_flows[source];
+        for &flow in flows {
+            #[expect(clippy::indexing_slicing, reason = "listed flows index by_flow")]
+            let fifo = &self.by_flow[flow.index()];
+            for &(stamp, _) in fifo {
                 let key = (priority(flow), stamp);
                 if best.is_none_or(|(_, k)| key < k) {
                     best = Some((flow, key));
@@ -105,17 +128,26 @@ impl PendingReplies {
             }
         }
         best.map(|(flow, (_, stamp))| {
-            // taqos-lint: allow(panic-index) -- the winning flow came out of the scan over by_flow
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the winning flow came out of the scan over by_flow"
+            )]
             let fifo = &mut self.by_flow[flow.index()];
+            #[expect(
+                clippy::expect_used,
+                reason = "the winning stamp was read from this FIFO by the scan above"
+            )]
             let pos = fifo
                 .iter()
                 .position(|&(s, _)| s == stamp)
-                // taqos-lint: allow(panic-path) -- the winning stamp was read from this FIFO by the scan above
                 .expect("winning reply is still queued");
-            // taqos-lint: allow(panic-path) -- pos was just found in this FIFO
+            #[expect(clippy::expect_used, reason = "pos was just found in this FIFO")]
             let (_, packet) = fifo.remove(pos).expect("position in bounds");
             if fifo.is_empty() {
-                // taqos-lint: allow(panic-index) -- port_flows is sized to the source count
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "port_flows is sized to the source count"
+                )]
                 self.port_flows[source].retain(|&f| f != flow);
             }
             (packet, flow)

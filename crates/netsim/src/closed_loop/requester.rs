@@ -99,7 +99,6 @@ impl PhaseSchedule {
     }
 
     /// The `i`-th change, in O(1); `None` past the last one.
-    // taqos-lint: hot
     pub fn change(&self, i: usize) -> Option<PhaseChange> {
         match self {
             PhaseSchedule::Explicit(changes) => changes.get(i).copied(),
@@ -168,7 +167,6 @@ impl BurstTrain {
     /// Arithmetic near the top of the cycle range is checked: a burst whose
     /// start is unrepresentable does not exist, and an off-change that would
     /// overflow saturates (still after its on-change, and the last).
-    // taqos-lint: hot
     fn change(&self, i: usize) -> Option<PhaseChange> {
         let lead = usize::from(self.offset > 0);
         let Some(i) = i.checked_sub(lead) else {
@@ -216,8 +214,11 @@ impl PhasedWorkload {
 
     /// Installs `schedule` for `flow`.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build-time builder; an out-of-range flow is a caller bug worth a panic"
+    )]
     pub fn with_schedule(mut self, flow: FlowId, schedule: PhaseSchedule) -> Self {
-        // taqos-lint: allow(panic-index) -- build-time builder; an out-of-range flow is a caller bug worth a panic
         self.schedules[flow.index()] = schedule;
         self
     }
@@ -465,7 +466,6 @@ impl Requester {
     /// fresh request carries the next cache line of the flow's private
     /// stream. `progress` is the watchdog's forward-progress stamp: giving
     /// up on a lost request counts, its window slot being usable again.
-    // taqos-lint: hot
     pub(crate) fn visit(
         &mut self,
         now: Cycle,
@@ -565,7 +565,6 @@ impl Requester {
     /// completed, or one abandoned — and leaves the window untouched.
     /// Records the round trip or the stale reply; returns whether a request
     /// completed.
-    // taqos-lint: hot
     pub(crate) fn on_reply(
         &mut self,
         seq: Option<u64>,
@@ -601,7 +600,6 @@ impl Requester {
     /// alone makes a visit necessary — the next phase change, the earliest
     /// in-flight deadline or the earliest deferred retry — or `Cycle::MAX`
     /// when no threshold is pending.
-    // taqos-lint: hot
     pub(crate) fn next_wake(&self) -> Option<Cycle> {
         if self.can_issue() {
             return None;

@@ -321,7 +321,10 @@ impl EventQueue {
                 // Drain in place so the slot keeps its capacity and
                 // steady-state scheduling never reallocates; `append` would
                 // move the slot's buffer out and leave an empty Vec behind.
-                #[allow(clippy::extend_with_drain)]
+                #[expect(
+                    clippy::extend_with_drain,
+                    reason = "append would move the slot's buffer out; draining keeps its capacity"
+                )]
                 out.extend(self.wheel[slot_idx].drain(..));
             }
             if cycle == self.floor && !self.lane.is_empty() {
@@ -356,26 +359,6 @@ impl EventQueue {
     /// Whether no events are scheduled.
     pub fn is_empty(&self) -> bool {
         self.pending == 0
-    }
-
-    /// The cycle of the earliest scheduled event, if any. O(horizon); used
-    /// for diagnostics and tests, not on the hot path.
-    pub fn next_due(&self) -> Option<Cycle> {
-        let mut earliest: Option<Cycle> = self.overflow.peek().map(|e| e.due);
-        if self.horizon != 0 {
-            if !self.lane.is_empty() {
-                let floor = self.floor;
-                earliest = Some(earliest.map_or(floor, |e| e.min(floor)));
-            }
-            let mask = self.horizon - 1;
-            for cycle in self.floor..self.floor + self.horizon as Cycle {
-                if !self.wheel[(cycle as usize) & mask].is_empty() {
-                    earliest = Some(earliest.map_or(cycle, |e| e.min(cycle)));
-                    break;
-                }
-            }
-        }
-        earliest
     }
 }
 
@@ -413,7 +396,6 @@ mod tests {
         q.schedule(5, ack(1));
         q.schedule(7, ack(2));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.next_due(), Some(5));
 
         let due = q.drain_due(7);
         assert_eq!(due, vec![ack(1), ack(2)]);
@@ -506,7 +488,6 @@ mod tests {
                         // seq 1: due at the floor, takes the flat lane.
         q.schedule(2, ack(1));
         // Wheel entry first (scheduled earlier), lane entry second.
-        assert_eq!(q.next_due(), Some(2));
         assert_eq!(q.drain_due(2), vec![ack(0), ack(1)]);
         assert!(q.is_empty());
     }
@@ -516,7 +497,6 @@ mod tests {
         let mut q = EventQueue::new();
         q.drain_due(50);
         q.schedule(10, ack(0)); // already in the past: clamped forward
-        assert_eq!(q.next_due(), Some(51));
         assert_eq!(q.drain_due(51), vec![ack(0)]);
     }
 

@@ -30,6 +30,16 @@
 //! delivery), turning "retry forever against dead hardware" into an
 //! accounted outcome instead of a livelock.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::error::SpecError;
 use crate::ids::{Cycle, NodeId};
 use crate::spec::NetworkSpec;
@@ -351,15 +361,27 @@ impl FaultState {
                 continue;
             }
             match ev.kind {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "validate_against range-checked router and out_port, and dead_link has one row per router and one flag per output"
+                )]
                 FaultKind::LinkDown { router, out_port } => {
                     self.dead_link[router][out_port] = true;
                 }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "validate_against range-checked router, and dead_router has one flag per router"
+                )]
                 FaultKind::RouterDown { router } => {
                     self.dead_router[router] = true;
                 }
                 FaultKind::CorruptFlits { probability_ppm } => {
                     ppm = ppm.saturating_add(probability_ppm).min(PPM);
                 }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "validate_against requires a sink at node, and mc_outage covers every sink's node index"
+                )]
                 FaultKind::McOutage { node } => {
                     self.mc_outage[node.index()] = true;
                 }
@@ -389,12 +411,20 @@ impl FaultState {
     }
 
     /// Whether router `router` is dead this cycle.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass a live router index or a target router that spec validation range-checked; dead_router has one flag per router"
+    )]
     pub(crate) fn router_dead(&self, router: usize) -> bool {
         self.dead_router[router]
     }
 
     /// Whether the directed link at (`router`, `out_port`) is dead this
     /// cycle (the link itself, not its endpoints).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass a live router index and one of its output ports; dead_link is shaped like the spec's outputs"
+    )]
     pub(crate) fn link_dead(&self, router: usize, out_port: usize) -> bool {
         self.dead_link[router][out_port]
     }

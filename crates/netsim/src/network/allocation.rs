@@ -27,7 +27,6 @@ impl Network {
     /// buffer, ties broken round-robin from the output's
     /// cursor; or, when every request is blocked and `preemption` is on,
     /// probes the target of the best blocked one for a lower-priority victim.
-    // taqos-lint: hot
     #[inline]
     pub(super) fn arbitrate_output(
         &mut self,
@@ -38,6 +37,10 @@ impl Network {
         mut priority_of: impl FnMut(&mut RouterState, &dyn RouterQos, FlowId) -> u64,
     ) -> Verdict {
         self.profile.outputs_arbitrated += 1;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the drivers pass a live router index; spec.routers, routers and qos are built 1:1"
+        )]
         let (rspec, router, qos) = (
             &self.spec.routers[ri],
             &mut self.routers[ri],
@@ -48,6 +51,10 @@ impl Network {
         // `(idx + n - rr % n) % n`, with the per-request modulo
         // replaced by a conditional subtract (idx and rr_mod are both
         // below n, so the sum is below 2n).
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the drivers pass one of this router's outputs, and its states mirror the spec's outputs"
+        )]
         let rr_mod = router.outputs[oi].rr_cursor % n.max(1);
         // `blocked` mirrors `filter(!has_credit).min_by_key(priority)`:
         // the first blocked request of minimal priority.
@@ -59,6 +66,10 @@ impl Network {
             // Priority and credit are read at the decision: grants at earlier
             // outputs this cycle are already visible.
             let priority = priority_of(router, &**qos, req.flow);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "oi is one of this router's outputs, and target_idx was recorded from that output's target list, which its state mirrors"
+            )]
             let target = &router.outputs[oi].targets[req.target_idx as usize];
             if target.has_credit(req.reserved) {
                 let distance = idx + n - rr_mod;
@@ -83,6 +94,10 @@ impl Network {
             // inversion resolution).
             let mut probe = None;
             if let (true, Some(req)) = (preemption, blocked) {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "oi is one of this router's outputs, and target_idx was recorded from that output's target list"
+                )]
                 let target = &rspec.outputs[oi].targets[req.target_idx as usize];
                 if let TargetEndpoint::Router { router, in_port } = target.endpoint {
                     let event = Event::PreemptionProbe {
@@ -99,11 +114,23 @@ impl Network {
 
         // Grant the winner: claim the downstream VC, queue the transfer and
         // move the round-robin cursor past it.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the drivers pass one of this router's outputs, and its states mirror the spec's outputs"
+        )]
         let out_state = &mut router.outputs[oi];
+        #[expect(
+            clippy::indexing_slicing,
+            clippy::expect_used,
+            reason = "target_idx was recorded from this output's target list, and winners are picked among the requests that have credit"
+        )]
         let (to_vc, to_vc_reserved) = out_state.targets[req.target_idx as usize]
             .claim(req.reserved)
-            // taqos-lint: allow(panic-path) -- winners are picked among the requests that have credit
             .expect("credit was checked");
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "oi is one of this router's outputs, and target_idx was recorded from that output's target list"
+        )]
         let target = &rspec.outputs[oi].targets[req.target_idx as usize];
         let router_latency = if req.passthrough {
             1
@@ -158,7 +185,10 @@ impl Network {
             router: ri as u64,
             out_port: oi as u64,
         });
-        // taqos-lint: allow(panic-index) -- request coordinates were recorded from an enumeration of these vectors
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "request coordinates were recorded from an enumeration of these vectors"
+        )]
         router.inputs[req.in_port as usize].vcs[req.vc as usize].set_granted();
         // Flow-state bookkeeping. Pass-through merge points (DPS
         // intermediate hops) arbitrate with the same rate-scaled priorities

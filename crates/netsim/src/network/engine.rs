@@ -64,7 +64,6 @@ pub struct EngineProfile {
 // ---- The reference engine: exhaustive and stateless between cycles ------
 
 impl Network {
-    // taqos-lint: hot
     fn sources_reference(&mut self) {
         self.profile.sources_visited += self.sources.len() as u64;
         for si in 0..self.sources.len() {
@@ -79,29 +78,40 @@ impl Network {
         }
     }
 
-    // taqos-lint: hot
     fn routing_reference(&mut self) {
         for ri in 0..self.routers.len() {
-            for pi in 0..self.routers[ri].inputs.len() {
-                for vi in 0..self.routers[ri].inputs[pi].vcs.len() {
+            #[expect(clippy::indexing_slicing, reason = "ri ranges over the router indices")]
+            let num_inputs = self.routers[ri].inputs.len();
+            for pi in 0..num_inputs {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "ri ranges over the router indices and pi over its input ports"
+                )]
+                let num_vcs = self.routers[ri].inputs[pi].vcs.len();
+                for vi in 0..num_vcs {
                     self.route_head(ri, pi, vi);
                 }
             }
             // Every head is routed now; the list only the optimized driver
             // reads must not grow.
-            // taqos-lint: allow(panic-index) -- ri ranges over the router indices
+            #[expect(clippy::indexing_slicing, reason = "ri ranges over the router indices")]
             self.routers[ri].unrouted_heads.clear();
         }
     }
 
-    // taqos-lint: hot
     fn allocation_reference(&mut self) {
         let preemption = self.policy.preemption_enabled();
         let direct = |_: &mut RouterState, qos: &dyn RouterQos, flow| qos.priority(flow);
         let mut requests = std::mem::take(&mut self.arb_scratch);
         for ri in 0..self.routers.len() {
-            for oi in 0..self.routers[ri].outputs.len() {
+            #[expect(clippy::indexing_slicing, reason = "ri ranges over the router indices")]
+            let num_outputs = self.routers[ri].outputs.len();
+            for oi in 0..num_outputs {
                 self.profile.outputs_walked += 1;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "ri ranges over the router indices and oi over its outputs"
+                )]
                 if !self.routers[ri].outputs[oi].can_grant() {
                     continue;
                 }
@@ -117,41 +127,53 @@ impl Network {
     /// The reference request gather: rescans every VC of every input port of
     /// router `ri` for heads routed to output `oi` and still ungranted, in
     /// `(in_port, vc)` order.
-    // taqos-lint: hot
     fn gather_requests_by_rescan(&self, ri: usize, oi: usize, requests: &mut Vec<ArbRequest>) {
         requests.clear();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the allocation driver passes ri from the router indices; spec.routers and routers are built 1:1"
+        )]
         let (rspec, out) = (&self.spec.routers[ri], OutPortId(oi));
-        for (pi, port) in self.routers[ri].inputs.iter().enumerate() {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the allocation driver passes ri from the router indices"
+        )]
+        let inputs = &self.routers[ri].inputs;
+        for (pi, port) in inputs.iter().enumerate() {
             for (vi, vc) in port.vcs.iter().enumerate() {
                 if !vc.wants_allocation() || vc.route() != Some(out) {
                     continue;
                 }
-                // taqos-lint: allow(panic-path) -- wants_allocation implies an occupant
+                #[expect(clippy::expect_used, reason = "wants_allocation implies an occupant")]
                 let id = vc.packet().expect("allocating VC holds a packet");
-                let packet = self
-                    .packets
-                    .hot(id)
-                    // taqos-lint: allow(panic-path) -- VC occupancy and packet lifetime are updated together
-                    .expect("buffered packet must be live");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "VC occupancy and packet lifetime are updated together"
+                )]
+                let packet = self.packets.hot(id).expect("buffered packet must be live");
                 requests.push(ArbRequest::new(rspec, out, pi, vi, id, packet));
             }
         }
     }
 
-    // taqos-lint: hot
     fn launch_reference(&mut self) {
         self.drain_launch_ring();
         let faults_on = self.fault.as_ref().is_some_and(|f| f.any_active());
         for ri in 0..self.routers.len() {
             let mut xbar_used = 0;
-            for oi in 0..self.routers[ri].outputs.len() {
+            #[expect(clippy::indexing_slicing, reason = "ri ranges over the router indices")]
+            let num_outputs = self.routers[ri].outputs.len();
+            for oi in 0..num_outputs {
                 self.launch_output(ri, oi, &mut xbar_used, faults_on);
             }
         }
     }
 
-    // taqos-lint: hot
     fn probe_reference(&mut self, router: usize, in_port: usize, contender: FlowId) {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "probe events name a target endpoint router that validate() range-checked, and qos is built 1:1 with the routers"
+        )]
         if let Some(victim) = self.qos[router].select_victim(contender, &self.probe_scratch) {
             self.flush_victim(router, in_port, victim);
         }
@@ -162,8 +184,11 @@ impl Network {
 
 /// Clears router `ri`'s bit in a phase activity mask.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "masks are sized to ceil(routers/64) words and ri is a live router index"
+)]
 fn unmark_router(mask: &mut [u64], ri: usize) {
-    // taqos-lint: allow(panic-index) -- masks are sized to ceil(routers/64) words and ri is a live router index
     mask[ri >> 6] &= !(1 << (ri & 63));
 }
 
@@ -183,10 +208,12 @@ fn scan_routers(mask: &[u64], out: &mut Vec<u32>) {
 
 /// Returns `qos.priority(flow)`, memoised in the router's priority cache
 /// (valid within the router's current priority epoch).
-// taqos-lint: hot
 fn cached_priority(router: &mut RouterState, qos: &dyn RouterQos, flow: FlowId) -> u64 {
     let epoch = router.priority_epoch;
-    // taqos-lint: allow(panic-index) -- the cache is sized to num_flows at construction and flow ids are validated against it
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the cache is sized to num_flows at construction and flow ids are validated against it"
+    )]
     let memo = &mut router.priority_cache[flow.index()];
     if memo.epoch == epoch {
         memo.value
@@ -200,12 +227,18 @@ fn cached_priority(router: &mut RouterState, qos: &dyn RouterQos, flow: FlowId) 
 /// Enters the request of a freshly routed head into the persistent list of
 /// its output `out`, ordered by `(in_port, vc)` — the order the reference
 /// rescan produces.
-// taqos-lint: hot
 fn file_request(router: &mut RouterState, out: usize, request: ArbRequest) {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "out is the routed output of the head, and alloc_buckets holds one list per output"
+    )]
     let bucket = &mut router.alloc_buckets[out];
+    #[expect(
+        clippy::expect_used,
+        reason = "a VC is routed once per occupancy, so it has no request filed yet"
+    )]
     let pos = bucket
         .binary_search_by_key(&(request.in_port, request.vc), |r| (r.in_port, r.vc))
-        // taqos-lint: allow(panic-path) -- a VC is routed once per occupancy, so it has no request filed yet
         .expect_err("VC already has a pending request");
     bucket.insert(pos, request);
     router.alloc_dirty |= 1 << out;
@@ -215,12 +248,18 @@ fn file_request(router: &mut RouterState, out: usize, request: ArbRequest) {
 /// Retires the request of a preempted packet — routed to `out` but never
 /// granted — from that output's persistent list, and invalidates the
 /// output's cached decision.
-// taqos-lint: hot
 fn retire_request(router: &mut RouterState, out: OutPortId, in_port: usize, vc: usize) {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "out is the route the flushed victim held, and alloc_buckets holds one list per output"
+    )]
     let bucket = &mut router.alloc_buckets[out.0];
+    #[expect(
+        clippy::expect_used,
+        reason = "routed ungranted VCs always have a filed request"
+    )]
     let pos = bucket
         .binary_search_by_key(&(in_port as u16, vc as u16), |r| (r.in_port, r.vc))
-        // taqos-lint: allow(panic-path) -- routed ungranted VCs always have a filed request
         .expect("preempted packet must have a pending request");
     bucket.remove(pos);
     if bucket.is_empty() {
@@ -234,7 +273,6 @@ impl Network {
     /// polling order), after firing the due timers of sleeping requesters. A
     /// skipped visit is provably a no-op — the sleep predicate, the wake
     /// sites and the timers are tabulated in docs/ARCHITECTURE.md.
-    // taqos-lint: hot
     pub(super) fn sources_optimized(&mut self) {
         while let Some(si) = self.source_timers.pop_due(self.now) {
             self.wake_source(si);
@@ -260,7 +298,10 @@ impl Network {
             // untouched; a requester only with its window closed — and no
             // time threshold is already due. The wake sites and the timer
             // re-open exactly these conditions.
-            // taqos-lint: allow(panic-index) -- si is a set bit of source_work, which is sized to the sources
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "si is a set bit of source_work, which is sized to the sources"
+            )]
             let source = &self.sources[si];
             let mut cl = self.closed_loop.as_mut();
             if !source.is_dormant(cl.as_ref().is_some_and(|cl| cl.replies.has_pending(si))) {
@@ -287,7 +328,6 @@ impl Network {
     /// heads themselves in the router's `unrouted_heads`. Sorting the list
     /// restores the `(in_port, vc)` order of the reference scan, so the
     /// round-robin route cursor makes the same picks.
-    // taqos-lint: hot
     pub(super) fn routing_optimized(&mut self) {
         let mut scan = std::mem::take(&mut self.router_scan);
         scan_routers(&self.routing_work, &mut scan);
@@ -296,21 +336,32 @@ impl Network {
             // Every listed head is routed below; an empty list is a stale
             // bit (its head was preempted since).
             unmark_router(&mut self.routing_work, ri);
-            // taqos-lint: allow(panic-index) -- scan holds indices of routers whose mask bit was set, all in bounds
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "scan holds indices of routers whose mask bit was set, all in bounds"
+            )]
             let mut heads = std::mem::take(&mut self.routers[ri].unrouted_heads);
             heads.sort_unstable();
             for &(pi, vi) in &heads {
                 let (pi, vi) = (usize::from(pi), usize::from(vi));
                 if let Some((out, id, packet)) = self.route_head(ri, pi, vi) {
-                    // taqos-lint: allow(panic-index) -- the spec's routers and their states are built 1:1, and ri is a scanned router index
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "the spec's routers and their states are built 1:1, and ri is a scanned router index"
+                    )]
                     let request = ArbRequest::new(&self.spec.routers[ri], out, pi, vi, id, packet);
-                    // taqos-lint: allow(panic-index) -- same bound as above
+                    #[expect(clippy::indexing_slicing, reason = "same bound as above")]
                     file_request(&mut self.routers[ri], out.0, request);
                 }
             }
             heads.clear();
-            // taqos-lint: allow(panic-index) -- same bound as above
-            self.routers[ri].unrouted_heads = heads;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "scan holds indices of routers whose mask bit was set, all in bounds"
+            )]
+            {
+                self.routers[ri].unrouted_heads = heads;
+            }
         }
         self.router_scan = scan;
     }
@@ -319,14 +370,16 @@ impl Network {
     /// outputs with a filed request whose decision is stale are decided
     /// (every output with a filed request under preemption, where a clean
     /// blocked output replays its cached probe).
-    // taqos-lint: hot
     pub(super) fn allocation_optimized(&mut self) {
         let preemption = self.policy.preemption_enabled();
         let mut scan = std::mem::take(&mut self.router_scan);
         scan_routers(&self.alloc_work, &mut scan);
         for &ri in &scan {
             let ri = ri as usize;
-            // taqos-lint: allow(panic-index) -- scan holds indices of routers whose mask bit was set, all in bounds
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "scan holds indices of routers whose mask bit was set, all in bounds"
+            )]
             let router = &self.routers[ri];
             if router.active_vcs == 0 || router.alloc_pending == 0 {
                 // Stale-set bit: the last occupant drained, or every
@@ -341,6 +394,10 @@ impl Network {
             let num_outputs = router.outputs.len();
             let mut next_oi = 0;
             while next_oi < num_outputs {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "scan holds indices of routers whose mask bit was set, all in bounds"
+                )]
                 let router = &mut self.routers[ri];
                 let stale = if preemption {
                     router.alloc_pending
@@ -354,6 +411,10 @@ impl Network {
                 let oi = rest.trailing_zeros() as usize;
                 next_oi = oi + 1;
                 self.profile.outputs_walked += 1;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "oi is a set bit of alloc_pending, which only file_request marks, with a routed output index"
+                )]
                 if !router.outputs[oi].can_grant() {
                     continue;
                 }
@@ -365,11 +426,19 @@ impl Network {
                     // arbitration entirely. (Only a preempting policy gets
                     // here: without one, clean outputs are not walked.)
                     self.profile.outputs_replayed += 1;
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "oi is an output index (above), and cached_probe holds one entry per output"
+                    )]
                     if let Some(probe) = router.cached_probe[oi] {
                         self.events.schedule(self.now + 1, probe);
                     }
                     continue;
                 }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "oi is an output index (above), and alloc_buckets holds one list per output"
+                )]
                 let mut requests = std::mem::take(&mut router.alloc_buckets[oi]);
                 debug_assert!(!requests.is_empty(), "alloc_pending names an empty bucket");
                 // Priorities only move when this router forwards a packet or
@@ -377,6 +446,10 @@ impl Network {
                 // exact, saving the virtual call and f64 division for flows
                 // that re-arbitrate.
                 let verdict = self.arbitrate_output(ri, oi, &requests, preemption, cached_priority);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "ri is a scanned router index, and qos is built 1:1 with the routers"
+                )]
                 let (router, qos) = (&mut self.routers[ri], &self.qos[ri]);
                 match verdict {
                     Verdict::Granted(widx) => {
@@ -390,11 +463,16 @@ impl Network {
                         // outputs' blocked verdicts still stand, and only
                         // that flow's memo needs refreshing.
                         let flow = requests.remove(widx).flow;
-                        // taqos-lint: allow(panic-index) -- the cache is sized to num_flows at construction and flow ids are validated against it
-                        router.priority_cache[flow.index()] = PriorityMemo {
-                            value: qos.priority(flow),
-                            epoch: router.priority_epoch,
-                        };
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "the cache is sized to num_flows at construction and flow ids are validated against it"
+                        )]
+                        {
+                            router.priority_cache[flow.index()] = PriorityMemo {
+                                value: qos.priority(flow),
+                                epoch: router.priority_epoch,
+                            };
+                        }
                         if requests.is_empty() {
                             router.alloc_pending &= !(1 << oi);
                         }
@@ -410,10 +488,22 @@ impl Network {
                         // Blocked with no state change pending: mark the
                         // output clean and remember the probe to replay.
                         router.alloc_dirty &= !(1 << oi);
-                        router.cached_probe[oi] = probe;
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "oi is an output index (above), and cached_probe holds one entry per output"
+                        )]
+                        {
+                            router.cached_probe[oi] = probe;
+                        }
                     }
                 }
-                router.alloc_buckets[oi] = requests;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "oi is an output index (above), and alloc_buckets holds one list per output"
+                )]
+                {
+                    router.alloc_buckets[oi] = requests;
+                }
             }
         }
         self.router_scan = scan;
@@ -426,7 +516,6 @@ impl Network {
     /// linear scan (the crossbar conflict check depends on it). An output
     /// not in the mask is provably a no-op visit: its queue is empty or its
     /// head's `launch_start` lies ahead.
-    // taqos-lint: hot
     pub(super) fn launch_optimized(&mut self) {
         self.drain_launch_ring();
         let faults_on = self.fault.as_ref().is_some_and(|f| f.any_active());
@@ -434,7 +523,10 @@ impl Network {
         scan_routers(&self.launch_work, &mut scan);
         for &ri in &scan {
             let ri = ri as usize;
-            // taqos-lint: allow(panic-index) -- scan holds indices of routers whose mask bit was set, all in bounds
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "scan holds indices of routers whose mask bit was set, all in bounds"
+            )]
             let mut ready = self.routers[ri].launch_ready;
             if ready == 0 {
                 // Stale-set bit (the last ready transfer completed since).
@@ -455,8 +547,11 @@ impl Network {
     /// victim choice needs no per-probe priority recomputation; a victim
     /// that was routed but never granted still sits in its output's
     /// persistent request list and is retired from it.
-    // taqos-lint: hot
     fn probe_optimized(&mut self, router: usize, in_port: usize, contender: FlowId) {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "probe events name a target endpoint router that validate() range-checked, and qos is built 1:1 with the routers"
+        )]
         let (state, qos) = (&mut self.routers[router], &*self.qos[router]);
         self.probe_prioritized_scratch.clear();
         for &(pid, flow, reserved) in &self.probe_scratch {
@@ -474,6 +569,10 @@ impl Network {
             return;
         };
         if let Some((vc, Some(out))) = self.flush_victim(router, in_port, victim) {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "probe events name a target endpoint router that validate() range-checked"
+            )]
             retire_request(&mut self.routers[router], out, in_port, vc);
         }
     }
@@ -484,7 +583,6 @@ impl Network {
 impl Network {
     /// The four fabric phases that follow the event phase — sources,
     /// routing, allocation, launch — under the configured engine.
-    // taqos-lint: hot
     pub(super) fn fabric_phases(&mut self) {
         match self.config.engine {
             EngineKind::Reference => {
@@ -505,7 +603,6 @@ impl Network {
     /// A preemption probe matured at input port `in_port` of `router`: ask
     /// the policy for a victim of lower priority than `contender`'s flow
     /// among the resident idle packets, and flush it.
-    // taqos-lint: hot
     pub(super) fn handle_preemption_probe(
         &mut self,
         router: usize,

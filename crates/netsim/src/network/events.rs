@@ -22,6 +22,10 @@ fn release_sink_credit(
     sink: usize,
     slot: VcId,
 ) {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "sink_feeders has one entry per sink, and callers pass a sink named by a delivery event or by its controller's slot release"
+    )]
     if let Some((router, out_port, target_idx)) = sink_feeders[sink] {
         events.schedule(
             now + SimConfig::CREDIT_DELAY,
@@ -37,7 +41,6 @@ fn release_sink_credit(
 }
 
 impl Network {
-    // taqos-lint: hot
     pub(super) fn phase_events(&mut self) {
         // The drained events are collected into a reusable buffer so the
         // steady-state event phase performs no heap allocation.
@@ -60,7 +63,15 @@ impl Network {
                 packet,
             } => {
                 let router = router as usize;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "flit events name a target endpoint router that validate() range-checked"
+                )]
                 let router_state = &mut self.routers[router];
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "flit events name a target endpoint port that validate() range-checked"
+                )]
                 let port = &mut router_state.inputs[in_port as usize];
                 if port.vcs.len() <= vc.index() {
                     // VC counts are fully provisioned from the spec at
@@ -87,8 +98,16 @@ impl Network {
             } => {
                 // Body flits always follow their head into an already-claimed
                 // (and, under unlimited buffering, already-grown) VC.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "flit events name a target endpoint router and port that validate() range-checked"
+                )]
                 let port = &mut self.routers[router as usize].inputs[in_port as usize];
                 debug_assert!(vc.index() < port.vcs.len());
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "a body flit follows its head into the VC the head claimed, which exists (grown on the head's arrival under unlimited buffering)"
+                )]
                 port.vcs[vc.index()].accept_body(packet);
                 self.stats.energy.buffer_writes += 1;
             }
@@ -101,8 +120,16 @@ impl Network {
             } => {
                 let sink = sink as usize;
                 if is_head {
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "delivery events name a sink endpoint that validate() range-checked"
+                    )]
                     self.sinks[sink].accept_head(slot, packet);
                 } else {
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "delivery events name a sink endpoint that validate() range-checked"
+                    )]
                     self.sinks[sink].accept_body(slot, packet);
                 }
                 if is_tail {
@@ -116,12 +143,24 @@ impl Network {
                 vc,
                 reserved_vc,
             } => {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "credits return to the feeder recorded at construction from a live router"
+                )]
                 let router_state = &mut self.routers[router as usize];
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "the feeder's output port and target index were recorded at construction from this router's spec, which its state mirrors"
+                )]
                 router_state.outputs[out_port as usize].targets[target_idx as usize]
                     .refund(vc, reserved_vc);
                 router_state.mark_output_dirty(out_port as usize);
             }
             Event::CreditToSource { source, vc } => {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "source-bound events name a source index: a feeder recorded from the spec's source list, or an ACK source (see ack_source)"
+                )]
                 self.sources[source as usize].free_vcs.push(vc);
                 self.wake_source(source as usize);
             }
@@ -129,6 +168,10 @@ impl Network {
                 // A packet left the system (delivered, or abandoned by the
                 // fault layer): that is forward progress for the watchdog.
                 self.last_progress = self.now;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "source-bound events name a source index: a feeder recorded from the spec's source list, or an ACK source (see ack_source)"
+                )]
                 self.sources[source as usize].acknowledge(packet);
                 self.wake_source(source as usize);
                 self.packets.remove(packet);
@@ -143,6 +186,10 @@ impl Network {
                         packet: packet.0,
                     });
                 }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "source-bound events name a source index: a feeder recorded from the spec's source list, or an ACK source (see ack_source)"
+                )]
                 self.sources[source as usize].retransmit(packet);
                 self.wake_source(source as usize);
             }
@@ -159,30 +206,44 @@ impl Network {
         }
     }
 
-    // taqos-lint: hot
     fn complete_delivery(&mut self, sink: usize, slot: VcId) {
         // Peek at the occupant first: a controller may reject the packet,
         // and a rejected request must not touch the sink's delivery
         // counters (`SinkState::discard` vs `SinkState::complete` below).
+        #[expect(
+            clippy::indexing_slicing,
+            clippy::expect_used,
+            reason = "delivery events name a sink endpoint that validate() range-checked, and fire only for occupied sink slots"
+        )]
         let packet_id = self.sinks[sink]
             .occupant(slot)
-            // taqos-lint: allow(panic-path) -- delivery events fire only for occupied sink slots
             .expect("completing an empty sink slot");
+        #[expect(
+            clippy::expect_used,
+            reason = "sink slots only ever hold live packet ids"
+        )]
         let packet = self
             .packets
             .get(packet_id)
-            // taqos-lint: allow(panic-path) -- sink slots only ever hold live packet ids
             .expect("delivered packet must be live")
-            // taqos-lint: allow(hot-alloc) -- a packet is plain scalars: the clone is a flat copy, nothing is allocated
+            // A packet is plain scalars: the clone is a flat copy, nothing
+            // is allocated.
             .clone();
         let (flow, hops, class) = (packet.flow, packet.column_hops(), packet.class);
-        // taqos-lint: allow(panic-index) -- the delivery event names a live sink (its occupant was just read)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the delivery event names a live sink (its occupant was just read)"
+        )]
         let node = self.sinks[sink].node;
         // A controller outage bounces request-class packets at the dark
         // node: the delivery is not recorded and the packet is NACKed back
         // to its source (or abandoned once the fault retransmit budget is
         // spent), exactly like a DRAM-queue rejection.
         if class == PacketClass::Request && self.fault.as_ref().is_some_and(|f| f.mc_dark(node)) {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "delivery events name a sink endpoint that validate() range-checked"
+            )]
             self.sinks[sink].discard(slot);
             self.stats.fault.mc_outage_rejections += 1;
             release_sink_credit(&mut self.events, &self.sink_feeders, self.now, sink, slot);
@@ -206,6 +267,10 @@ impl Network {
             _ => None,
         };
         if offer == Some(Offer::Rejected) {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "delivery events name a sink endpoint that validate() range-checked"
+            )]
             self.sinks[sink].discard(slot);
             // The flits did occupy the sink slot: free its credit as usual.
             release_sink_credit(&mut self.events, &self.sink_feeders, self.now, sink, slot);
@@ -217,8 +282,16 @@ impl Network {
         // source so a later eviction can NACK it for a fabric retry.
         let deferred = matches!(arrival, Arrival::Offered { deferred: true, .. });
         if deferred {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "delivery events name a sink endpoint that validate() range-checked"
+            )]
             self.sinks[sink].discard(slot);
         } else {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "delivery events name a sink endpoint that validate() range-checked"
+            )]
             let completed = self.sinks[sink].complete(slot);
             debug_assert_eq!(completed, packet_id);
             self.stats
@@ -266,10 +339,12 @@ impl Network {
     /// physically injected it. A packet generated at its own flow's source
     /// carries no explicit origin; a closed-loop reply names the memory
     /// controller's source, not the requester flow's.
-    // taqos-lint: hot
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "flow ids are validated dense against flow_to_source at construction"
+    )]
     fn ack_source(&self, flow: FlowId, origin_source: Option<u32>) -> u32 {
-        // taqos-lint: allow(panic-index) -- flow ids are validated dense against flow_to_source at construction
         origin_source.unwrap_or_else(|| self.flow_to_source[flow.index()] as u32)
     }
 
@@ -280,18 +355,23 @@ impl Network {
     /// is abandoned — acknowledged and removed without ever counting as
     /// delivered. Abandonment guarantees NACK loops against permanently dead
     /// hardware terminate instead of livelocking.
-    // taqos-lint: hot
     pub(super) fn fault_bounce(&mut self, packet_id: PacketId, at: NodeId) {
+        #[expect(
+            clippy::expect_used,
+            reason = "fault_bounce is only reached from fault-plan drop handling"
+        )]
         let budget = self
             .fault
             .as_ref()
-            // taqos-lint: allow(panic-path) -- fault_bounce is only reached from fault-plan drop handling
             .expect("fault_bounce requires an installed fault plan")
             .retransmit_budget();
+        #[expect(
+            clippy::expect_used,
+            reason = "dropped packets are in flight, and NACKed ones stay live until acked or abandoned"
+        )]
         let packet = self
             .packets
             .get_mut(packet_id)
-            // taqos-lint: allow(panic-path) -- dropped packets are in flight, and NACKed ones stay live until acked or abandoned
             .expect("bounced packet must be live");
         packet.fault_drops += 1;
         let abandoned = packet.fault_drops > budget;
@@ -312,7 +392,6 @@ impl Network {
     /// [`Self::ack_source`]) retransmits it over the fabric. Serves the
     /// closed-loop requests a controller bounces or evicts — always injected
     /// by their own flow's source — and the victims of preemption.
-    // taqos-lint: hot
     pub(super) fn nack(&mut self, flow: FlowId, origin: Option<u32>, packet: PacketId, hops: u32) {
         let source = self.ack_source(flow, origin);
         let due = self.now + SimConfig::ack_latency(hops);
@@ -322,7 +401,6 @@ impl Network {
     /// A closed-loop reply (marked by the request birth it carries; plain
     /// reply-class traffic passes through untouched) arriving back at its
     /// requester credits the MLP window and records the round trip.
-    // taqos-lint: hot
     fn on_reply_delivery(&mut self, packet: &Packet) {
         let (Some(cl), PacketClass::Reply, Some(request_birth)) =
             (&mut self.closed_loop, packet.class, packet.request_birth)
@@ -333,7 +411,10 @@ impl Network {
             requester.on_reply(packet.req_seq, request_birth, self.now, &mut self.stats);
         }
         // The reply may have reopened the requester's MLP window.
-        // taqos-lint: allow(panic-index) -- flow ids are validated dense against flow_to_source at construction
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "flow ids are validated dense against flow_to_source at construction"
+        )]
         self.wake_source(self.flow_to_source[packet.flow.index()]);
     }
 
@@ -342,7 +423,6 @@ impl Network {
     /// flow (QOS priority and per-flow accounting) but is injected and
     /// retransmitted by the controller's source; it carries the request's
     /// birth so the round trip can be measured at delivery.
-    // taqos-lint: hot
     fn release_reply(&mut self, mc_node: NodeId, request: &McRequest) {
         let Some(cl) = &mut self.closed_loop else {
             return;
@@ -362,7 +442,10 @@ impl Network {
             reply
         });
         cl.replies.push(port, request.flow, reply_id);
-        // taqos-lint: allow(panic-index) -- reply ports are source indices recorded from the spec's source list
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "reply ports are source indices recorded from the spec's source list"
+        )]
         let source = &mut self.sources[port];
         source.generated_packets += 1;
         source.generated_flits += u64::from(request.reply_len);
@@ -371,7 +454,6 @@ impl Network {
 
     /// A DRAM bank completed: release the reply of the serviced request and
     /// let the controller pull waiting work onto its freed bank.
-    // taqos-lint: hot
     fn handle_dram_complete(&mut self, mc_node: usize, bank: usize) {
         let cl = self.closed_loop.as_mut();
         let mc = cl.and_then(|cl| cl.controller_mut(mc_node));
@@ -387,7 +469,6 @@ impl Network {
     /// effects it reports, in order, to the event queue, the ACK network and
     /// the sink credits. Called after every arrival and every bank
     /// completion.
-    // taqos-lint: hot
     fn dram_pump(&mut self, mc_node: usize) {
         let now = self.now;
         let cl = self.closed_loop.as_mut();
@@ -402,7 +483,7 @@ impl Network {
                 // many cycles between fabric deliveries.
                 self.last_progress = now;
                 if let Some(request) = ack {
-                    // taqos-lint: allow(panic-index) -- flow ids are validated dense against flow_to_source at construction
+                    #[expect(clippy::indexing_slicing, reason = "flow ids are validated dense against flow_to_source at construction")]
                     let source = self.flow_to_source[request.flow.index()] as u32;
                     let packet = request.packet;
                     let due = now + SimConfig::ack_latency(request.hops);

@@ -49,15 +49,20 @@ impl LaunchRing {
     }
 
     /// The due-output words and the router mask of cycle `at`'s slot.
-    // taqos-lint: hot
     #[inline]
     fn slot(&mut self, at: Cycle) -> (&mut [u64], &mut [u64]) {
         let (n, slot) = (self.num_routers, at as usize & self.mask);
         let blocks = n.div_ceil(64);
         (
-            // taqos-lint: allow(panic-index) -- slot is masked below the slot count, and each slot holds n words
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "slot is masked below the slot count, and each slot holds n words"
+            )]
             &mut self.outputs[slot * n..][..n],
-            // taqos-lint: allow(panic-index) -- likewise, each slot holds one word per 64 routers
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "likewise, each slot holds one word per 64 routers"
+            )]
             &mut self.routers[slot * blocks..][..blocks],
         )
     }
@@ -65,11 +70,13 @@ impl LaunchRing {
     /// Wakes output `oi` of router `ri` on cycle `at`, which lies within the
     /// window: at most the largest pipeline latency ahead. Armed by a grant
     /// into an empty queue and by [`Network::retire_head_transfer`].
-    // taqos-lint: hot
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ri is a live router index, and a slot holds a word per router"
+    )]
     pub(super) fn arm(&mut self, at: Cycle, ri: usize, oi: usize) {
         let (outputs, routers) = self.slot(at);
-        // taqos-lint: allow(panic-index) -- ri is a live router index, and a slot holds a word per router
         outputs[ri] |= 1 << oi;
         mark_router(routers, ri);
     }
@@ -79,7 +86,6 @@ impl Network {
     /// Marks every output whose head transfer may launch from this cycle on
     /// ready, and its router as launch work. Both launch drivers call it
     /// first, so the ring stays drained whichever engine runs.
-    // taqos-lint: hot
     pub(super) fn drain_launch_ring(&mut self) {
         let (outputs, routers) = self.launch_ring.slot(self.now);
         for (block, (due, work)) in routers.iter_mut().zip(&mut self.launch_work).enumerate() {
@@ -88,8 +94,13 @@ impl Network {
             while bits != 0 {
                 let ri = block << 6 | bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                // taqos-lint: allow(panic-index) -- ri is a set bit of the slot's router mask, so below the router count
-                self.routers[ri].launch_ready |= std::mem::take(&mut outputs[ri]);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "ri is a set bit of the slot's router mask, so below the router count"
+                )]
+                {
+                    self.routers[ri].launch_ready |= std::mem::take(&mut outputs[ri]);
+                }
             }
         }
     }
@@ -100,7 +111,6 @@ impl Network {
     /// groups already used this cycle; `faults_on` says whether any fault of
     /// the installed plan is active, hoisted by the drivers so the
     /// interception below is only entered when one is.
-    // taqos-lint: hot
     #[inline]
     pub(super) fn launch_output(
         &mut self,
@@ -111,7 +121,15 @@ impl Network {
     ) {
         self.profile.launch_visits += 1;
         let now = self.now;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the drivers pass a live router index: a range over the routers, or a set bit of launch_work"
+        )]
         let router = &mut self.routers[ri];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the drivers pass one of this router's outputs: a range over them, or a set bit of launch_ready, which the ring marks only for granted outputs"
+        )]
         let out_state = &mut router.outputs[oi];
         let Some(transfer) = out_state.granted.first_mut() else {
             return;
@@ -122,11 +140,18 @@ impl Network {
         let from_port = transfer.from_port.0;
         let from_vc = transfer.from_vc.index();
         let passthrough = transfer.passthrough;
-        // taqos-lint: allow(panic-index) -- xbar_groups is built 1:1 with the router's input ports
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "xbar_groups is built 1:1 with the router's input ports"
+        )]
         let group = router.xbar_groups[from_port];
         if !passthrough && (*xbar_used >> group) & 1 == 1 {
             return;
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "from_port and from_vc were recorded at grant from an enumeration of this router's input VCs"
+        )]
         let vc = &mut router.inputs[from_port].vcs[from_vc];
         if vc.sendable_flits() == 0 {
             return;
@@ -165,6 +190,10 @@ impl Network {
                     }
                     // No flit will ever consume the downstream VC claimed at
                     // grant time: refund its credit here.
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "target_idx was recorded at grant from this output's target list, which its state mirrors"
+                    )]
                     out_state.targets[transfer.target_idx]
                         .refund(transfer.to_vc, transfer.to_vc_reserved);
                     let (packet, at) = (transfer.packet, router.node);
@@ -242,10 +271,17 @@ impl Network {
     /// and the ring wakes it on the next transfer's `launch_start`. The queue
     /// shrank: `can_grant` may flip, so the output's arbitration decision is
     /// stale.
-    // taqos-lint: hot
     #[inline]
     fn retire_head_transfer(&mut self, ri: usize, oi: usize) {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "launch_output passes its own live router index"
+        )]
         let router = &mut self.routers[ri];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "launch_output passes its own output index, one of this router's outputs"
+        )]
         let granted = &mut router.outputs[oi].granted;
         granted.remove(0);
         match granted.first().map(|next| next.launch_start) {
@@ -264,11 +300,22 @@ impl Network {
     /// forwarded completely, dropped by a fault, or preempted — and returns
     /// the credit to whoever feeds the port: the upstream router's output,
     /// or the injecting source.
-    // taqos-lint: hot
     #[inline]
     pub(super) fn release_input_vc(&mut self, ri: usize, in_port: usize, vc: usize) {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "callers pass a live router index: the launching router or the probed one"
+        )]
         let router = &mut self.routers[ri];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "callers pass one of this router's input ports: a granted transfer's source port or the probed port"
+        )]
         let port = &mut router.inputs[in_port];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "callers pass a VC of that port: a granted transfer's source VC or the flushed victim's position in it"
+        )]
         let vc_state = &mut port.vcs[vc];
         let reserved_vc = vc_state.reserved_vc();
         vc_state.release();

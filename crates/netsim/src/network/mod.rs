@@ -40,6 +40,16 @@
 //! effects it reports (service started, stalled slot released, victim
 //! evicted) into events, ACKs/NACKs and sink credits, in the order reported.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 mod allocation;
 mod engine;
 mod events;
@@ -69,8 +79,11 @@ use taqos_telemetry::{FrameSampler, TraceEvent, TraceHook, TraceSink};
 /// Sets router `ri`'s bit in a phase activity mask (see
 /// [`Network::routing_work`] for the eager-set / lazy-clear discipline).
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "masks are sized to ceil(routers/64) words and ri is a live router index"
+)]
 fn mark_router(mask: &mut [u64], ri: usize) {
-    // taqos-lint: allow(panic-index) -- masks are sized to ceil(routers/64) words and ri is a live router index
     mask[ri >> 6] |= 1 << (ri & 63);
 }
 
@@ -203,12 +216,22 @@ impl Network {
                 for (ti, target) in ospec.targets.iter().enumerate() {
                     let credit = match target.endpoint {
                         TargetEndpoint::Router { router, in_port } => {
-                            // taqos-lint: allow(panic-index) -- validate() range-checked every target router and port (and rejected doubly-fed ports)
-                            routers[router].inputs[in_port.0].feeder = Some(Feeder::RouterOutput {
-                                router: ri,
-                                out_port: oi,
-                                target_idx: ti,
-                            });
+                            #[expect(
+                                clippy::indexing_slicing,
+                                reason = "validate() range-checked every target router and port (and rejected doubly-fed ports)"
+                            )]
+                            {
+                                routers[router].inputs[in_port.0].feeder =
+                                    Some(Feeder::RouterOutput {
+                                        router: ri,
+                                        out_port: oi,
+                                        target_idx: ti,
+                                    });
+                            }
+                            #[expect(
+                                clippy::indexing_slicing,
+                                reason = "validate() range-checked every target router and port"
+                            )]
                             let dspec = &spec.routers[router].inputs[in_port.0];
                             TargetCreditState::new(
                                 dspec.vcs.count - dspec.vcs.reserved,
@@ -216,11 +239,19 @@ impl Network {
                                 unlimited,
                             )
                         }
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "validate() range-checked every sink endpoint, and sink_feeders has one entry per sink"
+                        )]
                         TargetEndpoint::Sink { sink } => {
                             sink_feeders[sink] = Some((ri, oi, ti));
                             TargetCreditState::new(spec.sinks[sink].slots, 0, false)
                         }
                     };
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "routers are built 1:1 from spec.routers, and ri and oi enumerate it"
+                    )]
                     routers[ri].outputs[oi].targets.push(credit);
                 }
             }
@@ -239,10 +270,25 @@ impl Network {
             .zip(generators)
             .enumerate()
             .map(|(si, (sspec, generator))| {
-                flow_to_source[sspec.flow.index()] = si;
-                // taqos-lint: allow(panic-index) -- validate() range-checked every source's router and port (and rejected shared ports)
-                routers[sspec.router].inputs[sspec.in_port.0].feeder =
-                    Some(Feeder::Source { source: si });
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "validate() requires source flow ids dense over 0..num_sources, the length of flow_to_source"
+                )]
+                {
+                    flow_to_source[sspec.flow.index()] = si;
+                }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "validate() range-checked every source's router and port (and rejected shared ports)"
+                )]
+                {
+                    routers[sspec.router].inputs[sspec.in_port.0].feeder =
+                        Some(Feeder::Source { source: si });
+                }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "validate() range-checked every source's router and port"
+                )]
                 let vcs = spec.routers[sspec.router].inputs[sspec.in_port.0].vcs.count;
                 SourceState::new(sspec, generator, vcs)
             })
@@ -309,10 +355,12 @@ impl Network {
 
     /// Wakes source `si`: the source phase visits it from the next pass on,
     /// until a visit finds it can sleep again.
-    // taqos-lint: hot
     #[inline]
     fn wake_source(&mut self, si: usize) {
-        // taqos-lint: allow(panic-index) -- source_work is sized to ceil(sources/64) words and si is a live source index
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "source_work is sized to ceil(sources/64) words and si is a live source index"
+        )]
         let word = &mut self.source_work[si >> 6];
         let bit = 1u64 << (si & 63);
         if *word & bit == 0 {
@@ -423,7 +471,10 @@ impl Network {
                 "rates must be finite and positive",
             )));
         }
-        // taqos-lint: allow(panic-index) -- next_reprogram only advances past applied entries, so it never exceeds len
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "next_reprogram only advances past applied entries, so it never exceeds len"
+        )]
         let idx = self.pending_reprograms[self.next_reprogram..]
             .partition_point(|&(cycle, _)| cycle <= at)
             + self.next_reprogram;
@@ -557,6 +608,10 @@ impl Network {
     /// counters folded in.
     pub fn into_stats(mut self) -> NetStats {
         for source in &self.sources {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "stats.flows is sized to num_flows, and validate() keeps every source's flow below it"
+            )]
             let fs = &mut self.stats.flows[source.flow.index()];
             fs.generated_packets = source.generated_packets;
             fs.generated_flits = source.generated_flits;
@@ -583,7 +638,6 @@ impl Network {
     }
 
     /// Advances the simulation by one cycle.
-    // taqos-lint: hot
     pub fn step(&mut self) {
         self.now += 1;
         if let Some(fault) = &mut self.fault {
@@ -612,7 +666,6 @@ impl Network {
     /// cumulative figures to per-frame deltas in place. Reads existing
     /// counters only — no simulation state is touched, so sampling cannot
     /// perturb the run.
-    // taqos-lint: hot
     fn sample_frame(&mut self) {
         let Network {
             sampler,
@@ -631,8 +684,18 @@ impl Network {
         }
         sampler.sample_frame(*now, |snap| {
             for (f, flow) in snap.flows.iter_mut().enumerate() {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "the sampler's flow rows and stats.flows are both sized to num_flows"
+                )]
                 let fs = &stats.flows[f];
-                flow.injected_packets = sources[flow_to_source[f]].injected_packets;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "flow_to_source is sized to num_flows and maps each flow to its source index"
+                )]
+                {
+                    flow.injected_packets = sources[flow_to_source[f]].injected_packets;
+                }
                 flow.delivered_flits = fs.delivered_flits;
                 flow.latency_sum = fs.latency_sum;
                 flow.latency_samples = fs.latency_samples;
@@ -646,7 +709,13 @@ impl Network {
             let mut link = 0;
             for router in routers.iter() {
                 for out in &router.outputs {
-                    snap.link_flits[link] = out.flits_launched_total;
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "the sampler holds one link slot per router output, the count this walk visits"
+                    )]
+                    {
+                        snap.link_flits[link] = out.flits_launched_total;
+                    }
                     link += 1;
                 }
             }
@@ -660,7 +729,6 @@ impl Network {
         }
     }
 
-    // taqos-lint: hot
     fn phase_frame_rollover(&mut self) {
         if let Some(frame) = self.frame_len {
             if frame > 0 && self.now.is_multiple_of(frame) {

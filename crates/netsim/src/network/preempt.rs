@@ -12,12 +12,16 @@ impl Network {
     /// `router` — the victim candidates — into `probe_scratch` (reused: under
     /// saturation a probe fires for every blocked output every cycle), and
     /// returns whether there are any.
-    // taqos-lint: hot
     pub(super) fn gather_victim_candidates(&mut self, router: usize, in_port: usize) -> bool {
         self.probe_scratch.clear();
-        for vc in &self.routers[router].inputs[in_port].vcs {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "probe events name a target endpoint router and input port that validate() range-checked"
+        )]
+        let vcs = &self.routers[router].inputs[in_port].vcs;
+        for vc in vcs {
             if vc.is_resident_idle() {
-                // taqos-lint: allow(panic-path) -- is_resident_idle implies an occupant
+                #[expect(clippy::expect_used, reason = "is_resident_idle implies an occupant")]
                 let pid = vc.packet().expect("resident VC has a packet");
                 if let Some(packet) = self.packets.hot(pid) {
                     self.probe_scratch.push((pid, packet.flow, packet.reserved));
@@ -33,14 +37,21 @@ impl Network {
     /// retransmit. Returns the VC the victim held and the output it had been
     /// routed to (if the routing phase had reached it), or `None` if the
     /// victim is no longer resident and idle there.
-    // taqos-lint: hot
     pub(super) fn flush_victim(
         &mut self,
         router: usize,
         in_port: usize,
         victim: PacketId,
     ) -> Option<(usize, Option<OutPortId>)> {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "probe events name a target endpoint router and input port that validate() range-checked"
+        )]
         let router_state = &mut self.routers[router];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "probe events name a target endpoint router and input port that validate() range-checked"
+        )]
         let port = &mut router_state.inputs[in_port];
         let vc = port
             .vcs
@@ -50,7 +61,10 @@ impl Network {
         // head arrived, i.e. before the routing phase ran; its entry then
         // leaves the unrouted list (whose order the routing driver restores
         // by sorting).
-        // taqos-lint: allow(panic-index) -- vc was just produced by position() over this vector
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "vc was just produced by position() over this vector"
+        )]
         let route = port.vcs[vc].route();
         if route.is_none() {
             let heads = &mut router_state.unrouted_heads;
@@ -62,10 +76,13 @@ impl Network {
         let node = router_state.node;
 
         // As in delivery, only scalar fields of the victim are needed.
+        #[expect(
+            clippy::expect_used,
+            reason = "preemption victims are chosen from live residents"
+        )]
         let packet = self
             .packets
             .get(victim)
-            // taqos-lint: allow(panic-path) -- preemption victims are chosen from live residents
             .expect("victim packet must be live");
         let (flow, origin_source) = (packet.flow, packet.origin_source);
         let wasted_hops = packet.src.column_distance(node);

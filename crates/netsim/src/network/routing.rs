@@ -11,7 +11,6 @@ impl Network {
     /// Assigns an output to the packet in VC `vi` of input port `pi` of router
     /// `ri`, if its head arrived since the last routing pass, and returns the
     /// output, the packet and its hot fields.
-    // taqos-lint: hot
     #[inline]
     pub(super) fn route_head(
         &mut self,
@@ -20,7 +19,15 @@ impl Network {
         vi: usize,
     ) -> Option<(OutPortId, PacketId, HotPacket)> {
         self.profile.route_checks += 1;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the drivers pass a live router index, and spec.routers and routers are built 1:1"
+        )]
         let (rspec, router) = (&self.spec.routers[ri], &mut self.routers[ri]);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the drivers pass an input port and VC of this router: every one, or an unrouted head recorded from live VC coordinates"
+        )]
         let vc = &router.inputs[pi].vcs[vi];
         let (Some(id), None) = (vc.packet(), vc.route()) else {
             return None;
@@ -28,15 +35,21 @@ impl Network {
         if vc.flits_arrived == 0 {
             return None;
         }
-        let packet = self
-            .packets
-            .hot(id)
-            // taqos-lint: allow(panic-path) -- VC occupancy and packet lifetime are updated together
-            .expect("buffered packet must be live");
+        #[expect(
+            clippy::expect_used,
+            reason = "VC occupancy and packet lifetime are updated together"
+        )]
+        let packet = self.packets.hot(id).expect("buffered packet must be live");
         let cursor = &mut router.route_rr_cursor;
-        // taqos-lint: allow(panic-index) -- the router's input states mirror the spec's input ports, and pi just indexed the states
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the router's input states mirror the spec's input ports, and pi just indexed the states"
+        )]
         let out = compute_route(rspec, &rspec.inputs[pi], packet.dst, cursor);
-        // taqos-lint: allow(panic-index) -- the same pi and vi indexed the VC whose packet was just read
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the same pi and vi indexed the VC whose packet was just read"
+        )]
         router.inputs[pi].vcs[vi].set_route(out);
         self.profile.heads_routed += 1;
         // A routed head is allocation work (the allocation phase unmarks

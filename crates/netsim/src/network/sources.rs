@@ -19,7 +19,6 @@ impl Network {
     /// the reply waiting at reply port `port` whose flow has the best
     /// priority at the port's router (earliest arrival among equals),
     /// counting every priority it reads in `scanned`.
-    // taqos-lint: hot
     #[inline]
     pub(super) fn visit_source(
         &mut self,
@@ -48,7 +47,10 @@ impl Network {
             profile,
             ..
         } = self;
-        // taqos-lint: allow(panic-index) -- the drivers pass live source indices: every one, or the set bits of source_work
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the drivers pass live source indices: every one, or the set bits of source_work"
+        )]
         let source = &mut sources[si];
         // 1. Traffic generation — one generator call per cycle. An
         // exhausted generator returns `None` without consuming entropy
@@ -93,7 +95,10 @@ impl Network {
             // order follows flow priority, not head-of-line arrival.
             // NACKed replies re-queued at the front drain first.
             if source.queue.is_empty() && source.can_inject() {
-                // taqos-lint: allow(panic-index) -- sources are validated to reference live routers, and qos is built 1:1 with them
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "sources are validated to reference live routers, and qos is built 1:1 with them"
+                )]
                 let (router, router_qos) = (&mut routers[source.router], &*qos[source.router]);
                 let scanned = &mut profile.reply_candidates_scanned;
                 if let Some((reply, _)) =
@@ -106,15 +111,24 @@ impl Network {
 
         // 2. Start a new injection if possible.
         if source.can_start_injection() {
-            // taqos-lint: allow(panic-path) -- can_start_injection checked the queue is non-empty
+            #[expect(
+                clippy::expect_used,
+                reason = "can_start_injection checked the queue is non-empty"
+            )]
             let packet_id = source.queue.pop_front().expect("queue checked non-empty");
-            // taqos-lint: allow(panic-path) -- can_start_injection checked a free VC is available
+            #[expect(
+                clippy::expect_used,
+                reason = "can_start_injection checked a free VC is available"
+            )]
             let vc = source.free_vcs.pop().expect("credit checked available");
             let quota = policy.reserved_quota(source.flow);
             let len = {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "queued ids are removed before their packets are freed"
+                )]
                 let packet = packets
                     .get_mut(packet_id)
-                    // taqos-lint: allow(panic-path) -- queued ids are removed before their packets are freed
                     .expect("queued packet must be live");
                 if packet.injected_at.is_none() {
                     packet.injected_at = Some(now);
@@ -148,6 +162,10 @@ impl Network {
 
         // 3. Stream one flit of the active injection into the router.
         if let Some(transfer) = &mut source.active {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "sources are validated to reference live routers"
+            )]
             let router = &mut routers[source.router];
             let (in_port, vc) = (source.in_port.0, transfer.vc.index());
             if transfer.flits_sent == 0 {
@@ -155,6 +173,10 @@ impl Network {
                 mark_router(routing_work, source.router);
                 mark_router(alloc_work, source.router);
             } else {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "validate() range-checked the source's injection port, and vc was claimed from the credits of that port's VCs"
+                )]
                 router.inputs[in_port].vcs[vc].accept_body(transfer.packet);
             }
             transfer.flits_sent += 1;

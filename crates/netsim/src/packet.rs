@@ -5,8 +5,22 @@
 //! virtual channel has been acquired, so individual flits are represented by
 //! counters rather than separate objects.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::ids::{Cycle, FlowId, NodeId, PacketId};
 use serde::{Deserialize, Serialize};
+#[expect(
+    clippy::disallowed_types,
+    reason = "seed-faithful reference backend; keyed access only, never iterated"
+)]
 use std::collections::HashMap;
 
 /// Traffic class of a packet.
@@ -244,7 +258,10 @@ enum Backend {
         next_seq: u32,
     },
     Map {
-        // taqos-lint: allow(hash-iter) -- seed-faithful reference backend; keyed access only, never iterated
+        #[expect(
+            clippy::disallowed_types,
+            reason = "seed-faithful reference backend; keyed access only, never iterated"
+        )]
         packets: HashMap<PacketId, Packet>,
         next_id: u64,
     },
@@ -356,7 +373,10 @@ impl PacketStore {
     pub fn new_reference() -> Self {
         PacketStore {
             backend: Backend::Map {
-                // taqos-lint: allow(hash-iter) -- seed-faithful reference backend; keyed access only, never iterated
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "seed-faithful reference backend; keyed access only, never iterated"
+                )]
                 packets: HashMap::new(),
                 next_id: 0,
             },
@@ -390,20 +410,32 @@ impl PacketStore {
                     seq != HOT_FREE,
                     "packet allocation sequence exhausted (2^32 packets)"
                 );
-                *next_seq = next_seq
-                    .checked_add(1)
-                    .expect("packet allocation sequence exhausted (2^32 packets)");
+                // The assert keeps `seq` below `u32::MAX`, so this cannot wrap.
+                *next_seq = seq + 1;
                 if let Some(slot_idx) = free.pop() {
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "the free list only holds indices of existing slots"
+                    )]
                     let slot = &mut slots[slot_idx as usize];
                     let id = slab_id(slot_idx, seq);
                     debug_assert!(slot.packet.is_none(), "free list held an occupied slot");
                     slot.current = id;
                     let packet = build(id);
-                    // taqos-lint: allow(panic-index) -- the free list only holds indices of existing slots and hot mirrors slots 1:1
-                    hot[slot_idx as usize] = HotRec::of(seq, &packet);
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "the free list only holds indices of existing slots and hot mirrors slots 1:1"
+                    )]
+                    {
+                        hot[slot_idx as usize] = HotRec::of(seq, &packet);
+                    }
                     slot.packet = Some(packet);
                     id
                 } else {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a slot is pushed only by an allocation, and the assert above caps allocations below u32::MAX, so slots.len() fits in u32"
+                    )]
                     let slot_idx = u32::try_from(slots.len()).expect("slab exceeds 2^32 slots");
                     let id = slab_id(slot_idx, seq);
                     let packet = build(id);
@@ -494,20 +526,31 @@ impl PacketStore {
         match &mut self.backend {
             Backend::Slab { slots, hot, .. } => {
                 let slot_idx = slab_slot(id);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "reserved status is only stamped on live queued packets"
+                )]
                 let packet = slots
                     .get_mut(slot_idx)
                     .filter(|slot| slot.current == id)
                     .and_then(|slot| slot.packet.as_mut())
-                    // taqos-lint: allow(panic-path) -- reserved status is only stamped on live queued packets
                     .expect("reserved status set on a dead packet");
                 packet.reserved = reserved;
-                // taqos-lint: allow(panic-index) -- slot_idx was bounds-checked against slots above and hot mirrors slots 1:1
-                hot[slot_idx].reserved = u8::from(reserved);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "slot_idx was bounds-checked against slots above and hot mirrors slots 1:1"
+                )]
+                {
+                    hot[slot_idx].reserved = u8::from(reserved);
+                }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "reserved status is only stamped on live queued packets"
+            )]
             Backend::Map { packets, .. } => {
                 packets
                     .get_mut(&id)
-                    // taqos-lint: allow(panic-path) -- reserved status is only stamped on live queued packets
                     .expect("reserved status set on a dead packet")
                     .reserved = reserved;
             }
@@ -550,8 +593,13 @@ impl PacketStore {
                     return None;
                 }
                 let packet = slot.packet.take()?;
-                // taqos-lint: allow(panic-index) -- slot_idx was bounds-checked against slots above and hot mirrors slots 1:1
-                hot[slot_idx] = HOT_EMPTY;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "slot_idx was bounds-checked against slots above and hot mirrors slots 1:1"
+                )]
+                {
+                    hot[slot_idx] = HOT_EMPTY;
+                }
                 free.push(slot_idx as u32);
                 *live -= 1;
                 Some(packet)

@@ -1,5 +1,15 @@
 //! Runtime state of router ports, credits, and in-progress transfers.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::config::SimConfig;
 use crate::event::Event;
 use crate::ids::{Cycle, FlowId, InPortId, PacketId, VcId};
@@ -45,22 +55,6 @@ impl InputPortState {
             .map(|i| VcState::new(i >= count - reserved))
             .collect();
         InputPortState { vcs, feeder: None }
-    }
-
-    /// Packets fully resident (and idle) in this port, as preemption victim
-    /// candidates: `(vc, packet)` pairs.
-    pub fn resident_idle_packets(&self) -> Vec<(VcId, PacketId)> {
-        self.vcs
-            .iter()
-            .enumerate()
-            .filter(|(_, vc)| vc.is_resident_idle())
-            .filter_map(|(i, vc)| vc.packet().map(|p| (VcId(i as u16), p)))
-            .collect()
-    }
-
-    /// Number of occupied VCs.
-    pub fn occupied_vcs(&self) -> usize {
-        self.vcs.iter().filter(|vc| !vc.is_free()).count()
     }
 }
 
@@ -227,14 +221,6 @@ impl OutputPortState {
     pub fn can_grant(&self) -> bool {
         self.granted.len() < SimConfig::GRANT_QUEUE_DEPTH
     }
-
-    /// Flits that remain to be launched across all granted transfers.
-    pub fn backlog_flits(&self) -> u32 {
-        self.granted
-            .iter()
-            .map(|t| u32::from(t.len - t.flits_launched))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -258,7 +244,6 @@ mod tests {
         assert!(!state.vcs[0].reserved_vc());
         assert!(!state.vcs[2].reserved_vc());
         assert!(state.vcs[3].reserved_vc());
-        assert_eq!(state.occupied_vcs(), 0);
     }
 
     #[test]
@@ -266,9 +251,9 @@ mod tests {
         let spec = InputPortSpec::injection("in", VcConfig::new(2, 4), 0);
         let mut state = InputPortState::from_spec(&spec);
         state.vcs[1].accept_head(PacketId(9), 1);
-        let resident = state.resident_idle_packets();
-        assert_eq!(resident, vec![(VcId(1), PacketId(9))]);
-        assert_eq!(state.occupied_vcs(), 1);
+        assert!(state.vcs[1].is_resident_idle());
+        assert_eq!(state.vcs[1].packet(), Some(PacketId(9)));
+        assert!(state.vcs[0].is_free());
     }
 
     #[test]
@@ -300,7 +285,7 @@ mod tests {
     #[test]
     fn unlimited_credits_never_run_out() {
         let mut credits = TargetCreditState::new(1, 0, true);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..100 {
             assert!(credits.has_credit(false));
             let (vc, reserved) = credits.claim(false).unwrap();
@@ -328,6 +313,5 @@ mod tests {
         );
         let state = OutputPortState::from_spec(&spec);
         assert!(state.can_grant());
-        assert_eq!(state.backlog_flits(), 0);
     }
 }

@@ -55,22 +55,15 @@ pub trait RouterQos: Send {
     /// candidate's current priority (the value [`Self::priority`] would
     /// return) as the fourth tuple element, plus the contender's. The
     /// simulator's optimized engine memoises priorities per router and calls
-    /// this to spare policies from recomputing them on every probe; policies
-    /// whose victim choice is a pure function of those priorities (such as
-    /// PVC) should override it. The default delegates to `select_victim`.
+    /// this to spare policies from recomputing them on every probe, so it
+    /// must not allocate: it runs on every probe under saturation. It must
+    /// pick the same victim as `select_victim` (engine equivalence).
     fn select_victim_prioritized(
         &self,
         contender: FlowId,
         contender_priority: u64,
         candidates: &[(PacketId, FlowId, bool, u64)],
-    ) -> Option<PacketId> {
-        let _ = contender_priority;
-        let plain: Vec<(PacketId, FlowId, bool)> = candidates
-            .iter()
-            .map(|&(packet, flow, reserved, _)| (packet, flow, reserved))
-            .collect();
-        self.select_victim(contender, &plain)
-    }
+    ) -> Option<PacketId>;
 
     /// Replaces the policy's per-flow relative service rates (one positive
     /// value per flow) with a new programme. The engine calls this **only at
@@ -145,6 +138,15 @@ impl RouterQos for FifoRouterQos {
         &self,
         _contender: FlowId,
         _candidates: &[(PacketId, FlowId, bool)],
+    ) -> Option<PacketId> {
+        None
+    }
+
+    fn select_victim_prioritized(
+        &self,
+        _contender: FlowId,
+        _contender_priority: u64,
+        _candidates: &[(PacketId, FlowId, bool, u64)],
     ) -> Option<PacketId> {
         None
     }

@@ -187,17 +187,11 @@ impl RouterState {
     /// computation. The one place the occupancy counter moves up and a head
     /// joins the unrouted list (`NetworkSpec::validate` bounds port indices
     /// and `VcId` bounds VC indices by `u16`).
-    // taqos-lint: hot
     #[inline]
     pub(crate) fn accept_head(&mut self, in_port: usize, vc: usize, packet: PacketId, len: u8) {
         self.inputs[in_port].vcs[vc].accept_head(packet, len);
         self.active_vcs += 1;
         self.unrouted_heads.push((in_port as u16, vc as u16));
-    }
-
-    /// Number of packets currently buffered in the router.
-    pub fn buffered_packets(&self) -> usize {
-        self.inputs.iter().map(|p| p.occupied_vcs()).sum()
     }
 }
 
@@ -214,7 +208,6 @@ impl RouterState {
 ///
 /// Panics if the routing table has no entry for `dst` — that is a topology
 /// construction bug, not a runtime condition.
-// taqos-lint: hot
 #[inline]
 pub fn compute_route(
     spec: &RouterSpec,
@@ -232,7 +225,7 @@ pub fn compute_route(
     let mut pick = 0;
     if candidates.len() > 1 {
         if let InputKind::Network { channel, .. } = in_port.kind {
-            // taqos-lint: allow(hot-alloc) -- cloning a slice iterator copies two pointers
+            // Cloning a slice iterator copies two pointers.
             if let Some(same) = candidates.clone().find(|out| {
                 matches!(
                     spec.outputs[out.0].kind,
@@ -245,7 +238,7 @@ pub fn compute_route(
         pick = *rr_cursor % candidates.len();
         *rr_cursor = rr_cursor.wrapping_add(1);
     }
-    // taqos-lint: allow(panic-path) -- a route holds at least one candidate and `pick` is below their count
+    // A route holds at least one candidate and `pick` is below their count.
     candidates.nth(pick).expect("route has a candidate")
 }
 
@@ -321,7 +314,6 @@ mod tests {
         let state = RouterState::from_spec(&spec, 1);
         assert_eq!(state.inputs.len(), 3);
         assert_eq!(state.outputs.len(), 3);
-        assert_eq!(state.buffered_packets(), 0);
         assert_eq!(state.node, NodeId(3));
     }
 

@@ -164,7 +164,6 @@ impl SourceState {
     /// per-cycle work; they move only on an ACK or NACK event. The
     /// generation side (generator, requester window, timers) is the
     /// caller's half of the sleep predicate.
-    // taqos-lint: hot
     pub fn is_dormant(&self, pending_reply: bool) -> bool {
         self.active.is_none() && !((pending_reply || !self.queue.is_empty()) && self.can_inject())
     }
@@ -239,9 +238,8 @@ impl WakeTimers {
     }
 
     /// Ensures `source` is woken no later than cycle `at`.
-    // taqos-lint: hot
     pub(crate) fn arm(&mut self, source: usize, at: Cycle) {
-        // taqos-lint: allow(panic-index) -- armed is sized to the source count and callers pass live source indices
+        // Armed is sized to the source count and callers pass live source indices.
         let armed = &mut self.armed[source];
         if at < *armed {
             *armed = at;
@@ -250,14 +248,13 @@ impl WakeTimers {
     }
 
     /// Removes and returns one source whose timer is due by `now`.
-    // taqos-lint: hot
     pub(crate) fn pop_due(&mut self, now: Cycle) -> Option<usize> {
         while let Some(&Reverse((at, source))) = self.heap.peek() {
             if at > now {
                 break;
             }
             self.heap.pop();
-            // taqos-lint: allow(panic-index) -- heap entries are only ever pushed by arm(), with in-range sources
+            // Heap entries are only ever pushed by arm(), with in-range sources.
             let armed = &mut self.armed[source as usize];
             if *armed == at {
                 *armed = Self::NEVER;

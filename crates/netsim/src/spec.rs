@@ -316,7 +316,7 @@ impl RouteTable {
         if self.rows.len() < start + self.width {
             self.rows.resize(start + self.width, 0);
         }
-        // taqos-lint: allow(panic-index) -- the rows were just grown to cover this one, and a row holds `width - 1 >= ports.len()` ports
+        // The rows were just grown to cover this one, and a row holds `width - 1 >= ports.len()` ports.
         let row = &mut self.rows[start..start + self.width];
         row.fill(0);
         row[0] = count;
@@ -326,7 +326,6 @@ impl RouteTable {
     }
 
     /// The candidate output ports for `dst`, if it has a route.
-    // taqos-lint: hot
     #[inline]
     pub fn get(&self, dst: NodeId) -> Option<Ports<'_>> {
         let start = dst.index() * self.width;
@@ -360,7 +359,6 @@ pub struct Ports<'a>(std::slice::Iter<'a, u8>);
 impl Iterator for Ports<'_> {
     type Item = OutPortId;
 
-    // taqos-lint: hot
     #[inline]
     fn next(&mut self) -> Option<OutPortId> {
         self.0.next().map(|&port| OutPortId(usize::from(port)))
@@ -689,7 +687,7 @@ impl NetworkSpec {
         for router in &self.routers {
             for target in router.outputs.iter().flat_map(|o| &o.targets) {
                 if let TargetEndpoint::Router { router, in_port } = target.endpoint {
-                    // taqos-lint: allow(panic-index) -- target router and port were range-checked by the loop above
+                    // Target router and port were range-checked by the loop above.
                     if std::mem::replace(&mut fed[router][in_port.0], true) {
                         return Err(SpecError::new(format!(
                             "input port {} of router {router} has two feeders",
@@ -700,7 +698,7 @@ impl NetworkSpec {
             }
         }
         for source in &self.sources {
-            // taqos-lint: allow(panic-index) -- source router and port were range-checked by the loop above
+            // Source router and port were range-checked by the loop above.
             if std::mem::replace(&mut fed[source.router][source.in_port.0], true) {
                 return Err(SpecError::new(format!(
                     "injection port of source {} already has a feeder",

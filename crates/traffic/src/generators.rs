@@ -167,7 +167,7 @@ mod tests {
             DestinationPattern::UniformRandom(dests),
             7,
         );
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for now in 0..500 {
             if let Some(p) = g.generate(now) {
                 seen.insert(p.dst);

@@ -4,7 +4,9 @@
 //! queue, scratch-buffer arbitration, active-set tracking) must be
 //! *cycle-for-cycle equivalent* to the reference engine that reproduces the
 //! seed implementation's data structures (hash-map store, binary-heap queue,
-//! per-cycle allocations, full scans). These tests compare entire
+//! full scans; like the optimized engine it makes only a handful of
+//! allocations per 10 000 steady-state cycles, see `tests/footprint.rs`).
+//! These tests compare entire
 //! [`NetStats`] values with `==` — every counter, per-flow vector and energy
 //! figure must match exactly, on every topology family, with and without
 //! preemption in play.
