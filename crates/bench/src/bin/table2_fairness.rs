@@ -27,13 +27,13 @@ fn print_rows(rows: &[FairnessResult]) {
         println!(
             "{:<10} {:>10.0} {:>12.0} ({:>6.1}%) {:>12.0} ({:>6.1}%) {:>10.1} ({:>5.1}%) {:>8.4}",
             row.topology.name(),
-            row.mean,
-            row.min,
-            row.min_pct_of_mean(),
-            row.max,
-            row.max_pct_of_mean(),
-            row.std_dev,
-            row.std_dev_pct_of_mean(),
+            row.summary.mean,
+            row.summary.min,
+            row.summary.min_pct_of_mean(),
+            row.summary.max,
+            row.summary.max_pct_of_mean(),
+            row.summary.std_dev,
+            row.summary.std_dev_pct_of_mean(),
             row.jain,
         );
     }

@@ -34,7 +34,7 @@ pub struct CliArgs {
 
 impl CliArgs {
     /// Parses the given iterator of arguments (excluding the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    pub(crate) fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
         let mut parsed = CliArgs::default();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
@@ -78,7 +78,11 @@ impl CliArgs {
     /// Returns a message naming the flag when a value is present but does
     /// not parse (`--cycles 10k`): falling back to the default there would
     /// silently run a different experiment from the one asked for.
-    pub fn parsed_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+    pub(crate) fn parsed_or<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, String> {
         match self.value(name) {
             None => Ok(default),
             Some(raw) => raw.parse().map_err(|_| {
@@ -90,8 +94,8 @@ impl CliArgs {
         }
     }
 
-    /// [`Self::parsed_or`] for the harness binaries' `main`: an unparseable
-    /// value prints the error and exits with status 2.
+    /// `parsed_or` for the harness binaries' `main`: an unparseable value
+    /// prints the error and exits with status 2.
     pub fn value_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         self.parsed_or(name, default).unwrap_or_else(|message| {
             eprintln!("error: {message}");

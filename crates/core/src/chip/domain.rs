@@ -24,14 +24,14 @@ impl std::fmt::Display for DomainId {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Domain {
     /// Identifier assigned by the chip allocator.
-    pub id: DomainId,
+    pub(crate) id: DomainId,
     /// Human-readable owner name (application or VM).
-    pub name: String,
+    pub(crate) name: String,
     /// Nodes belonging to the domain.
     pub nodes: BTreeSet<Coord>,
     /// Relative service weight used when programming per-flow rates at the
     /// QOS-enabled routers of the shared regions.
-    pub weight: u32,
+    pub(crate) weight: u32,
 }
 
 impl Domain {
@@ -40,7 +40,12 @@ impl Domain {
     /// # Panics
     ///
     /// Panics if the node set is empty or the weight is zero.
-    pub fn new(id: DomainId, name: impl Into<String>, nodes: BTreeSet<Coord>, weight: u32) -> Self {
+    pub(crate) fn new(
+        id: DomainId,
+        name: impl Into<String>,
+        nodes: BTreeSet<Coord>,
+        weight: u32,
+    ) -> Self {
         assert!(!nodes.is_empty(), "a domain needs at least one node");
         assert!(weight > 0, "a domain needs a positive weight");
         Domain {
@@ -51,13 +56,8 @@ impl Domain {
         }
     }
 
-    /// Number of nodes in the domain.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Whether `coord` belongs to the domain.
-    pub fn contains(&self, coord: Coord) -> bool {
+    pub(crate) fn contains(&self, coord: Coord) -> bool {
         self.nodes.contains(&coord)
     }
 
@@ -65,11 +65,6 @@ impl Domain {
     /// all dimension-order paths between member nodes stay inside the domain.
     pub fn is_convex(&self, grid: &ChipGrid) -> bool {
         grid.is_convex_region(&self.nodes)
-    }
-
-    /// Whether the domain overlaps another domain.
-    pub fn overlaps(&self, other: &Domain) -> bool {
-        self.nodes.iter().any(|c| other.nodes.contains(c))
     }
 
     /// Grid rows spanned by the domain.
@@ -91,7 +86,7 @@ mod tests {
         let grid = ChipGrid::paper();
         let d = Domain::new(DomainId(0), "web", rect(&grid, 0, 0, 3, 2), 2);
         assert!(d.is_convex(&grid));
-        assert_eq!(d.node_count(), 6);
+        assert_eq!(d.nodes.len(), 6);
         assert!(d.contains(Coord::new(2, 1)));
         assert!(!d.contains(Coord::new(3, 0)));
         assert_eq!(d.rows(), [0u16, 1u16].into_iter().collect());
@@ -106,16 +101,6 @@ mod tests {
         nodes.insert(Coord::new(1, 2));
         let d = Domain::new(DomainId(1), "db", nodes, 1);
         assert!(!d.is_convex(&grid));
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let grid = ChipGrid::paper();
-        let a = Domain::new(DomainId(0), "a", rect(&grid, 0, 0, 2, 2), 1);
-        let b = Domain::new(DomainId(1), "b", rect(&grid, 1, 1, 2, 2), 1);
-        let c = Domain::new(DomainId(2), "c", rect(&grid, 4, 4, 2, 2), 1);
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&c));
     }
 
     #[test]

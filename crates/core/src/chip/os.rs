@@ -23,11 +23,11 @@ use taqos_topology::grid::Coord;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VmSpec {
     /// Name of the tenant.
-    pub name: String,
+    pub(crate) name: String,
     /// Number of threads the tenant runs.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Relative service weight from the tenant's service-level agreement.
-    pub weight: u32,
+    pub(crate) weight: u32,
 }
 
 impl VmSpec {
@@ -135,17 +135,6 @@ impl Hypervisor {
         Ok(domain)
     }
 
-    /// Shuts a VM down, releasing its domain.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the domain is unknown.
-    pub fn shutdown_vm(&mut self, domain: DomainId) -> Result<(), ChipError> {
-        self.chip.release_domain(domain)?;
-        self.placements.retain(|p| p.domain != domain);
-        Ok(())
-    }
-
     /// Migrates a VM to a new region anchored at `to`: the domain's shape is
     /// preserved (every node moves by the same offset), the old region is
     /// released, and the thread placement follows the nodes. The destination
@@ -162,7 +151,11 @@ impl Hypervisor {
     /// Returns an error if the domain is unknown or the target region is
     /// unusable (outside the grid, overlapping a shared column or another
     /// domain). On error the VM keeps its old region.
-    pub fn migrate_vm(&mut self, domain: DomainId, to: Coord) -> Result<DomainId, ChipError> {
+    pub(crate) fn migrate_vm(
+        &mut self,
+        domain: DomainId,
+        to: Coord,
+    ) -> Result<DomainId, ChipError> {
         let placement_idx = self
             .placements
             .iter()
@@ -267,7 +260,7 @@ impl Hypervisor {
     /// whole chip. The same allocation then drives the scoped virtual clock
     /// at the column routers and, through the closed-loop engine's flow
     /// weights, DRAM admission and bank scheduling.
-    pub fn program_node_rates(&self) -> RateAllocation {
+    pub(crate) fn program_node_rates(&self) -> RateAllocation {
         let width = usize::from(self.chip.grid().width);
         let height = usize::from(self.chip.grid().height);
         let mut weights = vec![1.0f64; width * height];
@@ -322,17 +315,6 @@ mod tests {
         hv.launch_vm(&VmSpec::new("batch", 8, 1)).unwrap();
         assert!(hv.co_scheduling_respected());
         assert_eq!(hv.placements().len(), 3);
-    }
-
-    #[test]
-    fn shutdown_releases_the_domain() {
-        let mut hv = Hypervisor::new(TopologyAwareChip::paper_default());
-        let free = hv.chip().free_nodes();
-        let id = hv.launch_vm(&VmSpec::new("web", 16, 2)).unwrap();
-        assert!(hv.chip().free_nodes() < free);
-        hv.shutdown_vm(id).unwrap();
-        assert_eq!(hv.chip().free_nodes(), free);
-        assert!(hv.placements().is_empty());
     }
 
     #[test]

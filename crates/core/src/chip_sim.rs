@@ -230,7 +230,7 @@ impl ChipSim {
 
     /// The memory controller serving `from`: the terminal of the nearest
     /// shared column on the node's own row (one MECS express hop away).
-    pub fn memory_controller_for(&self, from: Coord) -> NodeId {
+    pub(crate) fn memory_controller_for(&self, from: Coord) -> NodeId {
         let column = self.chip.nearest_shared_column(from);
         self.node_id(Coord::new(column, from.y))
     }
@@ -254,7 +254,7 @@ impl ChipSim {
     /// sibling controller when the preferred one is permanently dark, or
     /// `None` when every controller is dark. Without a fault plan this is
     /// exactly [`Self::memory_controller_for`].
-    pub fn live_memory_controller_for(&self, from: Coord) -> Option<NodeId> {
+    pub(crate) fn live_memory_controller_for(&self, from: Coord) -> Option<NodeId> {
         let preferred = self.memory_controller_for(from);
         let Some(plan) = &self.fault else {
             return Some(preferred);
@@ -278,14 +278,6 @@ impl ChipSim {
             .or_else(|| failover_controller(preferred, &controllers, &dark))
     }
 
-    /// Fraction of the chip's routers that carry QOS hardware. Equal to
-    /// [`TopologyAwareChip::qos_router_fraction`] by construction: the
-    /// fabric's per-router QOS flags are generated from the same shared
-    /// columns.
-    pub fn qos_router_fraction(&self) -> f64 {
-        self.chip.qos_router_fraction()
-    }
-
     /// Builds the hybrid fabric specification (with the QOS overlay's buffer
     /// reservations provisioned).
     pub fn build_spec(&self) -> ChipSpec {
@@ -301,7 +293,7 @@ impl ChipSim {
     /// A PVC overlay programmed with explicit (non-equal) per-flow rates,
     /// confined to the shared columns — the knob the `Hypervisor` turns when
     /// tenants carry different service weights
-    /// ([`crate::chip::Hypervisor::program_node_rates`] produces a matching
+    /// (`Hypervisor::program_node_rates` produces a matching
     /// allocation).
     ///
     /// # Panics
@@ -328,33 +320,6 @@ impl ChipSim {
             .iter()
             .map(|&c| FlowId(self.node_id(c).0))
             .collect())
-    }
-
-    /// Memory-hotspot workload plan: every node of each listed domain
-    /// streams at the domain's per-node rate (flits/cycle) to the memory
-    /// controller at `mc`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `mc` is not a shared-column terminal or a domain
-    /// does not exist.
-    pub fn memory_hotspot_plan(
-        &self,
-        demands: &[(DomainId, f64)],
-        mc: Coord,
-    ) -> Result<NodePlan, ChipError> {
-        if !self.chip.is_shared(mc) {
-            return Err(ChipError::NotASharedResource(mc));
-        }
-        let mc_node = self.node_id(mc);
-        let mut plan: NodePlan = vec![None; self.config.num_nodes()];
-        for &(id, rate) in demands {
-            let domain = self.chip.domain(id).ok_or(ChipError::UnknownDomain(id))?;
-            for &c in &domain.nodes {
-                plan[self.node_id(c).index()] = Some((rate, mc_node));
-            }
-        }
-        Ok(plan)
     }
 
     /// Nearest-controller workload plan: every node outside the shared
@@ -591,13 +556,14 @@ mod tests {
         let sim = ChipSim::paper_default();
         assert_eq!(sim.config().num_nodes(), 64);
         assert_eq!(sim.config().shared_columns.len(), 1);
-        assert!((sim.qos_router_fraction() - 0.125).abs() < 1e-12);
+        let fraction = sim.chip().qos_router_fraction();
+        assert!((fraction - 0.125).abs() < 1e-12);
         // The fabric's QOS flag count agrees with the architectural model.
         let spec = sim.build_spec();
-        assert!((spec.qos_router_fraction() - sim.qos_router_fraction()).abs() < 1e-12);
+        assert!((spec.qos_router_fraction() - fraction).abs() < 1e-12);
         assert_eq!(
             spec.qos_router_count(),
-            (sim.qos_router_fraction() * spec.spec.routers.len() as f64).round() as usize
+            (fraction * spec.spec.routers.len() as f64).round() as usize
         );
     }
 
@@ -631,15 +597,7 @@ mod tests {
 
     #[test]
     fn memory_plans_target_shared_columns_only() {
-        let mut sim = ChipSim::paper_default();
-        let id = sim.chip_mut().allocate_rectangle("vm", 2, 2, 1).unwrap();
-        let plan = sim
-            .memory_hotspot_plan(&[(id, 0.1)], Coord::new(4, 7))
-            .unwrap();
-        assert_eq!(plan.iter().filter(|e| e.is_some()).count(), 4);
-        assert!(sim
-            .memory_hotspot_plan(&[(id, 0.1)], Coord::new(3, 7))
-            .is_err());
+        let sim = ChipSim::paper_default();
         let nearest = sim.nearest_mc_plan(0.05);
         // All 56 non-column nodes are active.
         assert_eq!(nearest.iter().filter(|e| e.is_some()).count(), 56);

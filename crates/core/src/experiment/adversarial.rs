@@ -127,7 +127,7 @@ pub struct AttackReport {
     /// for the open-loop attack, round-trip latency for the closed-loop ones.
     pub victim_p99_unprotected: u64,
     /// Victim p99 latency (cycles) under PVC — the measured isolation bound.
-    pub victim_p99_pvc: u64,
+    pub(crate) victim_p99_pvc: u64,
     /// Victim service on the unprotected fabric (measured flits for the
     /// open-loop attack, measured round trips otherwise).
     pub victim_service_unprotected: u64,
@@ -349,12 +349,12 @@ pub fn attack_battery(config: &AttackConfig) -> Vec<AttackReport> {
 #[derive(Debug, Clone)]
 pub struct WeightedVmConfig {
     /// Service weight of each VM (16 threads, i.e. four nodes, per VM).
-    pub vm_weights: Vec<u32>,
+    pub(crate) vm_weights: Vec<u32>,
     /// Outstanding-miss window per VM node (deep enough to saturate the
     /// shared controller, so the weights are the binding constraint).
-    pub mlp: usize,
+    pub(crate) mlp: usize,
     /// Run phases: warm-up, measurement window, drain.
-    pub open_loop: OpenLoopConfig,
+    pub(crate) open_loop: OpenLoopConfig,
 }
 
 impl Default for WeightedVmConfig {
@@ -476,14 +476,14 @@ pub fn weighted_vm_experiment(config: &WeightedVmConfig) -> WeightedVmResult {
 pub struct MigrationConfig {
     /// Cycle at which the hypervisor migrates the victim VM and reprograms
     /// the rates (the MLP windows phase over at the same instant).
-    pub switch_at: Cycle,
+    pub(crate) switch_at: Cycle,
     /// Victim MLP window per node.
-    pub mlp: usize,
+    pub(crate) mlp: usize,
     /// Hog MLP window per node.
-    pub hog_mlp: usize,
+    pub(crate) hog_mlp: usize,
     /// Run phases: warm-up, measurement window (straddles `switch_at`),
     /// drain.
-    pub open_loop: OpenLoopConfig,
+    pub(crate) open_loop: OpenLoopConfig,
 }
 
 impl Default for MigrationConfig {

@@ -22,7 +22,7 @@
 //!   reply port, multiplying the victim's round-trip latency.
 //!
 //! The three scenarios are independent simulations and run across threads
-//! via [`crate::experiment::parallel_map`], as does the
+//! via `parallel_map`, as does the
 //! [`multi_column_scaling`] sweep (16×16 chips with 1–4 shared columns).
 //!
 //! With **DRAM-backed controllers** (banks, row buffers, bounded request
@@ -71,9 +71,9 @@ pub struct ChipIsolationConfig {
     pub hog_mlp: usize,
     /// DRAM service-time model at the contended controller; `None` keeps
     /// instant controllers (fabric-only contention).
-    pub dram: Option<DramConfig>,
+    pub(crate) dram: Option<DramConfig>,
     /// Run phases: warm-up, measurement window, drain.
-    pub open_loop: OpenLoopConfig,
+    pub(crate) open_loop: OpenLoopConfig,
 }
 
 impl Default for ChipIsolationConfig {
@@ -122,20 +122,20 @@ pub struct DomainOutcome {
     /// Round trips completed during the measurement window.
     pub round_trips: u64,
     /// Requests issued over the whole run.
-    pub issued_requests: u64,
+    pub(crate) issued_requests: u64,
     /// Completed round trips per cycle over the measurement window.
     pub throughput: f64,
     /// Median round-trip latency upper bound, in cycles (log2-bucket edge,
     /// clamped to the recorded maximum; see
     /// [`taqos_netsim::Hist64::percentile`]). `None` when histograms were off
     /// or the domain starved.
-    pub p50_round_trip: Option<u64>,
+    pub(crate) p50_round_trip: Option<u64>,
     /// 95th-percentile round-trip latency upper bound, in cycles.
-    pub p95_round_trip: Option<u64>,
+    pub(crate) p95_round_trip: Option<u64>,
     /// 99th-percentile round-trip latency upper bound, in cycles.
-    pub p99_round_trip: Option<u64>,
+    pub(crate) p99_round_trip: Option<u64>,
     /// Largest measured round-trip latency of the domain, in cycles.
-    pub max_round_trip: Option<u64>,
+    pub(crate) max_round_trip: Option<u64>,
 }
 
 impl DomainOutcome {
@@ -286,11 +286,11 @@ pub struct ColumnScalingConfig {
     /// Chip height in nodes.
     pub height: u16,
     /// Shared-column counts to sweep.
-    pub columns: Vec<usize>,
+    pub(crate) columns: Vec<usize>,
     /// MLP window of every requester node.
     pub mlp: usize,
     /// Run phases: warm-up, measurement window, drain.
-    pub open_loop: OpenLoopConfig,
+    pub(crate) open_loop: OpenLoopConfig,
 }
 
 impl Default for ColumnScalingConfig {
@@ -331,7 +331,7 @@ pub struct ColumnScalingPoint {
     /// Requester nodes (nodes outside the shared columns).
     pub requesters: usize,
     /// Round trips completed during the measurement window.
-    pub round_trips: u64,
+    pub(crate) round_trips: u64,
     /// Completed round trips per cycle over the window.
     pub throughput: f64,
     /// Average round-trip latency in cycles; `None` when nothing completed.
@@ -380,7 +380,7 @@ pub struct LatencyLoadConfig {
     /// [`ChipSim::topology_dram`] before the run).
     pub dram: DramConfig,
     /// Run phases: warm-up, measurement window, drain.
-    pub open_loop: OpenLoopConfig,
+    pub(crate) open_loop: OpenLoopConfig,
 }
 
 impl Default for LatencyLoadConfig {
@@ -420,20 +420,20 @@ pub struct LoadPoint {
     /// MLP window of every requester node at this point.
     pub mlp: usize,
     /// Requester nodes (nodes outside the shared columns).
-    pub requesters: usize,
+    pub(crate) requesters: usize,
     /// Completed round trips per cycle over the measurement window.
     pub throughput: f64,
     /// Average round-trip latency in cycles; `None` when nothing completed.
     pub avg_round_trip: Option<f64>,
     /// Median round-trip latency upper bound in cycles (conservative
     /// log2-bucket edge); `None` when nothing completed.
-    pub p50_round_trip: Option<u64>,
+    pub(crate) p50_round_trip: Option<u64>,
     /// 95th-percentile round-trip latency upper bound in cycles.
-    pub p95_round_trip: Option<u64>,
+    pub(crate) p95_round_trip: Option<u64>,
     /// 99th-percentile round-trip latency upper bound in cycles.
-    pub p99_round_trip: Option<u64>,
+    pub(crate) p99_round_trip: Option<u64>,
     /// Largest measured round-trip latency in cycles.
-    pub max_round_trip: Option<u64>,
+    pub(crate) max_round_trip: Option<u64>,
     /// Mean cycles a serviced request waited for a DRAM bank; `None` when
     /// nothing was serviced.
     pub avg_queue_wait: Option<f64>,
@@ -457,7 +457,7 @@ pub struct LoadPoint {
 /// [`LatencyLoadConfig::schedulers`]. Each point is one
 /// closed-loop build run through [`run_open_loop`]; the points run across
 /// threads via
-/// [`crate::experiment::parallel_map`].
+/// `parallel_map`.
 pub fn latency_under_load(config: &LatencyLoadConfig) -> Vec<LoadPoint> {
     let (base, open_loop) = (config.dram, config.open_loop);
     let mut runs = Vec::new();
@@ -507,9 +507,9 @@ pub struct MlpMixConfig {
     /// directly comparable.
     pub schedulers: Vec<DramScheduler>,
     /// DRAM model at the contended controller.
-    pub dram: DramConfig,
+    pub(crate) dram: DramConfig,
     /// Run phases: warm-up, measurement window, drain.
-    pub open_loop: OpenLoopConfig,
+    pub(crate) open_loop: OpenLoopConfig,
 }
 
 impl Default for MlpMixConfig {
@@ -604,7 +604,7 @@ enum MixRun {
 /// closing the last unprotected arbitration point. Points are returned
 /// scheduler-major in the order of [`MlpMixConfig::schedulers`]. One
 /// closed-loop run per (flavour, point, scenario), all
-/// sharded via [`crate::experiment::parallel_map`].
+/// sharded via `parallel_map`.
 pub fn mlp_mix_divergence(config: &MlpMixConfig) -> Vec<MixPoint> {
     let (sim, victim, hog, mc) = isolation_chip();
     let victim_flows = sim.domain_flows(victim).expect("victim exists");
@@ -707,8 +707,8 @@ pub fn chip_qos_area(chip: &ChipSpec) -> QosAreaReport {
 pub struct DegradationConfig {
     /// Numbers of permanently dead links to sweep, in increasing order; the
     /// first entry is the baseline every ratio is computed against (keep it
-    /// at 0 for fault-free baselines). At most
-    /// [`degradation_fault_sites`]`()` links can be killed.
+    /// at 0 for fault-free baselines). At most six links, the westbound mesh
+    /// links of the victim's reply path, can be killed.
     pub fault_counts: Vec<usize>,
     /// MLP window of each victim node.
     pub victim_mlp: usize,
@@ -775,7 +775,7 @@ pub struct DegradationPoint {
     pub protected_fault_drops: u64,
     /// Packets abandoned after exhausting the fault retransmit budget in
     /// the protected run.
-    pub protected_abandoned_packets: u64,
+    pub(crate) protected_abandoned_packets: u64,
     /// Request deadline expirations observed by the protected retry layer.
     pub protected_request_timeouts: u64,
     /// Requests re-issued by the protected retry layer.
@@ -792,14 +792,7 @@ pub struct DegradationPoint {
     pub protected_p99_vs_fault_free: Option<f64>,
     /// Victim p99 round-trip latency relative to the baseline unprotected
     /// point; `None` when either side has no tail figure.
-    pub unprotected_p99_vs_fault_free: Option<f64>,
-}
-
-/// Number of distinct fault sites the degradation sweep can kill (the
-/// westbound mesh links of the victim's reply path, rows 0–1 between the
-/// shared column and the victim corner).
-pub fn degradation_fault_sites() -> usize {
-    6
+    pub(crate) unprotected_p99_vs_fault_free: Option<f64>,
 }
 
 /// The `(router, out_port)` fault sites of the degradation sweep, nearest
@@ -881,13 +874,14 @@ pub fn chip_fault_bench_plan(sim: &ChipSim, seed: u64) -> FaultPlan {
 /// default configuration), while the bare fabric both starts from the hog's
 /// multiplied-interference latency and degrades faster as faults accumulate.
 /// Each `(fault count, scenario)` pair is one deterministic simulation; all
-/// of them run across threads via [`crate::experiment::parallel_map`].
+/// of them run across threads via `parallel_map`.
 ///
 /// An empty [`DegradationConfig::fault_counts`] gives an empty sweep.
 ///
 /// # Panics
 ///
-/// Panics if a fault count exceeds [`degradation_fault_sites`].
+/// Panics if a fault count exceeds the six fault sites of the victim's reply
+/// path.
 pub fn degradation_under_faults(config: &DegradationConfig) -> Vec<DegradationPoint> {
     if config.fault_counts.is_empty() {
         return Vec::new();

@@ -27,7 +27,7 @@ use taqos_traffic::workloads;
 #[derive(Debug, Clone)]
 pub struct SlaConfig {
     /// Column configuration.
-    pub column: ColumnConfig,
+    pub(crate) column: ColumnConfig,
     /// Service weight of each node's flows (one entry per node); delivered
     /// bandwidth should be proportional to these.
     pub node_weights: Vec<u32>,
@@ -37,9 +37,9 @@ pub struct SlaConfig {
     /// are the binding constraint).
     pub rate: f64,
     /// Warm-up cycles.
-    pub warmup: Cycle,
+    pub(crate) warmup: Cycle,
     /// Measurement window in cycles.
-    pub measure: Cycle,
+    pub(crate) measure: Cycle,
     /// Random seed.
     pub seed: u64,
 }
@@ -77,7 +77,7 @@ impl SlaConfig {
     /// Panics if the weight count does not match the column or a weight is
     /// zero — a zero service weight would make the share-error ratio
     /// (`(actual - expected) / expected`) divide by zero downstream.
-    pub fn rate_allocation(&self) -> RateAllocation {
+    pub(crate) fn rate_allocation(&self) -> RateAllocation {
         assert_eq!(
             self.node_weights.len(),
             self.column.nodes,
@@ -107,13 +107,11 @@ impl SlaConfig {
 /// Result of the differentiated-service experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SlaResult {
-    /// Topology under test.
-    pub topology: ColumnTopology,
     /// Flits delivered per node (all of the node's injectors combined)
     /// during the measurement window.
-    pub delivered_per_node: Vec<u64>,
+    pub(crate) delivered_per_node: Vec<u64>,
     /// Node weights the rates were programmed from.
-    pub node_weights: Vec<u32>,
+    pub(crate) node_weights: Vec<u32>,
     /// Worst relative error between the delivered share and the programmed
     /// share, across nodes.
     pub worst_share_error: f64,
@@ -166,7 +164,6 @@ pub fn sla_experiment(topology: ColumnTopology, config: &SlaConfig) -> SlaResult
     let (_, worst_share_error) =
         share_error(&delivered_per_node, &weight_shares(&config.node_weights));
     SlaResult {
-        topology,
         delivered_per_node,
         node_weights: config.node_weights.clone(),
         worst_share_error,

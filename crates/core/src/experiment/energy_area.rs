@@ -54,7 +54,7 @@ pub enum EnergyCategory {
 
 impl EnergyCategory {
     /// All categories in the paper's order.
-    pub fn all() -> [EnergyCategory; 4] {
+    pub(crate) fn all() -> [EnergyCategory; 4] {
         [
             EnergyCategory::Source,
             EnergyCategory::Intermediate,
@@ -79,7 +79,7 @@ impl EnergyCategory {
 pub struct EnergyEntry {
     /// Topology.
     pub topology: ColumnTopology,
-    /// Energy per category, in the order of [`EnergyCategory::all`].
+    /// Energy per category, in the order of `EnergyCategory::all`.
     pub per_category: Vec<(EnergyCategory, HopEnergy)>,
 }
 
@@ -138,16 +138,6 @@ impl EnergyReport {
     }
 }
 
-impl AreaReport {
-    /// Total router area of a topology, in mm².
-    pub fn total_mm2(&self, topology: ColumnTopology) -> Option<f64> {
-        self.entries
-            .iter()
-            .find(|e| e.topology == topology)
-            .map(|e| e.area.total_mm2())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,8 +146,12 @@ mod tests {
     fn area_report_covers_every_topology() {
         let report = area_report(&ColumnConfig::paper());
         assert_eq!(report.entries.len(), 5);
-        let x1 = report.total_mm2(ColumnTopology::MeshX1).unwrap();
-        let x4 = report.total_mm2(ColumnTopology::MeshX4).unwrap();
+        let total_mm2 = |topology| {
+            let entry = report.entries.iter().find(|e| e.topology == topology);
+            entry.unwrap().area.total_mm2()
+        };
+        let x1 = total_mm2(ColumnTopology::MeshX1);
+        let x4 = total_mm2(ColumnTopology::MeshX4);
         assert!(x1 < x4);
     }
 

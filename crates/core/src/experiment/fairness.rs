@@ -13,6 +13,7 @@ use crate::shared_region::SharedRegionSim;
 use serde::{Deserialize, Serialize};
 use taqos_netsim::qos::{FifoPolicy, QosPolicy};
 use taqos_netsim::sim::run_open_loop;
+use taqos_netsim::stats::ThroughputSummary;
 use taqos_netsim::{Cycle, NodeId};
 use taqos_qos::fairness::jain_index;
 use taqos_qos::pvc::PvcPolicy;
@@ -81,57 +82,18 @@ impl FairnessConfig {
 pub struct FairnessResult {
     /// Topology under test.
     pub topology: ColumnTopology,
-    /// Policy under test.
-    pub policy: String,
     /// Flits delivered per flow during the measurement window.
     pub flits_per_flow: Vec<u64>,
-    /// Mean flits per flow.
-    pub mean: f64,
-    /// Minimum flits across flows.
-    pub min: f64,
-    /// Maximum flits across flows.
-    pub max: f64,
-    /// Population standard deviation across flows.
-    pub std_dev: f64,
+    /// Mean, minimum, maximum and standard deviation of `flits_per_flow`.
+    pub summary: ThroughputSummary,
     /// Jain's fairness index of the per-flow throughput.
     pub jain: f64,
-    /// Fraction of packets that experienced a preemption.
-    pub preempted_packet_fraction: f64,
 }
 
 impl FairnessResult {
     /// Minimum as a percentage of the mean (Table 2 format).
     pub fn min_pct_of_mean(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            100.0 * self.min / self.mean
-        }
-    }
-
-    /// Maximum as a percentage of the mean (Table 2 format).
-    pub fn max_pct_of_mean(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            100.0 * self.max / self.mean
-        }
-    }
-
-    /// Standard deviation as a percentage of the mean (Table 2 format).
-    pub fn std_dev_pct_of_mean(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            100.0 * self.std_dev / self.mean
-        }
-    }
-
-    /// Largest deviation of any flow from the mean, as a percentage.
-    pub fn max_deviation_pct(&self) -> f64 {
-        let lo = (100.0 - self.min_pct_of_mean()).abs();
-        let hi = (self.max_pct_of_mean() - 100.0).abs();
-        lo.max(hi)
+        self.summary.min_pct_of_mean()
     }
 }
 
@@ -153,7 +115,6 @@ pub fn hotspot_fairness(
         FairnessPolicy::Pvc => Box::new(PvcPolicy::equal_rates(config.column.num_flows())),
         FairnessPolicy::NoQos => Box::new(FifoPolicy::new()),
     };
-    let policy_name = boxed.name().to_string();
     let network = sim
         .build(boxed, generators)
         .expect("generated column configurations are always valid");
@@ -161,21 +122,10 @@ pub fn hotspot_fairness(
 
     let flits_per_flow = stats.measured_flits_per_flow();
     let values: Vec<f64> = flits_per_flow.iter().map(|&v| v as f64).collect();
-    let mean = values.iter().sum::<f64>() / values.len().max(1) as f64;
-    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let variance =
-        values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / values.len().max(1) as f64;
-
     FairnessResult {
         topology,
-        policy: policy_name,
-        mean,
-        min,
-        max,
-        std_dev: variance.sqrt(),
+        summary: ThroughputSummary::from_observations(&flits_per_flow).unwrap_or_default(),
         jain: jain_index(&values),
-        preempted_packet_fraction: stats.preempted_packet_fraction(),
         flits_per_flow,
     }
 }
@@ -197,15 +147,13 @@ mod tests {
         let config = FairnessConfig::quick();
         let result = hotspot_fairness(ColumnTopology::MeshX1, FairnessPolicy::Pvc, &config);
         assert_eq!(result.flits_per_flow.len(), 64);
-        assert!(result.mean > 0.0, "hotspot must deliver traffic");
+        let summary = result.summary;
+        assert!(summary.mean > 0.0, "hotspot must deliver traffic");
         // Every flow delivers something and fairness is high.
-        assert!(result.min > 0.0, "no flow should starve under PVC");
+        assert!(summary.min > 0.0, "no flow should starve under PVC");
         assert!(result.jain > 0.9, "Jain index {}", result.jain);
-        assert!(
-            result.max_deviation_pct() < 35.0,
-            "max deviation {}%",
-            result.max_deviation_pct()
-        );
+        let deviation = (100.0 - summary.min_pct_of_mean()).max(summary.max_pct_of_mean() - 100.0);
+        assert!(deviation < 35.0, "max deviation {deviation}%");
     }
 
     #[test]
@@ -219,25 +167,6 @@ mod tests {
             pvc.jain,
             fifo.jain
         );
-        assert!(pvc.std_dev_pct_of_mean() < fifo.std_dev_pct_of_mean());
-    }
-
-    #[test]
-    fn result_percentage_helpers_are_consistent() {
-        let result = FairnessResult {
-            topology: ColumnTopology::Dps,
-            policy: "pvc".to_string(),
-            flits_per_flow: vec![90, 100, 110],
-            mean: 100.0,
-            min: 90.0,
-            max: 110.0,
-            std_dev: 8.16,
-            jain: 0.99,
-            preempted_packet_fraction: 0.0,
-        };
-        assert!((result.min_pct_of_mean() - 90.0).abs() < 1e-9);
-        assert!((result.max_pct_of_mean() - 110.0).abs() < 1e-9);
-        assert!((result.max_deviation_pct() - 10.0).abs() < 1e-9);
-        assert!((result.std_dev_pct_of_mean() - 8.16).abs() < 1e-9);
+        assert!(pvc.summary.std_dev_pct_of_mean() < fifo.summary.std_dev_pct_of_mean());
     }
 }

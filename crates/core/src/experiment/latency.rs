@@ -82,7 +82,7 @@ pub struct LatencyPoint {
     /// Fraction of packets that experienced a preemption.
     pub preempted_packet_fraction: f64,
     /// Fraction of hop traversals wasted by preemptions.
-    pub wasted_hop_fraction: f64,
+    pub(crate) wasted_hop_fraction: f64,
 }
 
 /// The paper's load points: 1 % to 15 % injection rate per injector.

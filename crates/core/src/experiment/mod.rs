@@ -111,7 +111,7 @@ pub(crate) fn share_error(delivered: &[u64], expected: &[f64]) -> (Vec<f64>, f64
 /// variants, isolation scenarios) over cores via `std::thread::scope`; each
 /// point is itself a fully deterministic single-threaded simulation, so the
 /// sharding changes wall-clock time and nothing else.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+pub(crate) fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,

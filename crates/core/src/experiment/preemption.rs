@@ -131,8 +131,6 @@ impl AdversarialConfig {
 pub struct PreemptionImpact {
     /// Topology under test.
     pub topology: ColumnTopology,
-    /// Workload that was run.
-    pub workload: AdversarialWorkload,
     /// Fraction of packets that experienced a preemption.
     pub preempted_packet_fraction: f64,
     /// Fraction of hop traversals wasted by preemptions.
@@ -220,7 +218,6 @@ pub fn preemption_impact(
 
     Ok(PreemptionImpact {
         topology,
-        workload,
         preempted_packet_fraction: pvc_stats.preempted_packet_fraction(),
         wasted_hop_fraction: pvc_stats.wasted_hop_fraction(),
         completion_cycles: completion,

@@ -62,11 +62,6 @@ impl SharedRegionSim {
         self
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
-    }
-
     /// The column topology being simulated.
     pub fn topology(&self) -> ColumnTopology {
         self.topology

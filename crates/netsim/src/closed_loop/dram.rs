@@ -84,7 +84,7 @@ pub enum PagePolicy {
     Open,
     /// The bank auto-precharges after every access: no access ever hits an
     /// open row, but none pays the precharge either — every access costs
-    /// [`DramConfig::closed_page_latency`] (activate + CAS). Better under
+    /// `DramConfig::closed_page_latency` (activate + CAS). Better under
     /// low-locality interleaved streams, worse under streaming.
     Closed,
 }
@@ -92,7 +92,7 @@ pub enum PagePolicy {
 /// Service-time model of a memory controller: a bounded request queue in
 /// front of a set of address-interleaved DRAM banks with row-buffer state.
 ///
-/// Requests carry a cache-line address ([`crate::packet::Packet::dram_line`],
+/// Requests carry a cache-line address (`Packet::dram_line`,
 /// synthesised per requester as a linear stream through a private region).
 /// Consecutive lines interleave across the controller's banks; each bank
 /// serves one request at a time, first-come-first-served per bank (a younger
@@ -223,19 +223,19 @@ impl DramConfig {
     /// every `banks` requests — never within its outstanding window — and
     /// the other flows sharing the controller thrash the open row in
     /// between, making row hits structurally impossible.
-    pub fn bank_of(&self, line: u64) -> usize {
+    pub(crate) fn bank_of(&self, line: u64) -> usize {
         ((line / self.lines_per_row) % self.banks as u64) as usize
     }
 
     /// Row (within its bank) a cache line maps to.
-    pub fn row_of(&self, line: u64) -> u64 {
+    pub(crate) fn row_of(&self, line: u64) -> u64 {
         line / self.lines_per_row / self.banks as u64
     }
 
     /// Service latency of a request against the bank's currently open row,
     /// under the **open-page** rule (the closed-page policy never consults
     /// the open row — see [`Self::service_outcome`]).
-    pub fn service_latency(&self, open_row: Option<u64>, row: u64) -> Cycle {
+    pub(crate) fn service_latency(&self, open_row: Option<u64>, row: u64) -> Cycle {
         if open_row == Some(row) {
             self.row_hit_latency
         } else {
@@ -247,7 +247,7 @@ impl DramConfig {
     /// open-page miss is precharge + activate + CAS and the hit is CAS
     /// alone; the precharge the closed-page bank already performed after
     /// the previous access is modelled as half the hit-to-miss gap.
-    pub fn closed_page_latency(&self) -> Cycle {
+    pub(crate) fn closed_page_latency(&self) -> Cycle {
         self.row_miss_latency - (self.row_miss_latency - self.row_hit_latency) / 2
     }
 
@@ -255,7 +255,7 @@ impl DramConfig {
     /// bank's open-row state, under the configured [`PagePolicy`]: the
     /// open-page rule of [`Self::service_latency`], or the uniform
     /// never-hitting closed-page cost.
-    pub fn service_outcome(&self, open_row: Option<u64>, row: u64) -> (bool, Cycle) {
+    pub(crate) fn service_outcome(&self, open_row: Option<u64>, row: u64) -> (bool, Cycle) {
         match self.page_policy {
             PagePolicy::Open => {
                 let hit = open_row == Some(row);
@@ -267,7 +267,7 @@ impl DramConfig {
 
     /// Open-row state of a bank after servicing `row`: the row stays open
     /// under the open-page policy, auto-precharges under closed-page.
-    pub fn row_after_service(&self, row: u64) -> Option<u64> {
+    pub(crate) fn row_after_service(&self, row: u64) -> Option<u64> {
         match self.page_policy {
             PagePolicy::Open => Some(row),
             PagePolicy::Closed => None,
@@ -279,7 +279,13 @@ impl DramConfig {
     /// `age × weight` measured against `age_cap ×` the mean weight
     /// (`total_weight / flows`). A flow of mean rate is overdue after
     /// exactly [`Self::age_cap`] cycles; higher-rate flows sooner.
-    pub fn is_overdue(&self, age: Cycle, weight: u64, total_weight: u64, flows: u64) -> bool {
+    pub(crate) fn is_overdue(
+        &self,
+        age: Cycle,
+        weight: u64,
+        total_weight: u64,
+        flows: u64,
+    ) -> bool {
         u128::from(age) * u128::from(weight) * u128::from(flows)
             >= u128::from(self.age_cap) * u128::from(total_weight)
     }
@@ -293,7 +299,7 @@ impl DramConfig {
     /// row-hit latency, or a latency is too large for the bank timeline
     /// (`now + latency`) and the virtual-clock charge
     /// (`latency × VCLOCK_SCALE`) to be representable.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         if self.banks == 0
             || self.queue_depth == 0
             || self.lines_per_row == 0
@@ -325,7 +331,7 @@ impl DramConfig {
 /// interference between flows is purely a bank-conflict effect; the extra
 /// `+128` (one default row of lines) staggers the starting bank of
 /// consecutive flows under the row-major mapping of
-/// [`DramConfig::bank_of`].
+/// `DramConfig::bank_of`.
 pub const DRAM_REGION_LINES: u64 = (1 << 32) + 128;
 
 /// Cache line read by the `issued`-th request of `flow`: each requester

@@ -23,7 +23,7 @@
 //! serving head-of-line — the controller sits inside the QOS-protected
 //! region, so its injection port is a QOS arbitration point like any other.
 //! Mechanically the reply is injected, windowed and retransmitted by the
-//! controller's source ([`crate::packet::Packet::origin_source`]).
+//! controller's source (`Packet::origin_source`).
 //!
 //! The behaviour lives in two components that own no fabric state: the
 //! requester (phase schedule, MLP window, deadlines, retries, reply
@@ -106,11 +106,11 @@ pub struct ClosedLoopSpec {
     pub flow_weights: Vec<u64>,
     /// Per-request deadline/retry behaviour applied to every requester.
     /// `None` keeps the pre-retry behaviour: requests wait forever.
-    pub retry: Option<RetryPolicy>,
+    pub(crate) retry: Option<RetryPolicy>,
     /// Dynamic traffic: per-flow phase schedules changing the effective MLP
     /// window at fixed cycles. Empty (the default) keeps every requester's
     /// static window.
-    pub phases: PhasedWorkload,
+    pub(crate) phases: PhasedWorkload,
 }
 
 impl ClosedLoopSpec {
@@ -138,14 +138,6 @@ impl ClosedLoopSpec {
     /// Installs a DRAM service-time model at every memory controller.
     pub fn with_dram(mut self, dram: DramConfig) -> Self {
         self.dram = Some(dram);
-        self
-    }
-
-    /// Programs the per-flow rate weights the priority-aware DRAM
-    /// schedulers scale their virtual clocks by (one weight per flow; all
-    /// weights must be positive).
-    pub fn with_flow_weights(mut self, weights: Vec<u64>) -> Self {
-        self.flow_weights = weights;
         self
     }
 

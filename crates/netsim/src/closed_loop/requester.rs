@@ -255,7 +255,7 @@ pub struct RetryPolicy {
     pub deadline: Cycle,
     /// Base backoff before a retry; attempt `n` waits
     /// `backoff × 2^(n-1) + jitter` with `jitter < backoff`.
-    pub backoff: Cycle,
+    pub(crate) backoff: Cycle,
     /// Total send budget per request, counting the first send. A request is
     /// abandoned when all `max_attempts` sends have timed out.
     pub max_attempts: u32,
@@ -751,7 +751,7 @@ mod tests {
         );
         assert!(sent
             .iter()
-            .all(|s| s.packet == GeneratedPacket::request(NodeId(4))));
+            .all(|s| s.packet.dst == NodeId(4) && s.packet.class == PacketClass::Request));
         let fs = &stats.flows[flow.index()];
         assert_eq!(
             (fs.issued_requests, fs.request_timeouts, fs.request_retries),

@@ -35,16 +35,8 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Whether this is the reference engine.
-    pub fn is_reference(self) -> bool {
+    pub(crate) fn is_reference(self) -> bool {
         matches!(self, EngineKind::Reference)
-    }
-
-    /// Short name used in benchmark reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Optimized => "optimized",
-            EngineKind::Reference => "reference",
-        }
     }
 }
 
@@ -62,15 +54,15 @@ pub struct TelemetryConfig {
     /// Record per-flow and aggregate latency/round-trip histograms
     /// ([`taqos_telemetry::Hist64`]) alongside the existing sum/count
     /// statistics.
-    pub histograms: bool,
+    pub(crate) histograms: bool,
     /// Per-frame time-series cadence in cycles; `0` disables sampling. At
     /// every multiple of this cadence the network snapshots per-flow
     /// progress deltas, router occupancy and link utilisation into
     /// [`crate::stats::NetStats::frames`].
-    pub frame_len: Cycle,
+    pub(crate) frame_len: Cycle,
     /// Maximum retained frames: older frames are overwritten (and counted as
     /// dropped) once the preallocated ring is full.
-    pub max_frames: usize,
+    pub(crate) max_frames: usize,
 }
 
 impl TelemetryConfig {
@@ -109,7 +101,7 @@ impl TelemetryConfig {
     }
 
     /// Whether frame sampling is enabled.
-    pub fn frames_enabled(&self) -> bool {
+    pub(crate) fn frames_enabled(&self) -> bool {
         self.frame_len > 0 && self.max_frames > 0
     }
 }
@@ -130,34 +122,34 @@ impl Default for TelemetryConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Hot-path engine selection; see [`EngineKind`].
-    pub engine: EngineKind,
+    pub(crate) engine: EngineKind,
     /// Deadlock/livelock watchdog horizon for the closed-loop driver: if a
     /// still-incomplete run observes no forward progress (no packet
     /// generated, delivered, serviced or abandoned) for this many cycles,
     /// [`crate::sim::run_closed`] fails with
     /// [`crate::error::SimError::NoForwardProgress`] instead of spinning
     /// until the cycle budget. `0` disables the watchdog.
-    pub progress_watchdog: Cycle,
+    pub(crate) progress_watchdog: Cycle,
     /// Telemetry switches (histograms, frame sampling); see
     /// [`TelemetryConfig`]. Off by default.
-    pub telemetry: TelemetryConfig,
+    pub(crate) telemetry: TelemetryConfig,
 }
 
 impl SimConfig {
     /// Maximum number of granted-but-unfinished transfers queued per output
     /// port. A small queue lets back-to-back packets stream without pipeline
     /// bubbles while keeping arbitration decisions timely.
-    pub const GRANT_QUEUE_DEPTH: usize = 3;
+    pub(crate) const GRANT_QUEUE_DEPTH: usize = 3;
     /// Credit return latency in cycles (freed VC to upstream output port).
-    pub const CREDIT_DELAY: Cycle = 1;
+    pub(crate) const CREDIT_DELAY: Cycle = 1;
     /// Fixed component of the ACK network latency.
-    pub const ACK_LATENCY_BASE: Cycle = 4;
+    pub(crate) const ACK_LATENCY_BASE: Cycle = 4;
     /// Per-hop component of the ACK network latency.
-    pub const ACK_LATENCY_PER_HOP: Cycle = 1;
+    pub(crate) const ACK_LATENCY_PER_HOP: Cycle = 1;
 
     /// ACK/NACK latency for a packet whose source is `hops` hops from the
     /// point of delivery or discard.
-    pub fn ack_latency(hops: u32) -> Cycle {
+    pub(crate) fn ack_latency(hops: u32) -> Cycle {
         Self::ACK_LATENCY_BASE + Self::ACK_LATENCY_PER_HOP * Cycle::from(hops)
     }
 
@@ -233,7 +225,6 @@ mod tests {
     fn engine_selection() {
         let cfg = SimConfig::default().with_engine(EngineKind::Reference);
         assert!(cfg.engine.is_reference());
-        assert_eq!(cfg.engine.name(), "reference");
         assert!(!EngineKind::Optimized.is_reference());
         assert_eq!(EngineKind::default(), EngineKind::Optimized);
     }

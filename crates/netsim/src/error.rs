@@ -12,15 +12,10 @@ pub struct SpecError {
 
 impl SpecError {
     /// Creates a new specification error with the given message.
-    pub fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         SpecError {
             message: message.into(),
         }
-    }
-
-    /// The human-readable description of the inconsistency.
-    pub fn message(&self) -> &str {
-        &self.message
     }
 }
 
@@ -113,7 +108,7 @@ mod tests {
     fn spec_error_displays_message() {
         let e = SpecError::new("router 3 has no input ports");
         assert!(e.to_string().contains("router 3"));
-        assert_eq!(e.message(), "router 3 has no input ports");
+        assert_eq!(e.message, "router 3 has no input ports");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! mature, so ordering is exactly that of a single heap keyed by
 //! `(due, seq)`: deterministic FIFO per cycle.
 //!
-//! Constructing the queue with a zero horizon ([`EventQueue::with_horizon`])
+//! Constructing the queue with a zero horizon (`EventQueue::with_horizon`)
 //! degenerates to the original pure binary-heap implementation, which the
 //! reference engine uses: the wheel's oracle.
 
@@ -32,7 +32,7 @@ use std::collections::BinaryHeap;
 /// record — the event queue stores millions of these under saturation, and
 /// the wheel-slot traffic is the dominant common cost of both engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
+pub(crate) enum Event {
     /// A head flit matures at a router input VC, claiming it for `packet`.
     HeadToRouter {
         /// Destination router index.
@@ -172,7 +172,7 @@ const DEFAULT_HORIZON: usize = 256;
 /// `(due, seq)` order of a single heap without storing `seq` outside the
 /// overflow heap.
 #[derive(Debug)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     /// Wheel horizon (power of two), or 0 for the pure-heap reference queue.
     horizon: usize,
     /// One slot per cycle in the window `(floor, floor + horizon)`; each slot
@@ -203,7 +203,7 @@ impl Default for EventQueue {
 
 impl EventQueue {
     /// Creates an empty queue with the default wheel horizon.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -214,7 +214,7 @@ impl EventQueue {
     /// # Panics
     ///
     /// Panics if `horizon` is neither 0 nor a power of two.
-    pub fn with_horizon(horizon: usize) -> Self {
+    pub(crate) fn with_horizon(horizon: usize) -> Self {
         assert!(
             horizon == 0 || horizon.is_power_of_two(),
             "wheel horizon must be 0 or a power of two, got {horizon}"
@@ -232,7 +232,7 @@ impl EventQueue {
     }
 
     /// Creates the queue matching an engine selection.
-    pub fn for_engine(engine: EngineKind) -> Self {
+    pub(crate) fn for_engine(engine: EngineKind) -> Self {
         if engine.is_reference() {
             EventQueue::with_horizon(0)
         } else {
@@ -244,7 +244,7 @@ impl EventQueue {
     /// clamped forward: the event fires at the next drain, matching the
     /// behaviour of the original heap queue (which could never pop an event
     /// before the drain following its scheduling).
-    pub fn schedule(&mut self, due: Cycle, event: Event) {
+    pub(crate) fn schedule(&mut self, due: Cycle, event: Event) {
         let seq = self.seq;
         self.seq += 1;
         self.pending += 1;
@@ -266,7 +266,12 @@ impl EventQueue {
     ///
     /// The caller supplies the output buffer so steady-state draining does
     /// not allocate.
-    pub fn drain_due_into(&mut self, now: Cycle, out: &mut Vec<Event>) {
+    ///
+    /// Out of line on purpose: as a crate-private function with one caller
+    /// it would otherwise be inlined into `Network::step`, which grows the
+    /// per-cycle entry point by 1.4 KB.
+    #[inline(never)]
+    pub(crate) fn drain_due_into(&mut self, now: Cycle, out: &mut Vec<Event>) {
         if now < self.floor {
             return;
         }
@@ -350,16 +355,6 @@ impl EventQueue {
         }
         self.floor = now + 1;
     }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.pending
-    }
-
-    /// Whether no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.pending == 0
-    }
 }
 
 #[cfg(test)]
@@ -395,15 +390,15 @@ mod tests {
         q.schedule(10, ack(0));
         q.schedule(5, ack(1));
         q.schedule(7, ack(2));
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.pending, 3);
 
         let due = q.drain_due(7);
         assert_eq!(due, vec![ack(1), ack(2)]);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.pending, 1);
 
         let due = q.drain_due(20);
         assert_eq!(due, vec![ack(0)]);
-        assert!(q.is_empty());
+        assert_eq!(q.pending, 0);
     }
 
     #[test]
@@ -422,7 +417,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(100, ack(0));
         assert!(q.drain_due(99).is_empty());
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.pending, 1);
     }
 
     #[test]
@@ -463,8 +458,8 @@ mod tests {
         }
         now += 64;
         assert_eq!(wheel.drain_due(now), heap.drain_due(now));
-        assert!(wheel.is_empty());
-        assert!(heap.is_empty());
+        assert_eq!(wheel.pending, 0);
+        assert_eq!(heap.pending, 0);
     }
 
     #[test]
@@ -489,7 +484,7 @@ mod tests {
         q.schedule(2, ack(1));
         // Wheel entry first (scheduled earlier), lane entry second.
         assert_eq!(q.drain_due(2), vec![ack(0), ack(1)]);
-        assert!(q.is_empty());
+        assert_eq!(q.pending, 0);
     }
 
     #[test]
@@ -520,7 +515,7 @@ mod tests {
                 buf.capacity()
             );
         }
-        assert!(q.is_empty());
+        assert_eq!(q.pending, 0);
     }
 
     #[test]

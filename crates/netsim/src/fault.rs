@@ -25,7 +25,7 @@
 //! fault-unaware builds.
 //!
 //! A NACKed packet is retransmitted by its source and may well run into the
-//! same fault again; [`FaultPlan::max_fault_retransmits`] bounds how often
+//! same fault again; `FaultPlan::max_fault_retransmits` bounds how often
 //! before the packet is *abandoned* (the source is ACKed without a
 //! delivery), turning "retry forever against dead hardware" into an
 //! accounted outcome instead of a livelock.
@@ -46,7 +46,7 @@ use crate::spec::NetworkSpec;
 use serde::{Deserialize, Serialize};
 
 /// One million, the denominator of [`FaultKind::CorruptFlits`] probabilities.
-pub const PPM: u32 = 1_000_000;
+pub(crate) const PPM: u32 = 1_000_000;
 
 /// What fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -85,11 +85,11 @@ pub enum FaultKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultEvent {
     /// First cycle (inclusive) the fault is active.
-    pub start: Cycle,
+    pub(crate) start: Cycle,
     /// First cycle the fault is over, or `None` for a permanent fault.
-    pub end: Option<Cycle>,
+    pub(crate) end: Option<Cycle>,
     /// What fails.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
 }
 
 impl FaultEvent {
@@ -112,12 +112,12 @@ impl FaultEvent {
     }
 
     /// Whether the fault never heals.
-    pub fn is_permanent(&self) -> bool {
+    pub(crate) fn is_permanent(&self) -> bool {
         self.end.is_none()
     }
 
     /// Whether the fault is active at `now`.
-    pub fn is_active(&self, now: Cycle) -> bool {
+    pub(crate) fn is_active(&self, now: Cycle) -> bool {
         now >= self.start && self.end.is_none_or(|e| now < e)
     }
 }
@@ -128,12 +128,12 @@ pub struct FaultPlan {
     /// Seed of the corruption hash (and any future randomized fault
     /// decision). Two runs with the same plan and seed observe identical
     /// faults on either engine.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// How many fault-induced drops a single packet survives (each one is
     /// NACKed and retransmitted) before it is abandoned. Must be at least 1.
-    pub max_fault_retransmits: u32,
+    pub(crate) max_fault_retransmits: u32,
     /// The scheduled failures.
-    pub events: Vec<FaultEvent>,
+    pub(crate) events: Vec<FaultEvent>,
 }
 
 impl FaultPlan {
@@ -199,7 +199,7 @@ impl FaultPlan {
 
     /// Validation against a concrete network: every referenced router,
     /// output port and controller node must exist.
-    pub fn validate_against(&self, spec: &NetworkSpec) -> Result<(), SpecError> {
+    pub(crate) fn validate_against(&self, spec: &NetworkSpec) -> Result<(), SpecError> {
         self.validate()?;
         for (i, ev) in self.events.iter().enumerate() {
             match ev.kind {
@@ -479,7 +479,7 @@ mod tests {
                 FaultKind::RouterDown { router: 0 },
             ));
         let err = plan.validate().expect_err("budget 0 must be rejected");
-        assert!(err.message().contains("retransmit budget"));
+        assert!(err.to_string().contains("retransmit budget"));
     }
 
     #[test]

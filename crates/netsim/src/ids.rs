@@ -25,7 +25,7 @@ impl NodeId {
     }
 
     /// Hop distance to another node along a one-dimensional column.
-    pub fn column_distance(self, other: NodeId) -> u32 {
+    pub(crate) fn column_distance(self, other: NodeId) -> u32 {
         (i32::from(self.0) - i32::from(other.0)).unsigned_abs()
     }
 }
@@ -96,7 +96,7 @@ pub struct VcId(pub u16);
 
 impl VcId {
     /// Returns the raw index of this virtual channel.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -119,16 +119,6 @@ pub enum Direction {
 }
 
 impl Direction {
-    /// The direction opposite to `self`.
-    pub fn opposite(self) -> Direction {
-        match self {
-            Direction::North => Direction::South,
-            Direction::South => Direction::North,
-            Direction::East => Direction::West,
-            Direction::West => Direction::East,
-        }
-    }
-
     /// All four cardinal directions.
     pub fn all() -> [Direction; 4] {
         [
@@ -163,14 +153,6 @@ mod tests {
         assert_eq!(a.column_distance(b), 5);
         assert_eq!(b.column_distance(a), 5);
         assert_eq!(a.column_distance(a), 0);
-    }
-
-    #[test]
-    fn direction_opposite_is_involutive() {
-        for d in Direction::all() {
-            assert_eq!(d.opposite().opposite(), d);
-            assert_ne!(d.opposite(), d);
-        }
     }
 
     #[test]

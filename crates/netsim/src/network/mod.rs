@@ -535,7 +535,7 @@ impl Network {
     }
 
     /// Current simulation time in cycles.
-    pub fn now(&self) -> Cycle {
+    pub(crate) fn now(&self) -> Cycle {
         self.now
     }
 
@@ -551,14 +551,14 @@ impl Network {
 
     /// Mutable access to statistics (used by drivers to set the measurement
     /// window).
-    pub fn stats_mut(&mut self) -> &mut NetStats {
+    pub(crate) fn stats_mut(&mut self) -> &mut NetStats {
         &mut self.stats
     }
 
     /// Whether every source is drained, no packet is live anywhere in the
     /// network, and every closed-loop requester has spent its budget — i.e. a
     /// closed (fixed) workload has completed.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.sources.iter().all(|s| s.is_drained())
             && self.packets.is_empty()
             && self.closed_loop.as_ref().is_none_or(|cl| cl.is_complete())
@@ -570,7 +570,7 @@ impl Network {
     }
 
     /// Checks the forward-progress watchdog: if more than
-    /// [`SimConfig::progress_watchdog`] cycles have elapsed since the last
+    /// `SimConfig::progress_watchdog` cycles have elapsed since the last
     /// packet generation, acknowledgement, or DRAM service start, the
     /// network is considered wedged (deadlocked or livelocked — e.g. a NACK
     /// storm against dead hardware) and a structured error is returned. A
@@ -590,18 +590,6 @@ impl Network {
             });
         }
         Ok(())
-    }
-
-    /// Total flits delivered to sinks so far, per the sinks' own counters.
-    ///
-    /// Under the priority-aware flavours of
-    /// [`crate::closed_loop::DramConfig::scheduler`] admitted requests
-    /// bypass these counters: their delivery is deferred to the start of
-    /// bank service and recorded in [`Self::stats`]
-    /// (`NetStats::delivered_flits`) only, so the statistics — not this
-    /// sink-level sum — are the authoritative delivery count for such runs.
-    pub fn delivered_flits(&self) -> u64 {
-        self.sinks.iter().map(|s| s.delivered_flits).sum()
     }
 
     /// Consumes the network and returns the final statistics, with per-source

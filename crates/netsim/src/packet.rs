@@ -51,60 +51,60 @@ impl PacketClass {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Packet {
     /// Unique identifier within one simulation run.
-    pub id: PacketId,
+    pub(crate) id: PacketId,
     /// Flow (injector) this packet belongs to.
-    pub flow: FlowId,
+    pub(crate) flow: FlowId,
     /// Source node (the router at which the packet is injected).
-    pub src: NodeId,
+    pub(crate) src: NodeId,
     /// Destination node (the router whose terminal consumes the packet).
-    pub dst: NodeId,
+    pub(crate) dst: NodeId,
     /// Packet length in flits (1..=4 in the paper's configuration).
-    pub len_flits: u8,
+    pub(crate) len_flits: u8,
     /// Traffic class.
-    pub class: PacketClass,
+    pub(crate) class: PacketClass,
     /// Cycle at which the packet was generated at the source queue.
-    pub birth: Cycle,
+    pub(crate) birth: Cycle,
     /// Cycle at which the packet's head flit first entered the network
     /// (injection virtual channel), if it has been injected.
-    pub injected_at: Option<Cycle>,
+    pub(crate) injected_at: Option<Cycle>,
     /// Whether the packet was sent within its flow's reserved (rate-compliant)
     /// quota for the current frame; reserved packets are never preempted and
     /// may use the reserved virtual channel at each network port.
-    pub reserved: bool,
+    pub(crate) reserved: bool,
     /// Number of times this packet has been retransmitted after a preemption.
-    pub retransmissions: u32,
+    pub(crate) retransmissions: u32,
     /// For closed-loop reply packets: the cycle the matching request was
     /// generated at its source, so the round trip can be measured at reply
     /// delivery. `None` for every other packet.
-    pub request_birth: Option<Cycle>,
+    pub(crate) request_birth: Option<Cycle>,
     /// Source (injector) index that physically injected this packet when it
     /// differs from the flow's own source. Closed-loop replies travel on the
     /// *requester's* flow for QOS and accounting purposes but are injected,
     /// windowed and retransmitted by the memory controller's source; ACK and
     /// NACK messages must route there. `None` means "the flow's source".
-    pub origin_source: Option<u32>,
+    pub(crate) origin_source: Option<u32>,
     /// For closed-loop request packets under a DRAM-backed controller model:
     /// the cache-line address (in line units) the request reads, used by the
     /// controller to derive the bank and row (see
     /// [`crate::closed_loop::DramConfig`]). `None` for every other packet.
-    pub dram_line: Option<u64>,
+    pub(crate) dram_line: Option<u64>,
     /// Logical request sequence number for closed-loop retry matching: a
     /// requester under a [`crate::closed_loop::RetryPolicy`] stamps each
     /// request with its sequence number, the controller copies it onto the
     /// reply, and the requester uses it to pair a reply with the in-flight
     /// (or deferred-for-retry) request it answers. `None` when the retry
     /// layer is disabled.
-    pub req_seq: Option<u64>,
+    pub(crate) req_seq: Option<u64>,
     /// Number of times this packet has been dropped by an injected fault
     /// (dead link, dead router, corrupted flit, controller outage) and
     /// NACKed back for retransmission. Once it exceeds the fault plan's
     /// retransmit budget the packet is abandoned instead of retried.
-    pub fault_drops: u32,
+    pub(crate) fault_drops: u32,
 }
 
 impl Packet {
     /// Creates a new packet. The packet starts un-injected and non-reserved.
-    pub fn new(
+    pub(crate) fn new(
         id: PacketId,
         flow: FlowId,
         src: NodeId,
@@ -133,7 +133,7 @@ impl Packet {
     }
 
     /// Hop distance of this packet's route along a one-dimensional column.
-    pub fn column_hops(&self) -> u32 {
+    pub(crate) fn column_hops(&self) -> u32 {
         self.src.column_distance(self.dst)
     }
 }
@@ -148,26 +148,6 @@ pub struct GeneratedPacket {
     pub len_flits: u8,
     /// Traffic class of the packet.
     pub class: PacketClass,
-}
-
-impl GeneratedPacket {
-    /// Convenience constructor for a request packet (1 flit).
-    pub fn request(dst: NodeId) -> Self {
-        GeneratedPacket {
-            dst,
-            len_flits: PacketClass::Request.default_len_flits(),
-            class: PacketClass::Request,
-        }
-    }
-
-    /// Convenience constructor for a reply packet (4 flits).
-    pub fn reply(dst: NodeId) -> Self {
-        GeneratedPacket {
-            dst,
-            len_flits: PacketClass::Reply.default_len_flits(),
-            class: PacketClass::Reply,
-        }
-    }
 }
 
 /// Source-side traffic generator.
@@ -235,7 +215,7 @@ impl PacketGenerator for IdleGenerator {
 /// * **Map**: the original `HashMap<PacketId, Packet>` keyed by a sequential
 ///   counter, kept as the reference engine's store: the slab's oracle.
 #[derive(Debug)]
-pub struct PacketStore {
+pub(crate) struct PacketStore {
     backend: Backend,
 }
 
@@ -271,15 +251,15 @@ enum Backend {
 /// paths. Returned by value from [`PacketStore::hot`]; the full [`Packet`]
 /// stays authoritative for everything else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HotPacket {
+pub(crate) struct HotPacket {
     /// Destination node.
-    pub dst: NodeId,
+    pub(crate) dst: NodeId,
     /// Flow the packet belongs to.
-    pub flow: FlowId,
+    pub(crate) flow: FlowId,
     /// Packet length in flits.
-    pub len_flits: u8,
+    pub(crate) len_flits: u8,
     /// Whether the packet was sent within its flow's reserved quota.
-    pub reserved: bool,
+    pub(crate) reserved: bool,
 }
 
 /// Packed storage of one [`HotPacket`] plus the slot generation that
@@ -357,7 +337,7 @@ impl Default for PacketStore {
 
 impl PacketStore {
     /// Creates an empty slab-backed store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PacketStore {
             backend: Backend::Slab {
                 slots: Vec::new(),
@@ -370,7 +350,7 @@ impl PacketStore {
     }
 
     /// Creates an empty store backed by the reference `HashMap`.
-    pub fn new_reference() -> Self {
+    pub(crate) fn new_reference() -> Self {
         PacketStore {
             backend: Backend::Map {
                 #[expect(
@@ -384,7 +364,7 @@ impl PacketStore {
     }
 
     /// Creates the store matching an engine selection.
-    pub fn for_engine(engine: crate::config::EngineKind) -> Self {
+    pub(crate) fn for_engine(engine: crate::config::EngineKind) -> Self {
         if engine.is_reference() {
             PacketStore::new_reference()
         } else {
@@ -395,7 +375,7 @@ impl PacketStore {
     /// Allocates an identifier and inserts the packet built for it, returning
     /// the identifier. The closure receives the identifier so the packet can
     /// carry it in its `id` field.
-    pub fn insert_with(&mut self, build: impl FnOnce(PacketId) -> Packet) -> PacketId {
+    pub(crate) fn insert_with(&mut self, build: impl FnOnce(PacketId) -> Packet) -> PacketId {
         match &mut self.backend {
             Backend::Slab {
                 slots,
@@ -460,7 +440,7 @@ impl PacketStore {
     /// Looks up a packet by identifier. Returns `None` for identifiers whose
     /// packet has been removed, including recycled slab slots (the generation
     /// check rejects stale identifiers).
-    pub fn get(&self, id: PacketId) -> Option<&Packet> {
+    pub(crate) fn get(&self, id: PacketId) -> Option<&Packet> {
         match &self.backend {
             Backend::Slab { slots, .. } => {
                 let slot = slots.get(slab_slot(id))?;
@@ -485,7 +465,7 @@ impl PacketStore {
     ///
     /// [`set_reserved`]: PacketStore::set_reserved
     #[inline]
-    pub fn hot(&self, id: PacketId) -> Option<HotPacket> {
+    pub(crate) fn hot(&self, id: PacketId) -> Option<HotPacket> {
         match &self.backend {
             Backend::Slab { hot, .. } => {
                 let rec = hot.get(slab_slot(id))?;
@@ -522,7 +502,7 @@ impl PacketStore {
     /// Panics if the packet is not live.
     ///
     /// [`get_mut`]: PacketStore::get_mut
-    pub fn set_reserved(&mut self, id: PacketId, reserved: bool) {
+    pub(crate) fn set_reserved(&mut self, id: PacketId, reserved: bool) {
         match &mut self.backend {
             Backend::Slab { slots, hot, .. } => {
                 let slot_idx = slab_slot(id);
@@ -564,7 +544,7 @@ impl PacketStore {
     /// them into a dense side array (see [`PacketStore::hot`]); `reserved`
     /// changes go through [`PacketStore::set_reserved`], the rest are
     /// immutable after creation.
-    pub fn get_mut(&mut self, id: PacketId) -> Option<&mut Packet> {
+    pub(crate) fn get_mut(&mut self, id: PacketId) -> Option<&mut Packet> {
         match &mut self.backend {
             Backend::Slab { slots, .. } => {
                 let slot = slots.get_mut(slab_slot(id))?;
@@ -578,7 +558,12 @@ impl PacketStore {
     }
 
     /// Removes a packet from the store (on final delivery or discard).
-    pub fn remove(&mut self, id: PacketId) -> Option<Packet> {
+    ///
+    /// Out of line on purpose: crate-private, it would otherwise be inlined
+    /// into `Network::step`'s delivery path, growing the per-cycle entry
+    /// point by 1.2 KB.
+    #[inline(never)]
+    pub(crate) fn remove(&mut self, id: PacketId) -> Option<Packet> {
         match &mut self.backend {
             Backend::Slab {
                 slots,
@@ -609,7 +594,7 @@ impl PacketStore {
     }
 
     /// Number of live packets currently tracked.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match &self.backend {
             Backend::Slab { live, .. } => *live,
             Backend::Map { packets, .. } => packets.len(),
@@ -617,17 +602,8 @@ impl PacketStore {
     }
 
     /// Whether the store holds no live packets.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Slot capacity currently allocated (slab backend only; the map backend
-    /// reports its live count). Exposed for capacity diagnostics.
-    pub fn capacity_slots(&self) -> usize {
-        match &self.backend {
-            Backend::Slab { slots, .. } => slots.len(),
-            Backend::Map { packets, .. } => packets.len(),
-        }
     }
 }
 
@@ -657,16 +633,6 @@ mod tests {
     fn packet_hops_along_column() {
         let p = sample_packet(0);
         assert_eq!(p.column_hops(), 5);
-    }
-
-    #[test]
-    fn generated_packet_constructors() {
-        let req = GeneratedPacket::request(NodeId(3));
-        assert_eq!(req.len_flits, 1);
-        assert_eq!(req.class, PacketClass::Request);
-        let rep = GeneratedPacket::reply(NodeId(3));
-        assert_eq!(rep.len_flits, 4);
-        assert_eq!(rep.class, PacketClass::Reply);
     }
 
     fn packet_for(id: PacketId) -> Packet {
@@ -719,7 +685,10 @@ mod tests {
         assert_ne!(a, b);
         assert!(store.get(a).is_none());
         assert_eq!(store.get(b).unwrap().id, b);
-        assert_eq!(store.capacity_slots(), 1, "slot should be recycled");
+        let Backend::Slab { slots, .. } = &store.backend else {
+            panic!("PacketStore::new uses the slab backend");
+        };
+        assert_eq!(slots.len(), 1, "slot should be recycled");
     }
 
     #[test]

@@ -18,18 +18,18 @@ use crate::vc::VcState;
 
 /// Runtime state of one input port: its virtual channels.
 #[derive(Debug, Clone)]
-pub struct InputPortState {
+pub(crate) struct InputPortState {
     /// Virtual channels of the port. The last `reserved` VCs (per the spec)
     /// are flagged as reserved for rate-compliant traffic.
-    pub vcs: Vec<VcState>,
+    pub(crate) vcs: Vec<VcState>,
     /// Feeder of this port (set when the network is built): the upstream
     /// output port or source that holds credits for this port's VCs.
-    pub feeder: Option<Feeder>,
+    pub(crate) feeder: Option<Feeder>,
 }
 
 /// Upstream entity that holds credits for an input port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Feeder {
+pub(crate) enum Feeder {
     /// Output port `out_port` (target index `target_idx`) of router `router`.
     RouterOutput {
         /// Upstream router index.
@@ -48,7 +48,7 @@ pub enum Feeder {
 
 impl InputPortState {
     /// Creates runtime state for an input port from its specification.
-    pub fn from_spec(spec: &InputPortSpec) -> Self {
+    pub(crate) fn from_spec(spec: &InputPortSpec) -> Self {
         let count = spec.vcs.count as usize;
         let reserved = spec.vcs.reserved as usize;
         let vcs = (0..count)
@@ -64,14 +64,14 @@ impl InputPortState {
 /// input port it feeds; credits are consumed when a transfer is granted and
 /// returned (after the credit wire delay) when the downstream VC is released.
 #[derive(Debug, Clone)]
-pub struct TargetCreditState {
+pub(crate) struct TargetCreditState {
     /// Free non-reserved VCs at the downstream input port.
-    pub free_normal: Vec<VcId>,
+    pub(crate) free_normal: Vec<VcId>,
     /// Free reserved VCs at the downstream input port.
-    pub free_reserved: Vec<VcId>,
+    pub(crate) free_reserved: Vec<VcId>,
     /// When `true`, buffer space is never a constraint (ideal per-flow
     /// queuing): claiming with empty free lists manufactures a new VC id.
-    pub unlimited: bool,
+    pub(crate) unlimited: bool,
     /// Next VC id to manufacture in unlimited mode.
     next_dynamic: u16,
 }
@@ -79,7 +79,7 @@ pub struct TargetCreditState {
 impl TargetCreditState {
     /// Creates credit state for a downstream port with `normal` non-reserved
     /// and `reserved` reserved VCs.
-    pub fn new(normal: u8, reserved: u8, unlimited: bool) -> Self {
+    pub(crate) fn new(normal: u8, reserved: u8, unlimited: bool) -> Self {
         let free_normal = (0..u16::from(normal)).map(VcId).collect();
         let free_reserved = (u16::from(normal)..u16::from(normal) + u16::from(reserved))
             .map(VcId)
@@ -93,7 +93,7 @@ impl TargetCreditState {
     }
 
     /// Whether a packet (reserved or not) could claim a VC right now.
-    pub fn has_credit(&self, packet_reserved: bool) -> bool {
+    pub(crate) fn has_credit(&self, packet_reserved: bool) -> bool {
         if self.unlimited {
             return true;
         }
@@ -110,7 +110,7 @@ impl TargetCreditState {
     /// the reserved VC. In unlimited mode (ideal per-flow queuing) a fresh VC
     /// is manufactured when the free lists are exhausted; the downstream port
     /// grows its VC vector on demand.
-    pub fn claim(&mut self, packet_reserved: bool) -> Option<(VcId, bool)> {
+    pub(crate) fn claim(&mut self, packet_reserved: bool) -> Option<(VcId, bool)> {
         if let Some(vc) = self.free_normal.pop() {
             return Some((vc, false));
         }
@@ -128,85 +128,80 @@ impl TargetCreditState {
     }
 
     /// Returns a credit for `vc` (the downstream VC was released).
-    pub fn refund(&mut self, vc: VcId, was_reserved_vc: bool) {
+    pub(crate) fn refund(&mut self, vc: VcId, was_reserved_vc: bool) {
         if was_reserved_vc {
             self.free_reserved.push(vc);
         } else {
             self.free_normal.push(vc);
         }
     }
-
-    /// Total free credits currently available.
-    pub fn free_count(&self) -> usize {
-        self.free_normal.len() + self.free_reserved.len()
-    }
 }
 
 /// An in-progress packet transfer from an input VC through an output port to
 /// a downstream VC (or sink slot).
 #[derive(Debug, Clone)]
-pub struct Transfer {
+pub(crate) struct Transfer {
     /// Packet being transferred.
-    pub packet: PacketId,
+    pub(crate) packet: PacketId,
     /// Flow of the packet.
-    pub flow: FlowId,
+    pub(crate) flow: FlowId,
     /// Packet length in flits.
-    pub len: u8,
+    pub(crate) len: u8,
     /// Input port the packet is read from.
-    pub from_port: InPortId,
+    pub(crate) from_port: InPortId,
     /// VC at the input port.
-    pub from_vc: VcId,
+    pub(crate) from_vc: VcId,
     /// Which target of the output port receives the packet.
-    pub target_idx: usize,
+    pub(crate) target_idx: usize,
     /// Endpoint of that target (cached from the spec).
-    pub endpoint: TargetEndpoint,
+    pub(crate) endpoint: TargetEndpoint,
     /// Downstream VC (or sink slot) claimed for the packet.
-    pub to_vc: VcId,
+    pub(crate) to_vc: VcId,
     /// Whether the claimed downstream VC is a reserved VC.
-    pub to_vc_reserved: bool,
+    pub(crate) to_vc_reserved: bool,
     /// Number of flits already launched onto the wire.
-    pub flits_launched: u8,
+    pub(crate) flits_launched: u8,
     /// Earliest cycle the first flit may be launched (grant cycle plus the
     /// router pipeline latency).
-    pub launch_start: Cycle,
+    pub(crate) launch_start: Cycle,
     /// Wire delay from the output port to the endpoint.
-    pub wire_delay: u32,
+    pub(crate) wire_delay: u32,
     /// Whether this transfer bypasses the crossbar (DPS intermediate hop).
-    pub passthrough: bool,
+    pub(crate) passthrough: bool,
     /// Maturation event template for this packet's non-head flits, built once
     /// at grant time; each body flit schedules a copy of it instead of
     /// re-deriving destination fields per flit.
-    pub body_event: Event,
+    pub(crate) body_event: Event,
 }
 
 impl Transfer {
     /// Whether all flits have been launched.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.flits_launched >= self.len
     }
 }
 
 /// Runtime state of one output port (a physical channel).
 #[derive(Debug, Clone)]
-pub struct OutputPortState {
+pub(crate) struct OutputPortState {
     /// Granted transfers waiting to launch or currently launching, in grant
     /// order. The head transfer launches its flits first; a short queue lets
     /// back-to-back packets use the channel without pipeline bubbles.
-    pub granted: Vec<Transfer>,
+    pub(crate) granted: Vec<Transfer>,
     /// Cycle at which the channel may next launch a flit.
-    pub link_free_at: Cycle,
+    pub(crate) link_free_at: Cycle,
     /// Round-robin cursor for arbitration tie-breaking.
-    pub rr_cursor: usize,
+    pub(crate) rr_cursor: usize,
     /// Per-target credit state.
-    pub targets: Vec<TargetCreditState>,
+    pub(crate) targets: Vec<TargetCreditState>,
     /// Cumulative flits launched through this port (utilisation statistics).
-    pub flits_launched_total: u64,
+    pub(crate) flits_launched_total: u64,
 }
 
 impl OutputPortState {
     /// Creates runtime state for an output port. Credit state is filled in by
     /// the network constructor, which knows the downstream ports.
-    pub fn from_spec(spec: &OutputPortSpec) -> Self {
+    pub(crate) fn from_spec(spec: &OutputPortSpec) -> Self {
         OutputPortState {
             granted: Vec::new(),
             link_free_at: 0,
@@ -218,7 +213,7 @@ impl OutputPortState {
 
     /// Whether the port can accept another granted transfer (the grant queue
     /// is bounded to keep priority decisions timely).
-    pub fn can_grant(&self) -> bool {
+    pub(crate) fn can_grant(&self) -> bool {
         self.granted.len() < SimConfig::GRANT_QUEUE_DEPTH
     }
 }
@@ -253,13 +248,13 @@ mod tests {
         state.vcs[1].accept_head(PacketId(9), 1);
         assert!(state.vcs[1].is_resident_idle());
         assert_eq!(state.vcs[1].packet(), Some(PacketId(9)));
-        assert!(state.vcs[0].is_free());
+        assert_eq!(state.vcs[0].packet(), None);
     }
 
     #[test]
     fn credits_respect_reservation_rules() {
         let mut credits = TargetCreditState::new(2, 1, false);
-        assert_eq!(credits.free_count(), 3);
+        assert_eq!(credits.free_normal.len() + credits.free_reserved.len(), 3);
         assert!(credits.has_credit(false));
         // Non-reserved packets drain the two normal VCs only.
         let (a, a_res) = credits.claim(false).unwrap();
@@ -279,7 +274,7 @@ mod tests {
         credits.refund(c, true);
         assert!(credits.has_credit(false));
         assert!(credits.has_credit(true));
-        assert_eq!(credits.free_count(), 2);
+        assert_eq!(credits.free_normal.len() + credits.free_reserved.len(), 2);
     }
 
     #[test]

@@ -16,21 +16,21 @@ pub(crate) struct ArbRequest {
     /// Input port holding the requesting packet (`NetworkSpec::validate`
     /// bounds ports per router by `u16::MAX`; narrow fields keep the request
     /// at 24 bytes).
-    pub in_port: u16,
+    pub(crate) in_port: u16,
     /// VC index at that input port.
-    pub vc: u16,
+    pub(crate) vc: u16,
     /// Requesting packet.
-    pub packet: PacketId,
+    pub(crate) packet: PacketId,
     /// Flow of the packet.
-    pub flow: FlowId,
+    pub(crate) flow: FlowId,
     /// Packet length in flits.
-    pub len: u8,
+    pub(crate) len: u8,
     /// Whether the packet is rate-compliant (reserved quota).
-    pub reserved: bool,
+    pub(crate) reserved: bool,
     /// Target (drop-off point) of the output port serving the destination.
-    pub target_idx: u16,
+    pub(crate) target_idx: u16,
     /// Whether the input port is a pass-through (DPS intermediate hop).
-    pub passthrough: bool,
+    pub(crate) passthrough: bool,
 }
 
 impl ArbRequest {
@@ -66,29 +66,29 @@ impl ArbRequest {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PriorityMemo {
     /// Cached `RouterQos::priority` value for the flow.
-    pub value: u64,
+    pub(crate) value: u64,
     /// Epoch the value was computed in; stale when it differs from the
     /// router's `priority_epoch`.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
 }
 
 /// Runtime state of one router.
 #[derive(Debug)]
-pub struct RouterState {
+pub(crate) struct RouterState {
     /// Node this router serves.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Input port states.
-    pub inputs: Vec<InputPortState>,
+    pub(crate) inputs: Vec<InputPortState>,
     /// Output port states.
-    pub outputs: Vec<OutputPortState>,
+    pub(crate) outputs: Vec<OutputPortState>,
     /// Round-robin cursor used when a destination maps to several candidate
     /// output ports (replicated mesh channels).
-    pub route_rr_cursor: usize,
+    pub(crate) route_rr_cursor: usize,
     /// Number of currently occupied input VCs across all input ports. The
     /// router is skipped by the routing/allocation/launch phases when this is
     /// zero (active-set tracking): every unit of per-cycle router work is
     /// rooted in a buffered packet.
-    pub active_vcs: usize,
+    pub(crate) active_vcs: usize,
     /// Heads awaiting route computation, as `(in_port, vc)` in arrival order:
     /// appended by [`Self::accept_head`], removed by a preemption flush of an
     /// unrouted victim, emptied by every routing pass. The optimized routing
@@ -153,7 +153,7 @@ pub struct RouterState {
 impl RouterState {
     /// Creates runtime state for a router of a network with `num_flows`
     /// flows from its specification.
-    pub fn from_spec(spec: &RouterSpec, num_flows: usize) -> Self {
+    pub(crate) fn from_spec(spec: &RouterSpec, num_flows: usize) -> Self {
         RouterState {
             node: spec.node,
             inputs: spec.inputs.iter().map(InputPortState::from_spec).collect(),
@@ -209,7 +209,7 @@ impl RouterState {
 /// Panics if the routing table has no entry for `dst` — that is a topology
 /// construction bug, not a runtime condition.
 #[inline]
-pub fn compute_route(
+pub(crate) fn compute_route(
     spec: &RouterSpec,
     in_port: &InputPortSpec,
     dst: NodeId,
@@ -249,7 +249,7 @@ pub fn compute_route(
 ///
 /// Panics if a multi-target port has no target covering `dst` — a topology
 /// construction bug.
-pub fn resolve_target_idx(out_port: &OutputPortSpec, dst: NodeId) -> usize {
+pub(crate) fn resolve_target_idx(out_port: &OutputPortSpec, dst: NodeId) -> usize {
     if out_port.targets.len() == 1 {
         return 0;
     }

@@ -81,7 +81,7 @@ pub fn run_open_loop(mut network: Network, config: OpenLoopConfig) -> NetStats {
 ///
 /// Returns [`SimError::Timeout`] if the workload does not complete within
 /// `max_cycles`, or [`SimError::NoForwardProgress`] if the progress
-/// watchdog ([`crate::config::SimConfig::progress_watchdog`]) trips first —
+/// watchdog (`SimConfig::progress_watchdog`) trips first —
 /// a wedged (deadlocked or livelocked) run errors out structurally instead
 /// of burning the whole cycle budget.
 pub fn run_closed(

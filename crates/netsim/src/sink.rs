@@ -11,34 +11,31 @@ use crate::spec::SinkSpec;
 
 /// One ejection slot.
 #[derive(Debug, Clone, Default)]
-pub struct SinkSlot {
+pub(crate) struct SinkSlot {
     /// Packet currently streaming into the slot.
-    pub packet: Option<PacketId>,
+    pub(crate) packet: Option<PacketId>,
     /// Flits of the packet that have arrived.
-    pub flits_arrived: u8,
+    pub(crate) flits_arrived: u8,
 }
 
 /// Runtime state of one sink.
 #[derive(Debug, Clone)]
-pub struct SinkState {
+pub(crate) struct SinkState {
     /// Node whose terminal this sink models.
-    pub node: NodeId,
-    /// Human-readable name.
-    pub name: String,
+    pub(crate) node: NodeId,
     /// Ejection slots.
-    pub slots: Vec<SinkSlot>,
+    pub(crate) slots: Vec<SinkSlot>,
     /// Total packets delivered to this sink.
-    pub delivered_packets: u64,
+    pub(crate) delivered_packets: u64,
     /// Total flits delivered to this sink.
-    pub delivered_flits: u64,
+    pub(crate) delivered_flits: u64,
 }
 
 impl SinkState {
     /// Creates runtime state for a sink from its specification.
-    pub fn from_spec(spec: &SinkSpec) -> Self {
+    pub(crate) fn from_spec(spec: &SinkSpec) -> Self {
         SinkState {
             node: spec.node,
-            name: spec.name.clone(),
             slots: vec![SinkSlot::default(); spec.slots as usize],
             delivered_packets: 0,
             delivered_flits: 0,
@@ -50,7 +47,7 @@ impl SinkState {
     /// # Panics
     ///
     /// Panics if the slot is already occupied by another packet.
-    pub fn accept_head(&mut self, slot: VcId, packet: PacketId) {
+    pub(crate) fn accept_head(&mut self, slot: VcId, packet: PacketId) {
         let s = &mut self.slots[slot.index()];
         assert!(s.packet.is_none(), "sink slot already occupied");
         s.packet = Some(packet);
@@ -62,7 +59,7 @@ impl SinkState {
     /// # Panics
     ///
     /// Panics if the flit does not belong to the packet occupying the slot.
-    pub fn accept_body(&mut self, slot: VcId, packet: PacketId) {
+    pub(crate) fn accept_body(&mut self, slot: VcId, packet: PacketId) {
         let s = &mut self.slots[slot.index()];
         assert_eq!(s.packet, Some(packet), "sink body flit for wrong packet");
         s.flits_arrived += 1;
@@ -74,7 +71,7 @@ impl SinkState {
     /// # Panics
     ///
     /// Panics if the slot is empty.
-    pub fn complete(&mut self, slot: VcId) -> PacketId {
+    pub(crate) fn complete(&mut self, slot: VcId) -> PacketId {
         let s = &mut self.slots[slot.index()];
         let packet = s.packet.take().expect("completing an empty sink slot");
         self.delivered_packets += 1;
@@ -84,7 +81,7 @@ impl SinkState {
     }
 
     /// Packet currently occupying `slot`, if any (without completing it).
-    pub fn occupant(&self, slot: VcId) -> Option<PacketId> {
+    pub(crate) fn occupant(&self, slot: VcId) -> Option<PacketId> {
         self.slots[slot.index()].packet
     }
 
@@ -101,16 +98,11 @@ impl SinkState {
     /// # Panics
     ///
     /// Panics if the slot is empty.
-    pub fn discard(&mut self, slot: VcId) -> PacketId {
+    pub(crate) fn discard(&mut self, slot: VcId) -> PacketId {
         let s = &mut self.slots[slot.index()];
         let packet = s.packet.take().expect("discarding an empty sink slot");
         s.flits_arrived = 0;
         packet
-    }
-
-    /// Number of currently occupied slots.
-    pub fn occupied_slots(&self) -> usize {
-        self.slots.iter().filter(|s| s.packet.is_some()).count()
     }
 }
 
@@ -126,21 +118,25 @@ mod tests {
         }
     }
 
+    fn occupied(sink: &SinkState) -> usize {
+        sink.slots.iter().filter(|s| s.packet.is_some()).count()
+    }
+
     #[test]
     fn delivery_through_a_slot() {
         let mut sink = SinkState::from_spec(&spec());
         assert_eq!(sink.slots.len(), 2);
-        assert_eq!(sink.occupied_slots(), 0);
+        assert_eq!(occupied(&sink), 0);
 
         sink.accept_head(VcId(0), PacketId(7));
         sink.accept_body(VcId(0), PacketId(7));
-        assert_eq!(sink.occupied_slots(), 1);
+        assert_eq!(occupied(&sink), 1);
 
         let delivered = sink.complete(VcId(0));
         assert_eq!(delivered, PacketId(7));
         assert_eq!(sink.delivered_packets, 1);
         assert_eq!(sink.delivered_flits, 2);
-        assert_eq!(sink.occupied_slots(), 0);
+        assert_eq!(occupied(&sink), 0);
     }
 
     #[test]
@@ -148,9 +144,9 @@ mod tests {
         let mut sink = SinkState::from_spec(&spec());
         sink.accept_head(VcId(0), PacketId(1));
         sink.accept_head(VcId(1), PacketId(2));
-        assert_eq!(sink.occupied_slots(), 2);
+        assert_eq!(occupied(&sink), 2);
         sink.complete(VcId(1));
-        assert_eq!(sink.occupied_slots(), 1);
+        assert_eq!(occupied(&sink), 1);
         assert_eq!(sink.delivered_packets, 1);
     }
 

@@ -16,20 +16,20 @@ use std::collections::{BinaryHeap, VecDeque};
 /// An injection transfer in progress: the source streams the packet's flits
 /// into the claimed injection VC at one flit per cycle.
 #[derive(Debug, Clone)]
-pub struct InjectionTransfer {
+pub(crate) struct InjectionTransfer {
     /// Packet being injected.
-    pub packet: PacketId,
+    pub(crate) packet: PacketId,
     /// Packet length in flits.
-    pub len: u8,
+    pub(crate) len: u8,
     /// Claimed injection VC.
-    pub vc: VcId,
+    pub(crate) vc: VcId,
     /// Flits already pushed into the VC.
-    pub flits_sent: u8,
+    pub(crate) flits_sent: u8,
 }
 
 /// Small-set membership container for a source's outstanding packets.
 #[derive(Debug, Clone, Default)]
-pub struct Window {
+pub(crate) struct Window {
     packets: Vec<PacketId>,
 }
 
@@ -39,83 +39,82 @@ impl Window {
     /// # Panics
     ///
     /// Panics (in debug builds) if the packet is already present.
-    pub fn insert(&mut self, packet: PacketId) {
+    pub(crate) fn insert(&mut self, packet: PacketId) {
         debug_assert!(!self.contains(packet), "packet already in window");
         self.packets.push(packet);
     }
 
     /// Removes a packet if present; order is not preserved (membership only).
-    pub fn remove(&mut self, packet: PacketId) {
+    pub(crate) fn remove(&mut self, packet: PacketId) {
         if let Some(pos) = self.packets.iter().position(|&p| p == packet) {
             self.packets.swap_remove(pos);
         }
     }
 
     /// Whether the packet is outstanding.
-    pub fn contains(&self, packet: PacketId) -> bool {
+    pub(crate) fn contains(&self, packet: PacketId) -> bool {
         self.packets.contains(&packet)
     }
 
     /// Number of outstanding packets.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.packets.len()
     }
 
     /// Whether no packets are outstanding.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.packets.is_empty()
-    }
-
-    /// Removes every packet.
-    pub fn clear(&mut self) {
-        self.packets.clear();
     }
 }
 
 /// Runtime state of one source.
-pub struct SourceState {
+pub(crate) struct SourceState {
     /// Flow identifier of this source.
-    pub flow: FlowId,
+    pub(crate) flow: FlowId,
     /// Node this source belongs to.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Router the source injects into.
-    pub router: usize,
+    pub(crate) router: usize,
     /// Injection input port at that router.
-    pub in_port: crate::ids::InPortId,
+    pub(crate) in_port: crate::ids::InPortId,
     /// Human-readable name.
-    pub name: String,
+    pub(crate) name: String,
     /// Traffic generator producing this source's packets.
-    pub generator: Box<dyn PacketGenerator>,
+    pub(crate) generator: Box<dyn PacketGenerator>,
     /// Packets generated but not yet injected. Retransmissions are pushed to
     /// the front so they precede newly generated packets.
-    pub queue: VecDeque<PacketId>,
+    pub(crate) queue: VecDeque<PacketId>,
     /// Outstanding (injected but not yet acknowledged) packets. A plain
     /// vector: the window is small (bounded by `window_limit`) and only
     /// membership is needed, so a linear scan beats hashing every ACK.
-    pub window: Window,
+    pub(crate) window: Window,
     /// Maximum number of outstanding packets.
-    pub window_limit: usize,
+    pub(crate) window_limit: usize,
     /// Free injection VCs (credits) at the injection port.
-    pub free_vcs: Vec<VcId>,
+    pub(crate) free_vcs: Vec<VcId>,
     /// Injection transfer currently streaming flits into the router.
-    pub active: Option<InjectionTransfer>,
+    pub(crate) active: Option<InjectionTransfer>,
     /// Flits injected under the reserved (rate-compliant) quota during the
     /// current frame.
-    pub reserved_used_this_frame: u64,
+    pub(crate) reserved_used_this_frame: u64,
     /// Total packets generated.
-    pub generated_packets: u64,
+    pub(crate) generated_packets: u64,
     /// Total flits generated.
-    pub generated_flits: u64,
+    pub(crate) generated_flits: u64,
     /// Total packets injected (first transmission only).
-    pub injected_packets: u64,
+    pub(crate) injected_packets: u64,
     /// Total retransmissions performed.
-    pub retransmitted_packets: u64,
+    pub(crate) retransmitted_packets: u64,
 }
 
 impl SourceState {
     /// Creates runtime state for a source from its specification, attaching
     /// the given traffic generator and the number of injection VCs it feeds.
-    pub fn new(spec: &SourceSpec, generator: Box<dyn PacketGenerator>, injection_vcs: u8) -> Self {
+    pub(crate) fn new(
+        spec: &SourceSpec,
+        generator: Box<dyn PacketGenerator>,
+        injection_vcs: u8,
+    ) -> Self {
         SourceState {
             flow: spec.flow,
             node: spec.node,
@@ -139,18 +138,18 @@ impl SourceState {
     /// Whether an injection could start this cycle if a packet were at hand:
     /// nothing is streaming, the outstanding window has room and an injection
     /// VC is free.
-    pub fn can_inject(&self) -> bool {
+    pub(crate) fn can_inject(&self) -> bool {
         self.active.is_none() && self.window.len() < self.window_limit && !self.free_vcs.is_empty()
     }
 
     /// Whether the source can start injecting another packet right now.
-    pub fn can_start_injection(&self) -> bool {
+    pub(crate) fn can_start_injection(&self) -> bool {
         !self.queue.is_empty() && self.can_inject()
     }
 
     /// Whether the source has no remaining work: generator exhausted, queue
     /// empty, nothing outstanding, and no active injection.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.generator.exhausted()
             && self.queue.is_empty()
             && self.window.is_empty()
@@ -164,32 +163,32 @@ impl SourceState {
     /// per-cycle work; they move only on an ACK or NACK event. The
     /// generation side (generator, requester window, timers) is the
     /// caller's half of the sleep predicate.
-    pub fn is_dormant(&self, pending_reply: bool) -> bool {
+    pub(crate) fn is_dormant(&self, pending_reply: bool) -> bool {
         self.active.is_none() && !((pending_reply || !self.queue.is_empty()) && self.can_inject())
     }
 
     /// Records a newly generated packet in the source queue.
-    pub fn enqueue_generated(&mut self, packet: PacketId, len_flits: u8) {
+    pub(crate) fn enqueue_generated(&mut self, packet: PacketId, len_flits: u8) {
         self.queue.push_back(packet);
         self.generated_packets += 1;
         self.generated_flits += u64::from(len_flits);
     }
 
     /// Handles a positive acknowledgement: the packet left the window.
-    pub fn acknowledge(&mut self, packet: PacketId) {
+    pub(crate) fn acknowledge(&mut self, packet: PacketId) {
         self.window.remove(packet);
     }
 
     /// Handles a negative acknowledgement: the packet is queued again (at the
     /// front) for retransmission.
-    pub fn retransmit(&mut self, packet: PacketId) {
+    pub(crate) fn retransmit(&mut self, packet: PacketId) {
         self.window.remove(packet);
         self.queue.push_front(packet);
         self.retransmitted_packets += 1;
     }
 
     /// Resets the per-frame reserved-quota usage.
-    pub fn on_frame_rollover(&mut self) {
+    pub(crate) fn on_frame_rollover(&mut self) {
         self.reserved_used_this_frame = 0;
     }
 }
@@ -315,7 +314,7 @@ mod tests {
         s.window.insert(PacketId(10));
         s.window.insert(PacketId(11));
         assert!(!s.can_start_injection());
-        s.window.clear();
+        s.window.packets.clear();
 
         // No free VC blocks injection.
         let vc = s.free_vcs.pop().unwrap();

@@ -21,7 +21,7 @@ pub struct VcConfig {
     pub count: u8,
     /// Depth of each virtual channel in flits. With virtual cut-through flow
     /// control each VC must hold the largest packet (4 flits in the paper).
-    pub depth_flits: u8,
+    pub(crate) depth_flits: u8,
     /// Number of VCs (out of `count`) reserved for rate-compliant traffic;
     /// only packets sent within their flow's reserved quota may use them.
     pub reserved: u8,
@@ -219,7 +219,7 @@ pub struct OutputPortSpec {
     pub targets: Vec<TargetSpec>,
     /// Pass-through output: forwarding through this port from a pass-through
     /// input skips the crossbar (DPS intermediate hops).
-    pub passthrough: bool,
+    pub(crate) passthrough: bool,
 }
 
 impl OutputPortSpec {
@@ -249,12 +249,6 @@ impl OutputPortSpec {
             )],
             passthrough: false,
         }
-    }
-
-    /// Marks the output as a pass-through segment.
-    pub fn with_passthrough(mut self) -> Self {
-        self.passthrough = true;
-        self
     }
 }
 
@@ -419,11 +413,6 @@ pub struct RouterSpec {
 }
 
 impl RouterSpec {
-    /// Total input buffer capacity of the router in flits.
-    pub fn buffer_capacity_flits(&self) -> u32 {
-        self.inputs.iter().map(|p| p.vcs.capacity_flits()).sum()
-    }
-
     /// Number of distinct crossbar input groups used by the router's inputs.
     pub fn xbar_input_groups(&self) -> usize {
         let mut groups: Vec<u8> = self
@@ -447,11 +436,11 @@ impl RouterSpec {
     /// [`NetworkSpec::validate`] rejects a router above it, and the launch
     /// phase's ready ring is sized from the largest latency of the spec, so
     /// this bound also caps the ring.
-    pub const MAX_PIPELINE_LATENCY: u32 = 256;
+    pub(crate) const MAX_PIPELINE_LATENCY: u32 = 256;
 
     /// Router pipeline latency in cycles for a normal (non-pass-through) hop.
     /// Saturates instead of overflowing on a spec that has not been
-    /// validated; a validated spec is at most [`Self::MAX_PIPELINE_LATENCY`].
+    /// validated; a validated spec is at most `Self::MAX_PIPELINE_LATENCY`.
     pub fn pipeline_latency(&self) -> u32 {
         self.va_latency.saturating_add(self.xt_latency)
     }
@@ -509,16 +498,8 @@ impl NetworkSpec {
     }
 
     /// Finds the sink index serving a node's terminal, if any.
-    pub fn sink_for_node(&self, node: NodeId) -> Option<usize> {
+    pub(crate) fn sink_for_node(&self, node: NodeId) -> Option<usize> {
         self.sinks.iter().position(|s| s.node == node)
-    }
-
-    /// Total input-buffer capacity of the network in flits.
-    pub fn total_buffer_flits(&self) -> u64 {
-        self.routers
-            .iter()
-            .map(|r| u64::from(r.buffer_capacity_flits()))
-            .sum()
     }
 
     /// Validates structural consistency of the specification.
@@ -530,7 +511,7 @@ impl NetworkSpec {
     /// more ports than the engine's packed state holds, routing-table
     /// entries pointing at missing output ports, crossbar groups of 64 or
     /// above, a router pipeline latency above
-    /// [`RouterSpec::MAX_PIPELINE_LATENCY`], sources attached to
+    /// `RouterSpec::MAX_PIPELINE_LATENCY`, sources attached to
     /// non-injection ports, input ports with more
     /// than one feeder, flow identifiers that are not exactly
     /// `0..num_sources`, or multi-target ports with ambiguous coverage.
@@ -807,12 +788,9 @@ mod tests {
     #[test]
     fn router_spec_aggregates() {
         let spec = tiny_spec();
-        assert_eq!(spec.routers[0].buffer_capacity_flits(), 4);
-        assert_eq!(spec.routers[1].buffer_capacity_flits(), 8);
         assert_eq!(spec.routers[0].pipeline_latency(), 2);
         assert_eq!(spec.routers[0].xbar_input_groups(), 1);
         assert_eq!(spec.routers[0].xbar_output_ports(), 1);
-        assert_eq!(spec.total_buffer_flits(), 12);
         assert_eq!(spec.num_flows(), 1);
         assert_eq!(spec.sink_for_node(NodeId(1)), Some(0));
         assert_eq!(spec.sink_for_node(NodeId(0)), None);

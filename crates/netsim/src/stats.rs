@@ -21,14 +21,14 @@ pub struct FlowStats {
     /// Packets delivered during the measurement window.
     pub measured_delivered_packets: u64,
     /// Flits delivered during the measurement window.
-    pub measured_delivered_flits: u64,
+    pub(crate) measured_delivered_flits: u64,
     /// Sum of packet latencies for measured packets (born in the window),
     /// in cycles.
     pub latency_sum: u64,
     /// Number of measured latency samples.
     pub latency_samples: u64,
     /// Times a packet of this flow was preempted (discarded).
-    pub preemptions: u64,
+    pub(crate) preemptions: u64,
     /// Retransmissions performed by this flow's source.
     pub retransmissions: u64,
     /// Closed-loop requests issued by this flow's MLP-limited source.
@@ -44,9 +44,9 @@ pub struct FlowStats {
     /// Number of measured round-trip samples.
     pub rt_samples: u64,
     /// DRAM row-buffer hits scored by this flow's requests (whole run).
-    pub dram_row_hits: u64,
+    pub(crate) dram_row_hits: u64,
     /// DRAM row-buffer misses scored by this flow's requests (whole run).
-    pub dram_row_misses: u64,
+    pub(crate) dram_row_misses: u64,
     /// Requests of this flow NACKed by a full controller queue at arrival —
     /// overflow NACKs (each one is retransmitted over the fabric; whole
     /// run).
@@ -72,7 +72,7 @@ pub struct FlowStats {
     /// Replies delivered for a request that had already been abandoned or
     /// completed by an earlier copy (a retry raced its original). Stale
     /// replies are discarded without touching the round-trip counters.
-    pub stale_replies: u64,
+    pub(crate) stale_replies: u64,
     /// Closed-loop requests of this flow still outstanding when the run's
     /// statistics were folded (in flight at the horizon). On a completed run
     /// this is zero; on a fixed-window or faulted run it closes the
@@ -81,34 +81,11 @@ pub struct FlowStats {
     pub requests_in_flight: u64,
     /// Histogram of measured packet latencies (same samples as
     /// `latency_sum`/`latency_samples`). Empty unless
-    /// [`crate::config::TelemetryConfig::histograms`] is on.
+    /// `TelemetryConfig::histograms` is on.
     pub latency_hist: Hist64,
     /// Histogram of measured round-trip latencies (same samples as
     /// `rt_latency_sum`/`rt_samples`). Empty unless histograms are on.
     pub rt_hist: Hist64,
-}
-
-impl FlowStats {
-    /// Average packet latency of measured packets, in cycles.
-    pub fn avg_latency(&self) -> f64 {
-        if self.latency_samples == 0 {
-            0.0
-        } else {
-            self.latency_sum as f64 / self.latency_samples as f64
-        }
-    }
-
-    /// Average round-trip latency of measured closed-loop requests, in
-    /// cycles. `None` when not a single request issued during the window
-    /// completed — the flow was starved; callers must not fold that into a
-    /// `0.0` that silently poisons latency ratios.
-    pub fn avg_round_trip(&self) -> Option<f64> {
-        if self.rt_samples == 0 {
-            None
-        } else {
-            Some(self.rt_latency_sum as f64 / self.rt_samples as f64)
-        }
-    }
 }
 
 /// Counts of energy-relevant micro-events, used by the power model to derive
@@ -276,13 +253,13 @@ pub struct NetStats {
     /// Hop traversals wasted by preemptions (node-distance units).
     pub wasted_hops: u64,
     /// Hop traversals performed by delivered packets (node-distance units).
-    pub useful_hops: u64,
+    pub(crate) useful_hops: u64,
     /// Cycle at which a closed (fixed) workload completed, if it did.
     pub completion_cycle: Option<Cycle>,
     /// Total cycles simulated.
     pub cycles: Cycle,
     /// Whether latency histograms were recorded (mirrors
-    /// [`crate::config::TelemetryConfig::histograms`]). When off, every
+    /// `TelemetryConfig::histograms`). When off, every
     /// histogram in these statistics is empty and the hot path pays one
     /// predictable branch per sample.
     pub histograms_enabled: bool,
@@ -292,7 +269,7 @@ pub struct NetStats {
     /// flows.
     pub rt_hist: Hist64,
     /// Per-frame time series collected by the frame sampler, or `None` when
-    /// [`crate::config::TelemetryConfig::frame_len`] was `0`. Part of
+    /// `TelemetryConfig::frame_len` was `0`. Part of
     /// `NetStats` equality, so engine-equivalence checks extend to the whole
     /// series.
     pub frames: Option<FrameSeries>,
@@ -309,14 +286,14 @@ impl NetStats {
 
     /// Whether `cycle` falls within the measurement window. With no window
     /// configured, every cycle is measured.
-    pub fn in_measurement(&self, cycle: Cycle) -> bool {
+    pub(crate) fn in_measurement(&self, cycle: Cycle) -> bool {
         let after_start = self.measure_start.is_none_or(|s| cycle >= s);
         let before_end = self.measure_end.is_none_or(|e| cycle < e);
         after_start && before_end
     }
 
     /// Records delivery of a packet.
-    pub fn record_delivery(
+    pub(crate) fn record_delivery(
         &mut self,
         flow: FlowId,
         flits: u8,
@@ -383,13 +360,6 @@ impl NetStats {
         }
     }
 
-    /// The `pct`-th percentile of measured packet latency as a conservative
-    /// upper bound (see [`Hist64::percentile`]); `None` when histograms were
-    /// off or no latency was sampled.
-    pub fn latency_percentile(&self, pct: u8) -> Option<u64> {
-        self.latency_hist.percentile(pct)
-    }
-
     /// The `pct`-th percentile of measured round-trip latency as a
     /// conservative upper bound; `None` when histograms were off or no round
     /// trip was sampled.
@@ -398,7 +368,7 @@ impl NetStats {
     }
 
     /// Average round-trip latency over measured closed-loop requests, or
-    /// `None` when nothing completed (see [`FlowStats::avg_round_trip`]).
+    /// `None` when nothing completed.
     pub fn avg_round_trip(&self) -> Option<f64> {
         if self.rt_samples == 0 {
             None
@@ -425,7 +395,7 @@ impl NetStats {
     /// arrived at its controller at `arrived` and started service at `now`,
     /// with `hit` telling whether it hit the open row and `latency` the
     /// service time charged (cycles).
-    pub fn record_dram_service(
+    pub(crate) fn record_dram_service(
         &mut self,
         flow: FlowId,
         hit: bool,
@@ -450,56 +420,56 @@ impl NetStats {
 
     /// Records the rejection (overflow NACK) of a request of `flow` by a
     /// full controller queue.
-    pub fn record_dram_rejection(&mut self, flow: FlowId) {
+    pub(crate) fn record_dram_rejection(&mut self, flow: FlowId) {
         self.dram.rejected_requests += 1;
         self.flows[flow.index()].dram_rejections += 1;
     }
 
     /// Records the eviction (eviction NACK) of a queued request of `flow`
     /// in favour of a higher-priority arrival.
-    pub fn record_dram_eviction(&mut self, flow: FlowId) {
+    pub(crate) fn record_dram_eviction(&mut self, flow: FlowId) {
         self.dram.evicted_requests += 1;
         self.flows[flow.index()].dram_evictions += 1;
     }
 
     /// Records a request parked in a controller's stall lane (its queue
     /// occupancy is recorded separately, on admission to the queue).
-    pub fn record_dram_stall(&mut self) {
+    pub(crate) fn record_dram_stall(&mut self) {
         self.dram.stalled_requests += 1;
     }
 
     /// Records the waiting-queue occupancy of a controller after an arrival
     /// was enqueued (high-water tracking).
-    pub fn record_dram_occupancy(&mut self, occupancy: usize) {
+    pub(crate) fn record_dram_occupancy(&mut self, occupancy: usize) {
         self.dram.max_queue_occupancy = self.dram.max_queue_occupancy.max(occupancy as u64);
     }
 
     /// Records the deadline expiry of an outstanding request of `flow`.
-    pub fn record_request_timeout(&mut self, flow: FlowId) {
+    pub(crate) fn record_request_timeout(&mut self, flow: FlowId) {
         self.flows[flow.index()].request_timeouts += 1;
     }
 
     /// Records the backoff re-issue of a previously timed-out request of
     /// `flow`.
-    pub fn record_request_retry(&mut self, flow: FlowId) {
+    pub(crate) fn record_request_retry(&mut self, flow: FlowId) {
         self.flows[flow.index()].request_retries += 1;
     }
 
     /// Records the abandonment of a request of `flow` whose retry budget ran
     /// out.
-    pub fn record_request_abandoned(&mut self, flow: FlowId) {
+    pub(crate) fn record_request_abandoned(&mut self, flow: FlowId) {
         self.flows[flow.index()].abandoned_requests += 1;
     }
 
     /// Records the delivery of a reply whose request was no longer waiting
     /// (already completed by an earlier copy, or abandoned).
-    pub fn record_stale_reply(&mut self, flow: FlowId) {
+    pub(crate) fn record_stale_reply(&mut self, flow: FlowId) {
         self.flows[flow.index()].stale_replies += 1;
     }
 
     /// Records a preemption of a packet of `flow` that had traversed `hops`
     /// hop equivalents when it was discarded.
-    pub fn record_preemption(&mut self, flow: FlowId, wasted_hops: u32) {
+    pub(crate) fn record_preemption(&mut self, flow: FlowId, wasted_hops: u32) {
         self.preemption_events += 1;
         self.wasted_hops += u64::from(wasted_hops);
         self.flows[flow.index()].preemptions += 1;
@@ -561,7 +531,7 @@ impl NetStats {
 
 /// Summary statistics (mean, minimum, maximum, standard deviation) over a set
 /// of per-flow throughput observations, as reported in Table 2 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ThroughputSummary {
     /// Mean flits per flow.
     pub mean: f64,
@@ -627,13 +597,6 @@ impl ThroughputSummary {
             100.0 * self.std_dev / self.mean
         }
     }
-
-    /// Largest deviation of min or max from the mean, as a percentage.
-    pub fn max_deviation_pct(&self) -> f64 {
-        let lo = (100.0 - self.min_pct_of_mean()).abs();
-        let hi = (self.max_pct_of_mean() - 100.0).abs();
-        lo.max(hi)
-    }
 }
 
 #[cfg(test)]
@@ -696,7 +659,7 @@ mod tests {
         assert!(off.latency_hist.is_empty());
         assert!(off.rt_hist.is_empty());
         assert!(off.flows[0].latency_hist.is_empty());
-        assert_eq!(off.latency_percentile(99), None);
+        assert_eq!(off.latency_hist.percentile(99), None);
 
         let mut on = NetStats::new(1);
         on.histograms_enabled = true;
@@ -705,7 +668,7 @@ mod tests {
         assert_eq!(on.latency_hist.count(), on.latency_samples);
         assert_eq!(on.rt_hist.count(), on.rt_samples);
         assert_eq!(on.flows[0].latency_hist.count(), 1);
-        assert_eq!(on.latency_percentile(99), Some(20));
+        assert_eq!(on.latency_hist.percentile(99), Some(20));
         assert_eq!(on.rt_percentile(99), Some(70));
         assert_eq!(on.latency_hist.sum(), on.latency_sum);
         assert_eq!(on.rt_hist.sum(), on.rt_latency_sum);
@@ -721,21 +684,11 @@ mod tests {
         assert!((summary.min_pct_of_mean() - 80.0).abs() < 1e-9);
         assert!((summary.max_pct_of_mean() - 120.0).abs() < 1e-9);
         assert!((summary.std_dev_pct_of_mean() - 20.0).abs() < 1e-9);
-        assert!((summary.max_deviation_pct() - 20.0).abs() < 1e-9);
     }
 
     #[test]
     fn throughput_summary_empty_is_none() {
         assert!(ThroughputSummary::from_observations(&[]).is_none());
-    }
-
-    #[test]
-    fn flow_stats_average_latency() {
-        let mut fs = FlowStats::default();
-        assert_eq!(fs.avg_latency(), 0.0);
-        fs.latency_sum = 100;
-        fs.latency_samples = 4;
-        assert_eq!(fs.avg_latency(), 25.0);
     }
 
     #[test]

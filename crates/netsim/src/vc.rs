@@ -23,24 +23,24 @@ const FLAG_GRANTED: u8 = 1 << 1;
 /// dense cache lines: four VCs per line instead of one and a half with the
 /// naive `Option`-field layout.
 #[derive(Debug, Clone)]
-pub struct VcState {
+pub(crate) struct VcState {
     /// Packet currently occupying the VC ([`NO_PACKET`] when free).
     packet: u64,
     /// Output port selected for the occupant ([`NO_ROUTE`] before routing).
     route: u16,
     /// Length in flits of the occupying packet.
-    pub len: u8,
+    pub(crate) len: u8,
     /// Number of flits of the packet that have arrived (matured) in the VC.
-    pub flits_arrived: u8,
+    pub(crate) flits_arrived: u8,
     /// Number of flits already forwarded out of the VC.
-    pub flits_sent: u8,
+    pub(crate) flits_sent: u8,
     /// [`FLAG_RESERVED_VC`] | [`FLAG_GRANTED`].
     flags: u8,
 }
 
 impl VcState {
     /// Creates an empty VC.
-    pub fn new(reserved_vc: bool) -> Self {
+    pub(crate) fn new(reserved_vc: bool) -> Self {
         VcState {
             packet: NO_PACKET,
             route: NO_ROUTE,
@@ -53,13 +53,13 @@ impl VcState {
 
     /// Packet currently occupying the VC (set when its head flit arrives).
     #[inline]
-    pub fn packet(&self) -> Option<PacketId> {
+    pub(crate) fn packet(&self) -> Option<PacketId> {
         (self.packet != NO_PACKET).then_some(PacketId(self.packet))
     }
 
     /// Output port selected for the occupying packet (route computation).
     #[inline]
-    pub fn route(&self) -> Option<OutPortId> {
+    pub(crate) fn route(&self) -> Option<OutPortId> {
         (self.route != NO_ROUTE).then_some(OutPortId(self.route as usize))
     }
 
@@ -67,39 +67,33 @@ impl VcState {
     /// indices fit the packed field with room to spare:
     /// [`crate::spec::NetworkSpec::validate`] caps a router at 64 outputs.
     #[inline]
-    pub fn set_route(&mut self, out: OutPortId) {
+    pub(crate) fn set_route(&mut self, out: OutPortId) {
         self.route = out.0 as u16;
     }
 
     /// Whether this VC is reserved for rate-compliant traffic.
     #[inline]
-    pub fn reserved_vc(&self) -> bool {
+    pub(crate) fn reserved_vc(&self) -> bool {
         self.flags & FLAG_RESERVED_VC != 0
     }
 
     /// Whether the packet currently owns a granted transfer out of this VC.
     #[inline]
-    pub fn granted(&self) -> bool {
+    pub(crate) fn granted(&self) -> bool {
         self.flags & FLAG_GRANTED != 0
     }
 
     /// Marks the occupying packet as holding a granted transfer.
     #[inline]
-    pub fn set_granted(&mut self) {
+    pub(crate) fn set_granted(&mut self) {
         self.flags |= FLAG_GRANTED;
-    }
-
-    /// Whether the VC currently holds no packet.
-    #[inline]
-    pub fn is_free(&self) -> bool {
-        self.packet == NO_PACKET
     }
 
     /// Whether the complete packet has arrived and nothing has been forwarded
     /// or granted yet — the state in which a packet is eligible as a
     /// preemption victim.
     #[inline]
-    pub fn is_resident_idle(&self) -> bool {
+    pub(crate) fn is_resident_idle(&self) -> bool {
         self.packet != NO_PACKET
             && self.flits_arrived == self.len
             && self.flits_sent == 0
@@ -109,13 +103,13 @@ impl VcState {
     /// Whether the head flit has matured and the packet has not yet been
     /// granted an output (the state in which it requests VC allocation).
     #[inline]
-    pub fn wants_allocation(&self) -> bool {
+    pub(crate) fn wants_allocation(&self) -> bool {
         self.packet != NO_PACKET && self.flits_arrived > 0 && !self.granted()
     }
 
     /// Number of matured flits not yet forwarded.
     #[inline]
-    pub fn sendable_flits(&self) -> u8 {
+    pub(crate) fn sendable_flits(&self) -> u8 {
         self.flits_arrived.saturating_sub(self.flits_sent)
     }
 
@@ -124,7 +118,7 @@ impl VcState {
     /// # Panics
     ///
     /// Panics if the VC is already occupied by a different packet.
-    pub fn accept_head(&mut self, packet: PacketId, len: u8) {
+    pub(crate) fn accept_head(&mut self, packet: PacketId, len: u8) {
         assert!(
             self.packet == NO_PACKET,
             "VC accepting a head flit while occupied"
@@ -147,7 +141,7 @@ impl VcState {
     ///
     /// Panics if the flit does not belong to the occupying packet or would
     /// exceed the packet length.
-    pub fn accept_body(&mut self, packet: PacketId) {
+    pub(crate) fn accept_body(&mut self, packet: PacketId) {
         assert_eq!(self.packet, packet.0, "body flit for wrong packet");
         assert!(
             self.flits_arrived < self.len,
@@ -157,7 +151,7 @@ impl VcState {
     }
 
     /// Resets the VC to the free state and returns the packet it held.
-    pub fn release(&mut self) -> Option<PacketId> {
+    pub(crate) fn release(&mut self) -> Option<PacketId> {
         let packet = self.packet();
         self.packet = NO_PACKET;
         self.len = 0;
@@ -185,11 +179,11 @@ mod tests {
     #[test]
     fn lifecycle_of_a_packet_through_a_vc() {
         let mut vc = VcState::new(false);
-        assert!(vc.is_free());
+        assert_eq!(vc.packet(), None);
         assert!(!vc.wants_allocation());
 
         vc.accept_head(PacketId(1), 2);
-        assert!(!vc.is_free());
+        assert!(vc.packet().is_some());
         assert!(vc.wants_allocation());
         assert!(!vc.is_resident_idle());
         assert_eq!(vc.sendable_flits(), 1);
@@ -210,7 +204,7 @@ mod tests {
 
         let released = vc.release();
         assert_eq!(released, Some(PacketId(1)));
-        assert!(vc.is_free());
+        assert_eq!(vc.packet(), None);
         assert!(!vc.granted());
         assert_eq!(vc.route(), None);
     }

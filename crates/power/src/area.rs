@@ -28,7 +28,7 @@ pub struct RouterArea {
 
 impl RouterArea {
     /// Total input-buffer area (row plus column).
-    pub fn buffers_mm2(&self) -> f64 {
+    pub(crate) fn buffers_mm2(&self) -> f64 {
         self.column_buffers_mm2 + self.row_buffers_mm2
     }
 
@@ -46,7 +46,7 @@ pub struct AreaModel {
 
 impl AreaModel {
     /// Creates the model for a technology node.
-    pub fn new(tech: TechnologyParams) -> Self {
+    pub(crate) fn new(tech: TechnologyParams) -> Self {
         AreaModel { tech }
     }
 
@@ -61,7 +61,7 @@ impl AreaModel {
     }
 
     /// Area of a router with the given geometry.
-    pub fn router_area(&self, geometry: &RouterGeometry) -> RouterArea {
+    pub(crate) fn router_area(&self, geometry: &RouterGeometry) -> RouterArea {
         let bit = self.tech.sram_mm2_per_bit;
         let flit_bits = f64::from(geometry.flit_bits);
         RouterArea {

@@ -15,7 +15,6 @@
 
 use crate::model::TechnologyParams;
 use serde::{Deserialize, Serialize};
-use taqos_netsim::stats::EnergyCounters;
 use taqos_topology::column::{ColumnConfig, ColumnTopology};
 use taqos_topology::geometry::{router_geometry, RouterGeometry};
 
@@ -48,7 +47,7 @@ impl HopEnergy {
     }
 
     /// Component-wise sum of two hop energies.
-    pub fn plus(&self, other: &HopEnergy) -> HopEnergy {
+    pub(crate) fn plus(&self, other: &HopEnergy) -> HopEnergy {
         HopEnergy {
             buffers_pj: self.buffers_pj + other.buffers_pj,
             crossbar_pj: self.crossbar_pj + other.crossbar_pj,
@@ -57,7 +56,7 @@ impl HopEnergy {
     }
 
     /// Component-wise scaling.
-    pub fn scaled(&self, factor: f64) -> HopEnergy {
+    pub(crate) fn scaled(&self, factor: f64) -> HopEnergy {
         HopEnergy {
             buffers_pj: self.buffers_pj * factor,
             crossbar_pj: self.crossbar_pj * factor,
@@ -74,18 +73,13 @@ pub struct EnergyModel {
 
 impl EnergyModel {
     /// Creates the model for a technology node.
-    pub fn new(tech: TechnologyParams) -> Self {
+    pub(crate) fn new(tech: TechnologyParams) -> Self {
         EnergyModel { tech }
     }
 
     /// The 32 nm model used throughout the evaluation.
     pub fn nm32() -> Self {
         EnergyModel::new(TechnologyParams::nm32())
-    }
-
-    /// The technology parameters of this model.
-    pub fn technology(&self) -> &TechnologyParams {
-        &self.tech
     }
 
     fn buffer_access_pj(&self, port_capacity_bits: f64) -> f64 {
@@ -177,30 +171,6 @@ impl EnergyModel {
             .hop_energy(topology, config, HopKind::Intermediate)
             .scaled(f64::from(intermediate_count));
         src.plus(&int).plus(&dst)
-    }
-
-    /// Converts the event counters of a simulation run into total router and
-    /// link energy, in pJ. This is a simulation-driven complement to the
-    /// analytical per-hop figures.
-    pub fn simulation_energy(
-        &self,
-        topology: ColumnTopology,
-        config: &ColumnConfig,
-        counters: &EnergyCounters,
-    ) -> f64 {
-        let geometry = router_geometry(topology, config);
-        let params = topology.params();
-        let network_port_bits = f64::from(params.network_vcs)
-            * f64::from(params.vc_depth_flits)
-            * f64::from(geometry.flit_bits);
-        let buffer = self.buffer_access_pj(network_port_bits);
-        let xbar = self.crossbar_pj(&geometry);
-        let flow =
-            self.tech.flow_access_per_log2_entry_pj * geometry.flow_table_entries.max(2.0).log2();
-        (counters.buffer_writes + counters.buffer_reads) as f64 * buffer
-            + counters.xbar_flits as f64 * xbar
-            + (counters.flow_table_queries + counters.flow_table_updates) as f64 * flow
-            + counters.link_flit_hops as f64 * self.tech.link_per_span_pj
     }
 }
 
@@ -301,32 +271,6 @@ mod tests {
         let doubled = e.plus(&e);
         assert!((doubled.total_pj() - 2.0 * e.total_pj()).abs() < 1e-12);
         assert!((e.scaled(0.5).total_pj() - 0.5 * e.total_pj()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn simulation_energy_scales_with_event_counts() {
-        let m = model();
-        let counters = EnergyCounters {
-            buffer_writes: 100,
-            buffer_reads: 100,
-            xbar_flits: 100,
-            flow_table_queries: 25,
-            flow_table_updates: 25,
-            link_flit_hops: 300,
-        };
-        let half = EnergyCounters {
-            buffer_writes: 50,
-            buffer_reads: 50,
-            xbar_flits: 50,
-            flow_table_queries: 12,
-            flow_table_updates: 13,
-            link_flit_hops: 150,
-        };
-        let full = m.simulation_energy(ColumnTopology::MeshX1, &cfg(), &counters);
-        let halved = m.simulation_energy(ColumnTopology::MeshX1, &cfg(), &half);
-        assert!(full > 0.0);
-        assert!(halved < full);
-        assert!((halved / full - 0.5).abs() < 0.05);
     }
 
     #[test]

@@ -16,43 +16,43 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TechnologyParams {
     /// Feature size in nanometres (32 in the paper).
-    pub feature_nm: f64,
+    pub(crate) feature_nm: f64,
     /// Supply voltage in volts (0.9 in the paper).
-    pub vdd: f64,
+    pub(crate) vdd: f64,
 
     /// SRAM area per bit, including periphery of small arrays, in mm².
     pub sram_mm2_per_bit: f64,
     /// Crossbar area per crosspoint (one input port crossing one output
     /// port at full channel width), in mm².
-    pub xbar_mm2_per_crosspoint: f64,
+    pub(crate) xbar_mm2_per_crosspoint: f64,
     /// Bits of flow state per table entry (bandwidth counter plus rate
     /// register).
     pub flow_entry_bits: f64,
 
     /// Fixed energy of one buffer access (read or write of one flit), pJ.
-    pub buffer_access_base_pj: f64,
+    pub(crate) buffer_access_base_pj: f64,
     /// Additional buffer access energy per bit of port capacity, pJ.
-    pub buffer_access_per_bit_pj: f64,
+    pub(crate) buffer_access_per_bit_pj: f64,
     /// Fixed energy of one crossbar flit traversal, pJ.
-    pub xbar_base_pj: f64,
+    pub(crate) xbar_base_pj: f64,
     /// Crossbar traversal energy per (input + output) port, pJ.
-    pub xbar_per_port_pj: f64,
+    pub(crate) xbar_per_port_pj: f64,
     /// Crossbar traversal energy per input port multiplexed onto the same
     /// crossbar input (long input wires of MECS routers), pJ.
-    pub xbar_input_wire_pj: f64,
+    pub(crate) xbar_input_wire_pj: f64,
     /// Energy of a 2:1 pass-through multiplexer traversal (DPS intermediate
     /// hop), pJ.
-    pub passthrough_mux_pj: f64,
+    pub(crate) passthrough_mux_pj: f64,
     /// Energy of one flow-state table access (query or update), pJ, per
     /// log2(entries).
-    pub flow_access_per_log2_entry_pj: f64,
+    pub(crate) flow_access_per_log2_entry_pj: f64,
     /// Link energy per flit per router-to-router span, pJ.
-    pub link_per_span_pj: f64,
+    pub(crate) link_per_span_pj: f64,
 }
 
 impl TechnologyParams {
     /// The calibrated 32 nm / 0.9 V parameters used for every figure.
-    pub fn nm32() -> Self {
+    pub(crate) fn nm32() -> Self {
         TechnologyParams {
             feature_nm: 32.0,
             vdd: 0.9,
@@ -68,22 +68,6 @@ impl TechnologyParams {
             flow_access_per_log2_entry_pj: 0.08,
             link_per_span_pj: 1.2,
         }
-    }
-
-    /// Scales dynamic energy with the square of a different supply voltage
-    /// (used for what-if analyses).
-    pub fn with_vdd(mut self, vdd: f64) -> Self {
-        let scale = (vdd / self.vdd).powi(2);
-        self.vdd = vdd;
-        self.buffer_access_base_pj *= scale;
-        self.buffer_access_per_bit_pj *= scale;
-        self.xbar_base_pj *= scale;
-        self.xbar_per_port_pj *= scale;
-        self.xbar_input_wire_pj *= scale;
-        self.passthrough_mux_pj *= scale;
-        self.flow_access_per_log2_entry_pj *= scale;
-        self.link_per_span_pj *= scale;
-        self
     }
 }
 
@@ -103,16 +87,5 @@ mod tests {
         assert_eq!(t.feature_nm, 32.0);
         assert_eq!(t.vdd, 0.9);
         assert!(t.sram_mm2_per_bit > 0.0);
-    }
-
-    #[test]
-    fn voltage_scaling_is_quadratic() {
-        let base = TechnologyParams::nm32();
-        let scaled = TechnologyParams::nm32().with_vdd(0.45);
-        assert!((scaled.xbar_base_pj - base.xbar_base_pj * 0.25).abs() < 1e-12);
-        assert!((scaled.link_per_span_pj - base.link_per_span_pj * 0.25).abs() < 1e-12);
-        assert_eq!(scaled.vdd, 0.45);
-        // Area constants are unaffected by voltage.
-        assert_eq!(scaled.sram_mm2_per_bit, base.sram_mm2_per_bit);
     }
 }

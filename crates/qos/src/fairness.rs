@@ -123,7 +123,7 @@ impl DeviationSummary {
     /// Computes the summary of a set of relative deviations.
     ///
     /// Returns `None` for an empty input.
-    pub fn from_deviations(deviations: &[f64]) -> Option<Self> {
+    pub(crate) fn from_deviations(deviations: &[f64]) -> Option<Self> {
         if deviations.is_empty() {
             return None;
         }

@@ -27,7 +27,7 @@ use taqos_netsim::Cycle;
 pub struct PerFlowConfig {
     /// Frame length in cycles between bandwidth-counter flushes (kept equal
     /// to PVC's frame so priorities evolve identically).
-    pub frame_len: Cycle,
+    pub(crate) frame_len: Cycle,
 }
 
 impl Default for PerFlowConfig {
@@ -45,7 +45,7 @@ pub struct PerFlowQueuedPolicy {
 
 impl PerFlowQueuedPolicy {
     /// Creates the policy with the given configuration and rates.
-    pub fn new(config: PerFlowConfig, rates: RateAllocation) -> Self {
+    pub(crate) fn new(config: PerFlowConfig, rates: RateAllocation) -> Self {
         PerFlowQueuedPolicy { config, rates }
     }
 
@@ -53,11 +53,6 @@ impl PerFlowQueuedPolicy {
     /// default frame length.
     pub fn equal_rates(num_flows: usize) -> Self {
         PerFlowQueuedPolicy::new(PerFlowConfig::default(), RateAllocation::equal(num_flows))
-    }
-
-    /// The per-flow rate allocation.
-    pub fn rates(&self) -> &RateAllocation {
-        &self.rates
     }
 }
 
@@ -98,6 +93,6 @@ mod tests {
         assert!(policy.unlimited_buffering());
         assert_eq!(policy.frame_len(), Some(50_000));
         assert!(policy.reserved_quota(FlowId(0)).is_none());
-        assert_eq!(policy.rates().len(), 8);
+        assert_eq!(policy.rates.len(), 8);
     }
 }

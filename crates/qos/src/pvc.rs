@@ -92,11 +92,6 @@ impl PvcPolicy {
         PvcPolicy::new(PvcConfig::paper(), RateAllocation::equal(num_flows))
     }
 
-    /// The policy configuration.
-    pub fn config(&self) -> &PvcConfig {
-        &self.config
-    }
-
     /// The per-flow rate allocation.
     pub fn rates(&self) -> &RateAllocation {
         &self.rates
@@ -146,7 +141,7 @@ pub struct PvcRouterQos {
 
 impl PvcRouterQos {
     /// Creates per-router state for `num_flows` flows.
-    pub fn new(rates: RateAllocation, num_flows: usize) -> Self {
+    pub(crate) fn new(rates: RateAllocation, num_flows: usize) -> Self {
         PvcRouterQos {
             rates,
             consumed_flits: vec![0; num_flows],
@@ -154,7 +149,7 @@ impl PvcRouterQos {
     }
 
     /// Bandwidth consumed by `flow` since the last frame flush, in flits.
-    pub fn consumed(&self, flow: FlowId) -> u64 {
+    pub(crate) fn consumed(&self, flow: FlowId) -> u64 {
         self.consumed_flits.get(flow.index()).copied().unwrap_or(0)
     }
 }

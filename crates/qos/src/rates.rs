@@ -107,36 +107,7 @@ impl RateAllocation {
     /// Panics if `rates` is empty or any rate is not strictly positive and
     /// finite.
     pub fn from_rates(rates: Vec<f64>) -> Self {
-        assert!(
-            !rates.is_empty(),
-            "a rate allocation needs at least one flow"
-        );
-        for (i, &r) in rates.iter().enumerate() {
-            assert!(
-                r.is_finite() && r > 0.0,
-                "rate of flow {i} must be positive and finite, got {r}"
-            );
-        }
-        RateAllocation { rates }
-    }
-
-    /// Builds an allocation proportional to integer weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or contains a zero weight.
-    pub fn from_weights(weights: &[u32]) -> Self {
-        assert!(!weights.is_empty(), "weights must be non-empty");
-        let total: u64 = weights.iter().map(|&w| u64::from(w)).sum();
-        assert!(total > 0, "weights must not all be zero");
-        let rates = weights
-            .iter()
-            .map(|&w| {
-                assert!(w > 0, "each weight must be positive");
-                f64::from(w) / total as f64
-            })
-            .collect();
-        RateAllocation { rates }
+        Self::try_from_rates(rates).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible variant of [`Self::from_rates`]: rejects bad programmes with
@@ -154,8 +125,8 @@ impl RateAllocation {
         Ok(RateAllocation { rates })
     }
 
-    /// Fallible variant of [`Self::from_weights`]: a weight of zero is a
-    /// legal *input* here (the flow simply gets no share), but all-zero
+    /// Builds an allocation proportional to integer weights. A weight of zero
+    /// is a legal *input* here (the flow simply gets no share), but all-zero
     /// weights are rejected as [`RateError::ZeroTotalWeight`] — and since a
     /// zero share cannot be expressed as a positive rate, any individual
     /// zero weight is reported as [`RateError::NonPositiveRate`].
@@ -240,7 +211,12 @@ impl RateAllocation {
 
     /// Reserved (non-preemptable) flit quota per frame for `flow`, given the
     /// frame length and the fraction of the rate guaranteed as reserved.
-    pub fn reserved_quota(&self, flow: FlowId, frame_len: u64, reserved_fraction: f64) -> u64 {
+    pub(crate) fn reserved_quota(
+        &self,
+        flow: FlowId,
+        frame_len: u64,
+        reserved_fraction: f64,
+    ) -> u64 {
         let quota = self.rate(flow) * frame_len as f64 * reserved_fraction;
         quota.max(0.0).floor() as u64
     }
@@ -262,7 +238,7 @@ mod tests {
 
     #[test]
     fn weights_are_normalised() {
-        let alloc = RateAllocation::from_weights(&[1, 3]);
+        let alloc = RateAllocation::try_from_weights(&[1, 3]).expect("valid weights");
         assert!((alloc.rate(FlowId(0)) - 0.25).abs() < 1e-12);
         assert!((alloc.rate(FlowId(1)) - 0.75).abs() < 1e-12);
     }
@@ -329,7 +305,7 @@ mod tests {
             Err(RateError::NonPositiveRate { flow: 1, rate: 0.0 })
         );
         let good = RateAllocation::try_from_weights(&[1, 3]).expect("valid weights");
-        assert_eq!(good, RateAllocation::from_weights(&[1, 3]));
+        assert_eq!(good, RateAllocation::from_rates(vec![0.25, 0.75]));
         assert_eq!(
             RateAllocation::try_from_rates(vec![0.25, 0.75]).expect("valid rates"),
             RateAllocation::from_rates(vec![0.25, 0.75])

@@ -40,21 +40,6 @@ impl<P: QosPolicy> ScopedQosPolicy<P> {
             name,
         }
     }
-
-    /// The inner (protected-region) policy.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Nodes whose routers carry the QOS hardware.
-    pub fn qos_nodes(&self) -> &BTreeSet<NodeId> {
-        &self.qos_nodes
-    }
-
-    /// Whether the router at `node` carries QOS hardware.
-    pub fn is_qos_node(&self, node: NodeId) -> bool {
-        self.qos_nodes.contains(&node)
-    }
 }
 
 impl<P: QosPolicy> QosPolicy for ScopedQosPolicy<P> {
@@ -124,10 +109,10 @@ mod tests {
         assert!(policy.preemption_enabled());
         assert!(policy.reserved_quota(FlowId(0)).is_some());
         assert!(!policy.unlimited_buffering());
-        assert!(policy.is_qos_node(NodeId(1)));
-        assert!(!policy.is_qos_node(NodeId(0)));
-        assert_eq!(policy.qos_nodes().len(), 2);
-        assert_eq!(policy.inner().name(), "pvc");
+        assert!(policy.qos_nodes.contains(&NodeId(1)));
+        assert!(!policy.qos_nodes.contains(&NodeId(0)));
+        assert_eq!(policy.qos_nodes.len(), 2);
+        assert_eq!(policy.inner.name(), "pvc");
     }
 
     #[test]

@@ -128,11 +128,6 @@ impl FrameSampler {
         }
     }
 
-    /// Sampling cadence in cycles.
-    pub fn frame_len(&self) -> u64 {
-        self.frame_len
-    }
-
     /// Whether a frame closes at `cycle`.
     pub fn due(&self, cycle: u64) -> bool {
         cycle > 0 && cycle.is_multiple_of(self.frame_len)
@@ -194,11 +189,6 @@ impl FrameSampler {
             dropped_frames: frames_seen - len as u64,
         }
     }
-
-    /// Number of frames sampled so far (including overwritten ones).
-    pub fn frames_seen(&self) -> u64 {
-        self.frames_seen
-    }
 }
 
 #[cfg(test)]
@@ -246,7 +236,7 @@ mod tests {
         for t in 1..=5u64 {
             s.sample_frame(10 * t, fill_linear(t));
         }
-        assert_eq!(s.frames_seen(), 5);
+        assert_eq!(s.frames_seen, 5);
         let series = s.into_series();
         assert_eq!(series.len(), 3);
         assert_eq!(series.dropped_frames, 2);

@@ -2,7 +2,7 @@
 
 /// Number of buckets: one for the value `0`, plus one per bit position of a
 /// `u64` (bucket `k` holds the values in `[2^(k-1), 2^k - 1]`).
-pub const NUM_BUCKETS: usize = 65;
+pub(crate) const NUM_BUCKETS: usize = 65;
 
 /// An exact-integer histogram over `u64` samples with logarithmic buckets.
 ///
@@ -70,7 +70,7 @@ impl Hist64 {
     }
 
     /// Records `n` identical samples.
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -109,19 +109,9 @@ impl Hist64 {
         self.sum
     }
 
-    /// Smallest recorded sample, or `None` when empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
     /// Largest recorded sample, or `None` when empty.
     pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Number of samples in the bucket holding `value`.
-    pub fn samples_in_bucket_of(&self, value: u64) -> u64 {
-        self.buckets[bucket_of(value)]
     }
 
     /// The `pct`-th percentile (0–100) as a conservative upper bound: the
@@ -156,19 +146,6 @@ impl Hist64 {
     /// 99th-percentile upper bound.
     pub fn p99(&self) -> Option<u64> {
         self.percentile(99)
-    }
-
-    /// Non-empty buckets as `(bucket_lower_bound, bucket_upper_bound,
-    /// samples)` triples, smallest values first.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(idx, &n)| {
-                let lo = if idx == 0 { 0 } else { 1u64 << (idx - 1) };
-                (lo, bucket_upper_bound(idx), n)
-            })
     }
 }
 
@@ -208,9 +185,9 @@ mod tests {
         h.record_n(100, 3);
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 307);
-        assert_eq!(h.min(), Some(0));
+        assert_eq!(h.min, 0);
         assert_eq!(h.max(), Some(100));
-        assert_eq!(h.samples_in_bucket_of(100), 3);
+        assert_eq!(h.buckets[bucket_of(100)], 3);
     }
 
     #[test]
@@ -303,14 +280,17 @@ mod tests {
     }
 
     #[test]
-    fn nonzero_buckets_cover_all_samples() {
+    fn buckets_cover_all_samples() {
         let mut h = Hist64::new();
         h.record(0);
         h.record(1);
         h.record_n(70, 2);
-        let buckets: Vec<_> = h.nonzero_buckets().collect();
-        assert_eq!(buckets, vec![(0, 0, 1), (1, 1, 1), (64, 127, 2)]);
-        let total: u64 = buckets.iter().map(|&(_, _, n)| n).sum();
-        assert_eq!(total, h.count());
+        // Bucket 0 holds only 0, bucket 1 only 1, and 70 lands in [64, 127].
+        let nonzero: Vec<_> = (0..h.buckets.len()).filter(|&i| h.buckets[i] > 0).collect();
+        assert_eq!(nonzero, vec![0, 1, bucket_of(70)]);
+        assert_eq!(bucket_of(64), bucket_of(127));
+        assert_eq!(bucket_upper_bound(bucket_of(70)), 127);
+        assert_eq!(h.buckets[bucket_of(70)], 2);
+        assert_eq!(h.buckets.iter().sum::<u64>(), h.count());
     }
 }

@@ -159,7 +159,7 @@ impl TraceEvent {
     }
 
     /// Short kind tag used in exported files.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             TraceEvent::Inject { .. } => "inject",
             TraceEvent::Grant { .. } => "grant",
@@ -174,7 +174,7 @@ impl TraceEvent {
     }
 
     /// Serialises the event as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         let mut s = String::with_capacity(96);
         let _ = write!(
             s,
@@ -185,7 +185,7 @@ impl TraceEvent {
         if let Some(flow) = self.flow() {
             let _ = write!(s, ",\"flow\":{flow}");
         }
-        match *self {
+        match self {
             TraceEvent::Inject { packet, node, .. } => {
                 let _ = write!(s, ",\"packet\":{packet},\"node\":{node}");
             }
@@ -299,11 +299,6 @@ impl<W: Write + Send> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         JsonlSink { writer, events: 0 }
     }
-
-    /// Number of events written so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
 }
 
 impl<W: Write + Send> std::fmt::Debug for JsonlSink<W> {
@@ -356,11 +351,6 @@ impl<W: Write + Send> ChromeTraceSink<W> {
             writer,
             entries: Vec::new(),
         }
-    }
-
-    /// Number of trace entries buffered so far.
-    pub fn entries(&self) -> usize {
-        self.entries.len()
     }
 
     fn instant(&mut self, name: &str, cycle: u64, tid: u64, args: &str) {
@@ -535,7 +525,7 @@ mod tests {
             row_hit: false,
         });
         sink.finish().expect("flush");
-        assert_eq!(sink.events(), 2);
+        assert_eq!(sink.events, 2);
         let text = String::from_utf8(sink.writer).expect("utf8");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);

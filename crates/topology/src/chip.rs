@@ -48,31 +48,31 @@ pub struct ChipConfig {
     /// X indices of the shared-resource (QOS-protected) columns.
     pub shared_columns: BTreeSet<u16>,
     /// Virtual channels at each injection port.
-    pub injection_vcs: u8,
+    pub(crate) injection_vcs: u8,
     /// Virtual channels at each mesh network input port.
-    pub network_vcs: u8,
+    pub(crate) network_vcs: u8,
     /// Virtual channels at each express (multidrop) input port of a column
     /// router; MECS inputs are generously buffered (Table 1).
-    pub express_vcs: u8,
+    pub(crate) express_vcs: u8,
     /// VC depth in flits (virtual cut-through: at least the longest packet).
-    pub vc_depth: u8,
+    pub(crate) vc_depth: u8,
     /// VCs per network/express input port of a *shared-column* router that
     /// are reserved for rate-compliant traffic. Non-column routers never
     /// reserve VCs — reservations are part of the QOS overlay.
-    pub column_reserved_vcs: u8,
+    pub(crate) column_reserved_vcs: u8,
     /// Ejection slots at each terminal.
-    pub ejection_slots: u8,
+    pub(crate) ejection_slots: u8,
     /// Outstanding-packet window per source.
-    pub source_window: usize,
+    pub(crate) source_window: usize,
     /// Channel width in bytes.
-    pub flit_bytes: u32,
+    pub(crate) flit_bytes: u32,
     /// VC-allocation latency of shared-column routers (2 — MECS-style input
     /// concentration deepens arbitration, Table 1).
-    pub column_va_latency: u32,
+    pub(crate) column_va_latency: u32,
     /// VC-allocation latency of plain mesh routers.
-    pub mesh_va_latency: u32,
+    pub(crate) mesh_va_latency: u32,
     /// Crossbar traversal latency of every router.
-    pub xt_latency: u32,
+    pub(crate) xt_latency: u32,
     /// Route inter-domain traffic (different row, non-column destination)
     /// through the nearest shared column instead of plain XY, so VM-to-VM
     /// transfers never turn inside an unprotected third-party router: one
@@ -80,7 +80,7 @@ pub struct ChipConfig {
     /// destination's row, then the mesh out along that row. This is the
     /// fabric image of `TopologyAwareChip::inter_domain_route` in
     /// `taqos-core`. Off by default: same-chip traffic then routes plain XY.
-    pub inter_domain_via_column: bool,
+    pub(crate) inter_domain_via_column: bool,
 }
 
 impl Default for ChipConfig {
@@ -131,7 +131,7 @@ impl ChipConfig {
     }
 
     /// Enables shared-column transit for inter-domain traffic (see
-    /// [`Self::inter_domain_via_column`]).
+    /// `Self::inter_domain_via_column`).
     #[must_use]
     pub fn with_inter_domain_via_column(mut self) -> Self {
         self.inter_domain_via_column = true;
@@ -159,7 +159,7 @@ impl ChipConfig {
     }
 
     /// Whether `node` is a shared-column (QOS) router.
-    pub fn is_qos_node(&self, node: NodeId) -> bool {
+    pub(crate) fn is_qos_node(&self, node: NodeId) -> bool {
         self.is_shared_column(self.coords(node).0)
     }
 

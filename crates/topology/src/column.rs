@@ -70,7 +70,7 @@ impl ColumnTopology {
     }
 
     /// Mesh replication factor (1, 2 or 4); `None` for MECS and DPS.
-    pub fn mesh_replication(self) -> Option<u8> {
+    pub(crate) fn mesh_replication(self) -> Option<u8> {
         match self {
             ColumnTopology::MeshX1 => Some(1),
             ColumnTopology::MeshX2 => Some(2),
@@ -181,14 +181,6 @@ impl ColumnConfig {
         Self::default()
     }
 
-    /// A smaller column used in quick tests.
-    pub fn small(nodes: usize) -> Self {
-        ColumnConfig {
-            nodes,
-            ..Self::default()
-        }
-    }
-
     /// Injectors per node (terminal plus row inputs).
     pub fn injectors_per_node(&self) -> usize {
         1 + self.row_inputs_east + self.row_inputs_west
@@ -209,12 +201,6 @@ impl ColumnConfig {
             "injector {injector} out of range"
         );
         FlowId((node * self.injectors_per_node() + injector) as u16)
-    }
-
-    /// Node and injector index of a flow (inverse of [`Self::flow_of`]).
-    pub fn node_of_flow(&self, flow: FlowId) -> (usize, usize) {
-        let per = self.injectors_per_node();
-        (flow.index() / per, flow.index() % per)
     }
 
     /// Flow identifiers of all terminal injectors (injector 0 of each node).
@@ -685,7 +671,7 @@ mod tests {
         assert_eq!(config.injectors_per_node(), 8);
         assert_eq!(config.num_flows(), 64);
         let flow = config.flow_of(3, 5);
-        assert_eq!(config.node_of_flow(flow), (3, 5));
+        assert_eq!(flow.index(), 3 * config.injectors_per_node() + 5);
         assert_eq!(config.terminal_flows().len(), 8);
         assert_eq!(config.terminal_flows()[2], FlowId(16));
     }
@@ -814,7 +800,10 @@ mod tests {
 
     #[test]
     fn small_columns_also_build() {
-        let config = ColumnConfig::small(2);
+        let config = ColumnConfig {
+            nodes: 2,
+            ..ColumnConfig::default()
+        };
         for topology in ColumnTopology::all() {
             let spec = topology.build(&config);
             assert_eq!(spec.routers.len(), 2);

@@ -15,9 +15,9 @@ use taqos_netsim::spec::{InputKind, NetworkSpec};
 /// channels are MECS channels and are buffered like MECS column ports). This
 /// buffering is identical across the evaluated column topologies and appears
 /// as the constant "row input" component of Figure 3.
-pub const ROW_INPUT_VCS: u32 = 14;
+pub(crate) const ROW_INPUT_VCS: u32 = 14;
 /// Flits per row-input virtual channel.
-pub const ROW_INPUT_VC_DEPTH: u32 = 4;
+pub(crate) const ROW_INPUT_VC_DEPTH: u32 = 4;
 
 /// Structural quantities of one (average) router of a column topology.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -39,18 +39,6 @@ pub struct RouterGeometry {
     pub max_ports_per_xbar_input: f64,
     /// Channel (flit) width in bits.
     pub flit_bits: u32,
-}
-
-impl RouterGeometry {
-    /// Total input buffer capacity in flits (row plus column).
-    pub fn total_buffer_flits(&self) -> f64 {
-        self.column_buffer_flits + self.row_buffer_flits
-    }
-
-    /// Total input buffer capacity in bits.
-    pub fn total_buffer_bits(&self) -> f64 {
-        self.total_buffer_flits() * f64::from(self.flit_bits)
-    }
 }
 
 /// Number of outputs leaving the column sideways (east, west) that exist in
@@ -188,15 +176,5 @@ mod tests {
         let mesh = geo(ColumnTopology::MeshX1);
         assert!(dps.flow_table_entries > mesh.flow_table_entries);
         assert_eq!(mesh.flow_table_entries, 64.0);
-    }
-
-    #[test]
-    fn buffer_totals_include_both_components() {
-        let g = geo(ColumnTopology::MeshX1);
-        assert_eq!(
-            g.total_buffer_flits(),
-            g.column_buffer_flits + g.row_buffer_flits
-        );
-        assert_eq!(g.total_buffer_bits(), g.total_buffer_flits() * 128.0);
     }
 }

@@ -31,11 +31,6 @@ impl Coord {
         let dy = (i32::from(self.y) - i32::from(other.y)).unsigned_abs();
         dx + dy
     }
-
-    /// Whether two coordinates share a row or a column.
-    pub fn aligned_with(self, other: Coord) -> bool {
-        self.x == other.x || self.y == other.y
-    }
 }
 
 impl std::fmt::Display for Coord {
@@ -120,22 +115,6 @@ impl ChipGrid {
         path
     }
 
-    /// Whether a MECS network reaches `to` from `from` in a single network
-    /// hop (point-to-multipoint channels fully connect a node to every other
-    /// node along each cardinal direction).
-    pub fn mecs_single_hop(&self, from: Coord, to: Coord) -> bool {
-        from != to && from.aligned_with(to)
-    }
-
-    /// Whether a node at `from` can reach column `column_x` with at most one
-    /// dimension change under XY routing while touching only `from`'s row —
-    /// i.e. the access pattern used to enter a shared-resource column: a row
-    /// traversal on the node's own MECS row channel followed by the
-    /// QOS-protected column.
-    pub fn reaches_column_via_own_row(&self, from: Coord, column_x: u16) -> bool {
-        column_x < self.width && self.contains(from)
-    }
-
     /// Whether a set of coordinates forms a convex region in the sense
     /// required for domains: for every pair of members, both dimension-order
     /// paths (XY and YX) stay inside the region, so intra-domain traffic
@@ -206,22 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn manhattan_and_alignment() {
+    fn manhattan_distance() {
         let a = Coord::new(2, 3);
         let b = Coord::new(5, 3);
         assert_eq!(a.manhattan(b), 3);
-        assert!(a.aligned_with(b));
-        assert!(!a.aligned_with(Coord::new(5, 4)));
-    }
-
-    #[test]
-    fn mecs_reaches_row_and_column_in_one_hop() {
-        let grid = ChipGrid::paper();
-        let from = Coord::new(2, 5);
-        assert!(grid.mecs_single_hop(from, Coord::new(7, 5)));
-        assert!(grid.mecs_single_hop(from, Coord::new(2, 0)));
-        assert!(!grid.mecs_single_hop(from, Coord::new(3, 4)));
-        assert!(!grid.mecs_single_hop(from, from));
     }
 
     #[test]
@@ -245,16 +212,6 @@ mod tests {
         let grid = ChipGrid::paper();
         let single: BTreeSet<Coord> = [Coord::new(4, 4)].into_iter().collect();
         assert!(grid.is_convex_region(&single));
-    }
-
-    #[test]
-    fn every_node_reaches_every_column_via_its_row() {
-        let grid = ChipGrid::paper();
-        for c in grid.coords() {
-            for col in 0..grid.width {
-                assert!(grid.reaches_column_via_own_row(c, col));
-            }
-        }
     }
 
     #[test]

@@ -120,22 +120,13 @@ impl Mesh2dConfig {
         Self::default()
     }
 
-    /// A custom-sized mesh with the default port provisioning.
-    pub fn with_size(width: usize, height: usize) -> Self {
-        Mesh2dConfig {
-            width,
-            height,
-            ..Self::default()
-        }
-    }
-
     /// Total number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.width * self.height
     }
 
     /// Node identifier of grid position `(x, y)` (row-major).
-    pub fn node_at(&self, x: usize, y: usize) -> NodeId {
+    pub(crate) fn node_at(&self, x: usize, y: usize) -> NodeId {
         NodeId((y * self.width + x) as u16)
     }
 
@@ -322,7 +313,11 @@ mod tests {
 
     #[test]
     fn xy_routes_follow_dimension_order() {
-        let config = Mesh2dConfig::with_size(4, 4);
+        let config = Mesh2dConfig {
+            width: 4,
+            height: 4,
+            ..Mesh2dConfig::default()
+        };
         // From (0,0) to (2,1): first X (East), then Y.
         assert_eq!(
             config.xy_direction(0, 0, config.node_at(2, 1)),
@@ -344,7 +339,11 @@ mod tests {
 
     #[test]
     fn degenerate_single_row_mesh_builds() {
-        let config = Mesh2dConfig::with_size(4, 1);
+        let config = Mesh2dConfig {
+            width: 4,
+            height: 1,
+            ..Mesh2dConfig::default()
+        };
         let spec = config.build();
         assert!(spec.validate().is_ok());
         assert_eq!(spec.routers.len(), 4);

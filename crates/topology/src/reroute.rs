@@ -38,19 +38,11 @@ use taqos_netsim::spec::{NetworkSpec, TargetEndpoint};
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RerouteSummary {
     /// Routing-table entries whose candidate ports changed.
-    pub rerouted_entries: usize,
+    pub(crate) rerouted_entries: usize,
     /// `(router index, destination)` pairs for which no live path exists;
     /// their original routes were kept and the fault layer will drop the
     /// traffic.
-    pub unreachable: Vec<(usize, NodeId)>,
-}
-
-impl RerouteSummary {
-    /// Whether the pass changed nothing and cut off nothing — the guaranteed
-    /// outcome on a fault-free fabric.
-    pub fn is_noop(&self) -> bool {
-        self.rerouted_entries == 0 && self.unreachable.is_empty()
-    }
+    pub(crate) unreachable: Vec<(usize, NodeId)>,
 }
 
 /// Whether output port `out` of a router may carry a packet destined to
@@ -217,7 +209,8 @@ mod tests {
         let mut spec = Mesh2dConfig::paper_8x8().build();
         let original = spec.clone();
         let summary = reroute_around_faults(&mut spec, &[], &[]);
-        assert!(summary.is_noop());
+        assert_eq!(summary.rerouted_entries, 0);
+        assert!(summary.unreachable.is_empty());
         assert_eq!(spec, original, "no faults must leave the spec untouched");
         // Table by table, port by port.
         for (router, before) in spec.routers.iter().zip(&original.routers) {
@@ -303,7 +296,11 @@ mod tests {
         let mut chip = config.build();
         let original = chip.spec.clone();
         let summary = reroute_around_faults(&mut chip.spec, &[], &[]);
-        assert!(summary.is_noop(), "healthy chip fabric must be untouched");
+        assert_eq!(
+            summary.rerouted_entries, 0,
+            "healthy chip fabric must be untouched"
+        );
+        assert!(summary.unreachable.is_empty());
         assert_eq!(chip.spec, original);
     }
 

@@ -59,7 +59,7 @@ fn fire_threshold(injection: &BernoulliInjection) -> Option<u64> {
 
 impl SyntheticGenerator {
     /// Creates an open-loop generator (no packet budget).
-    pub fn open_loop(
+    pub(crate) fn open_loop(
         rate_flits_per_cycle: f64,
         mix: PacketSizeMix,
         pattern: DestinationPattern,
@@ -93,16 +93,6 @@ impl SyntheticGenerator {
             generated: 0,
             rng: ChaCha8Rng::seed_from_u64(seed),
         }
-    }
-
-    /// Packets generated so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
-    }
-
-    /// Target injection rate in flits per cycle.
-    pub fn rate(&self) -> f64 {
-        self.injection.flits_per_cycle
     }
 }
 
@@ -154,7 +144,7 @@ mod tests {
                 assert_eq!(p.dst, NodeId(0));
             }
         }
-        assert!(g.generated() > 50);
+        assert!(g.generated > 50);
         assert!(!g.exhausted());
     }
 
@@ -188,7 +178,7 @@ mod tests {
         for now in 0..1_000 {
             g.generate(now);
         }
-        assert_eq!(g.generated(), 10);
+        assert_eq!(g.generated, 10);
         assert!(g.exhausted());
         assert!(g.generate(2_000).is_none());
     }
@@ -208,16 +198,5 @@ mod tests {
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));
-    }
-
-    #[test]
-    fn rate_accessor_reports_configuration() {
-        let g = SyntheticGenerator::open_loop(
-            0.15,
-            PacketSizeMix::paper(),
-            DestinationPattern::Fixed(NodeId(0)),
-            0,
-        );
-        assert!((g.rate() - 0.15).abs() < 1e-12);
     }
 }

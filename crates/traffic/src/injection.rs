@@ -12,23 +12,10 @@ use taqos_netsim::packet::PacketClass;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PacketSizeMix {
     /// Fraction of generated packets that are single-flit requests.
-    pub request_fraction: f64,
+    pub(crate) request_fraction: f64,
 }
 
 impl PacketSizeMix {
-    /// Creates a mix with the given request fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fraction is outside `[0, 1]`.
-    pub fn new(request_fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&request_fraction),
-            "request fraction must lie in [0, 1], got {request_fraction}"
-        );
-        PacketSizeMix { request_fraction }
-    }
-
     /// The paper's default: an even mix of requests and replies.
     pub fn paper() -> Self {
         PacketSizeMix {
@@ -51,14 +38,14 @@ impl PacketSizeMix {
     }
 
     /// Mean packet length in flits.
-    pub fn mean_len_flits(&self) -> f64 {
+    pub(crate) fn mean_len_flits(&self) -> f64 {
         let req = f64::from(PacketClass::Request.default_len_flits());
         let rep = f64::from(PacketClass::Reply.default_len_flits());
         self.request_fraction * req + (1.0 - self.request_fraction) * rep
     }
 
     /// Draws a packet class according to the mix.
-    pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> PacketClass {
+    pub(crate) fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> PacketClass {
         if rng.gen_bool(self.request_fraction.clamp(0.0, 1.0)) {
             PacketClass::Request
         } else {
@@ -75,9 +62,9 @@ impl PacketSizeMix {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BernoulliInjection {
     /// Target injection rate in flits per cycle (0.0 disables injection).
-    pub flits_per_cycle: f64,
+    pub(crate) flits_per_cycle: f64,
     /// Packet size mix.
-    pub mix: PacketSizeMix,
+    pub(crate) mix: PacketSizeMix,
 }
 
 impl BernoulliInjection {
@@ -86,7 +73,7 @@ impl BernoulliInjection {
     /// # Panics
     ///
     /// Panics if the rate is negative or not finite.
-    pub fn new(flits_per_cycle: f64, mix: PacketSizeMix) -> Self {
+    pub(crate) fn new(flits_per_cycle: f64, mix: PacketSizeMix) -> Self {
         assert!(
             flits_per_cycle.is_finite() && flits_per_cycle >= 0.0,
             "injection rate must be non-negative and finite, got {flits_per_cycle}"
@@ -98,22 +85,19 @@ impl BernoulliInjection {
     }
 
     /// Probability of generating a packet in a given cycle.
-    pub fn packet_probability(&self) -> f64 {
+    pub(crate) fn packet_probability(&self) -> f64 {
         (self.flits_per_cycle / self.mix.mean_len_flits()).min(1.0)
-    }
-
-    /// Draws whether a packet is generated this cycle.
-    pub fn fires<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        let p = self.packet_probability();
-        p > 0.0 && rng.gen_bool(p)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::{DestinationPattern, SyntheticGenerator};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use taqos_netsim::packet::PacketGenerator;
+    use taqos_netsim::NodeId;
 
     #[test]
     fn mean_length_interpolates_between_sizes() {
@@ -145,28 +129,31 @@ mod tests {
         assert!((inj.packet_probability() - 0.10).abs() < 1e-12);
     }
 
+    /// An open-loop generator at `rate` flits per cycle to a fixed node.
+    fn generator(rate: f64, seed: u64) -> SyntheticGenerator {
+        let pattern = DestinationPattern::Fixed(NodeId(0));
+        SyntheticGenerator::open_loop(rate, PacketSizeMix::paper(), pattern, seed)
+    }
+
     #[test]
     fn empirical_rate_matches_target() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let inj = BernoulliInjection::new(0.2, PacketSizeMix::paper());
+        let mut g = generator(0.2, 7);
         let cycles = 200_000;
-        let mut flits = 0u64;
-        for _ in 0..cycles {
-            if inj.fires(&mut rng) {
-                flits += u64::from(inj.mix.draw(&mut rng).default_len_flits());
-            }
-        }
+        let flits: u64 = (0..cycles)
+            .filter_map(|now| g.generate(now))
+            .map(|p| u64::from(p.len_flits))
+            .sum();
         let rate = flits as f64 / cycles as f64;
         assert!((rate - 0.2).abs() < 0.01, "empirical rate {rate}");
     }
 
     #[test]
     fn zero_rate_never_fires() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
         let inj = BernoulliInjection::new(0.0, PacketSizeMix::paper());
         assert_eq!(inj.packet_probability(), 0.0);
-        for _ in 0..100 {
-            assert!(!inj.fires(&mut rng));
+        let mut g = generator(0.0, 3);
+        for now in 0..100 {
+            assert!(g.generate(now).is_none());
         }
     }
 
@@ -174,11 +161,5 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_rate_is_rejected() {
         BernoulliInjection::new(-0.1, PacketSizeMix::paper());
-    }
-
-    #[test]
-    #[should_panic(expected = "must lie in")]
-    fn invalid_mix_is_rejected() {
-        PacketSizeMix::new(1.5);
     }
 }

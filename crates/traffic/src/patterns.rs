@@ -30,20 +30,8 @@ pub enum Permutation {
 }
 
 impl Permutation {
-    /// All permutations, for sweeps.
-    pub fn all() -> [Permutation; 6] {
-        [
-            Permutation::Tornado,
-            Permutation::BitComplement,
-            Permutation::BitReverse,
-            Permutation::Shuffle,
-            Permutation::Neighbour,
-            Permutation::Identity,
-        ]
-    }
-
     /// Short name used in reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Permutation::Tornado => "tornado",
             Permutation::BitComplement => "bit_complement",
@@ -60,7 +48,7 @@ impl Permutation {
     /// # Panics
     ///
     /// Panics if `src` is not smaller than `nodes` or `nodes` is zero.
-    pub fn destination(self, src: usize, nodes: usize) -> NodeId {
+    pub(crate) fn destination(self, src: usize, nodes: usize) -> NodeId {
         assert!(nodes > 0, "a permutation needs at least one node");
         assert!(src < nodes, "source {src} outside the {nodes}-node column");
         let bits = nodes.trailing_zeros();
@@ -93,34 +81,6 @@ impl Permutation {
         };
         NodeId(dst as u16)
     }
-
-    /// Average hop distance of the permutation on a line of `nodes` nodes.
-    pub fn avg_hops(self, nodes: usize) -> f64 {
-        if nodes == 0 {
-            return 0.0;
-        }
-        let total: u64 = (0..nodes)
-            .map(|src| {
-                let dst = self.destination(src, nodes).index();
-                (src as i64 - dst as i64).unsigned_abs()
-            })
-            .sum();
-        total as f64 / nodes as f64
-    }
-
-    /// Whether the mapping is a bijection over the column (true permutations
-    /// load every destination equally).
-    pub fn is_bijective(self, nodes: usize) -> bool {
-        let mut seen = vec![false; nodes];
-        for src in 0..nodes {
-            let dst = self.destination(src, nodes).index();
-            if seen[dst] {
-                return false;
-            }
-            seen[dst] = true;
-        }
-        seen.into_iter().all(|s| s)
-    }
 }
 
 impl std::fmt::Display for Permutation {
@@ -132,19 +92,51 @@ impl std::fmt::Display for Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taqos_topology::properties::tornado_avg_hops;
+
+    /// All permutations, for sweeps.
+    fn all() -> [Permutation; 6] {
+        [
+            Permutation::Tornado,
+            Permutation::BitComplement,
+            Permutation::BitReverse,
+            Permutation::Shuffle,
+            Permutation::Neighbour,
+            Permutation::Identity,
+        ]
+    }
+
+    /// Whether the mapping is a bijection over the column (true permutations
+    /// load every destination equally).
+    fn is_bijective(p: Permutation, nodes: usize) -> bool {
+        let mut seen = vec![false; nodes];
+        for src in 0..nodes {
+            let dst = p.destination(src, nodes).index();
+            if seen[dst] {
+                return false;
+            }
+            seen[dst] = true;
+        }
+        seen.into_iter().all(|s| s)
+    }
 
     #[test]
     fn tornado_matches_the_workload_definition() {
         assert_eq!(Permutation::Tornado.destination(1, 8), NodeId(5));
         assert_eq!(Permutation::Tornado.destination(5, 8), NodeId(1));
-        assert_eq!(Permutation::Tornado.avg_hops(8), 4.0);
+        // The pattern's mean line distance equals the closed form, which
+        // shares no code with `destination`.
+        let hops: u64 = (0..8)
+            .map(|src| src as i64 - Permutation::Tornado.destination(src, 8).index() as i64)
+            .map(i64::unsigned_abs)
+            .sum();
+        assert_eq!(hops as f64 / 8.0, tornado_avg_hops(8));
     }
 
     #[test]
     fn bit_complement_reflects_the_column() {
         assert_eq!(Permutation::BitComplement.destination(0, 8), NodeId(7));
         assert_eq!(Permutation::BitComplement.destination(3, 8), NodeId(4));
-        assert!(Permutation::BitComplement.avg_hops(8) > 3.9);
     }
 
     #[test]
@@ -166,31 +158,35 @@ mod tests {
     #[test]
     fn neighbour_and_identity_have_short_distances() {
         // Seven sources travel one hop; the last node wraps around across
-        // the whole column, so the average is (7*1 + 7)/8 = 1.75.
-        assert_eq!(Permutation::Neighbour.avg_hops(8), 1.75);
-        assert_eq!(Permutation::Identity.avg_hops(8), 0.0);
-        assert!(Permutation::Neighbour.avg_hops(8) < Permutation::Tornado.avg_hops(8));
+        // the whole column. Identity traffic travels no hop at all.
+        for src in 0..7 {
+            assert_eq!(Permutation::Neighbour.destination(src, 8).index(), src + 1);
+        }
+        assert_eq!(Permutation::Neighbour.destination(7, 8), NodeId(0));
+        for src in 0..8 {
+            assert_eq!(Permutation::Identity.destination(src, 8).index(), src);
+        }
     }
 
     #[test]
     fn all_patterns_are_bijective_on_power_of_two_columns() {
-        for p in Permutation::all() {
-            assert!(p.is_bijective(8), "{p} is not a permutation on 8 nodes");
-            assert!(p.is_bijective(4), "{p} is not a permutation on 4 nodes");
+        for p in all() {
+            assert!(is_bijective(p, 8), "{p} is not a permutation on 8 nodes");
+            assert!(is_bijective(p, 4), "{p} is not a permutation on 4 nodes");
         }
     }
 
     #[test]
     fn non_power_of_two_columns_fall_back_gracefully() {
-        for p in Permutation::all() {
+        for p in all() {
             for src in 0..6 {
                 let dst = p.destination(src, 6);
                 assert!(dst.index() < 6, "{p}: destination out of range");
             }
         }
         // Neighbour-style fallbacks remain bijective even off powers of two.
-        assert!(Permutation::Neighbour.is_bijective(6));
-        assert!(Permutation::Tornado.is_bijective(6));
+        assert!(is_bijective(Permutation::Neighbour, 6));
+        assert!(is_bijective(Permutation::Tornado, 6));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::generators::{DestinationPattern, SyntheticGenerator};
 use crate::injection::PacketSizeMix;
 use taqos_netsim::closed_loop::{
-    BurstTrain, ClosedLoopSpec, PhaseChange, PhaseSchedule, PhasedWorkload, RequesterSpec,
+    BurstTrain, ClosedLoopSpec, PhaseSchedule, PhasedWorkload, RequesterSpec,
 };
 use taqos_netsim::fault::splitmix64;
 use taqos_netsim::packet::{IdleGenerator, PacketGenerator};
@@ -395,19 +395,6 @@ pub fn bursty_hogs(
     })
 }
 
-/// A trace-shaped phased workload from an explicit change list of
-/// `(flow, cycle, mlp)` triples (each flow's cycles strictly increasing, as
-/// a demand trace replay would produce them).
-pub fn trace_phases(num_flows: usize, changes: &[(FlowId, u64, usize)]) -> PhasedWorkload {
-    let mut lists = vec![Vec::new(); num_flows];
-    for &(flow, at, mlp) in changes {
-        lists[flow.index()].push(PhaseChange { at, mlp });
-    }
-    PhasedWorkload {
-        schedules: lists.into_iter().map(PhaseSchedule::new).collect(),
-    }
-}
-
 /// Demands (flits per cycle) offered by each flow of a generator set built by
 /// [`workload1`]; used to compute the max-min fair reference allocation.
 pub fn workload1_demands(config: &ColumnConfig, rates: &[f64]) -> Vec<f64> {
@@ -438,7 +425,7 @@ pub fn workload2_demands(config: &ColumnConfig, rate: f64, hotspot: NodeId) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taqos_netsim::closed_loop::DramConfig;
+    use taqos_netsim::closed_loop::{DramConfig, PhaseChange};
     use taqos_netsim::Cycle;
 
     fn count_active(generators: &mut GeneratorSet, cycles: Cycle) -> Vec<u64> {
@@ -590,22 +577,13 @@ mod tests {
     }
 
     #[test]
-    fn bursty_hogs_and_trace_phases_touch_only_named_flows() {
+    fn bursty_hogs_touch_only_named_flows() {
         let hogs = bursty_hogs(8, &[FlowId(1), FlowId(5)], 4, 500, 100, 5_000, 7);
         assert_eq!(hogs.schedules.len(), 8);
         assert!(!hogs.schedules[1].is_empty());
         assert!(!hogs.schedules[5].is_empty());
         assert!(hogs.schedules[0].is_empty());
         assert!(!hogs.is_static());
-        let trace = trace_phases(4, &[(FlowId(2), 100, 0), (FlowId(2), 900, 6)]);
-        assert_eq!(
-            changes(&trace.schedules[2]),
-            vec![
-                PhaseChange { at: 100, mlp: 0 },
-                PhaseChange { at: 900, mlp: 6 }
-            ]
-        );
-        assert!(trace.schedules[0].is_empty());
     }
 
     #[test]
