@@ -17,8 +17,7 @@
 //!
 //! Every binary accepts `--quick` to run a shortened configuration (smaller
 //! warm-up and measurement windows) and prints plain-text tables to stdout.
-//! The `bench_netsim` binary measures engine throughput (cycles/sec) against
-//! the seed-equivalent reference engine, writing `BENCH_netsim.json`.
+//! Engine performance is measured by the standalone `benchmark/` package.
 
 #![warn(missing_docs)]
 

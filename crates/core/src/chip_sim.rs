@@ -84,7 +84,7 @@ impl ChipSim {
     /// MLP window of each attacker of [`Self::incast_plan`].
     pub const INCAST_ATTACKER_MLP: usize = 6;
     /// MLP window of the victim of [`Self::incast_plan`].
-    pub const INCAST_VICTIM_MLP: usize = 1;
+    pub(crate) const INCAST_VICTIM_MLP: usize = 1;
 
     /// Creates a simulation of the given architectural chip, deriving the
     /// fabric dimensions and shared columns from it.
@@ -299,7 +299,7 @@ impl ChipSim {
     /// # Panics
     ///
     /// Panics if the allocation does not carry one rate per node.
-    pub fn weighted_policy(&self, rates: RateAllocation) -> ChipPolicy {
+    pub(crate) fn weighted_policy(&self, rates: RateAllocation) -> ChipPolicy {
         assert_eq!(
             rates.len(),
             self.config.num_nodes(),
@@ -389,7 +389,7 @@ impl ChipSim {
     /// Closed-loop incast plan: every node outside the shared columns runs an
     /// MLP-[`Self::INCAST_ATTACKER_MLP`] loop against the `victim`'s own-row
     /// controller (one MECS express hop from the victim); the victim keeps an
-    /// MLP-[`Self::INCAST_VICTIM_MLP`] window. Returns the plan and the
+    /// MLP-1 window (`INCAST_VICTIM_MLP`). Returns the plan and the
     /// attackers' flows (every active node but the victim), in node order.
     /// The plan ignores any installed fault plan: it aims at the victim's
     /// controller whether or not that controller is dark.

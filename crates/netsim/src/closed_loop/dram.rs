@@ -122,7 +122,7 @@ pub struct DramConfig {
     /// Row-buffer reach: cache lines per row **per bank**. A requester
     /// streaming its private region revisits a bank every `banks` lines and
     /// opens a new row every `lines_per_row` visits.
-    pub lines_per_row: u64,
+    pub(crate) lines_per_row: u64,
     /// Full-queue behaviour; see [`DramBackpressure`].
     pub backpressure: DramBackpressure,
     /// Request ordering and overflow discipline; see [`DramScheduler`].
@@ -336,7 +336,7 @@ pub const DRAM_REGION_LINES: u64 = (1 << 32) + 128;
 
 /// Cache line read by the `issued`-th request of `flow`: each requester
 /// streams linearly through a private region, so consecutive requests dwell
-/// on one `(bank, row)` pair for [`DramConfig::lines_per_row`] lines —
+/// on one `(bank, row)` pair for `DramConfig::lines_per_row` lines —
 /// row hits within the MLP window — before moving to the next bank.
 pub fn requester_line(flow: FlowId, issued: u64) -> u64 {
     flow.index() as u64 * DRAM_REGION_LINES + issued

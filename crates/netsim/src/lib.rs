@@ -19,8 +19,8 @@
 //!   queues with NACK or stall backpressure ([`closed_loop`]),
 //! * a pluggable quality-of-service policy interface ([`qos`]) used by the
 //!   Preemptive Virtual Clock implementation in `taqos-qos`,
-//! * statistics for latency, throughput, fairness, preemption behaviour and
-//!   energy-relevant event counts ([`stats`]),
+//! * statistics for latency, throughput, fairness and preemption behaviour
+//!   ([`stats`]),
 //! * simulation drivers for open-loop (load sweep) and closed (fixed
 //!   workload) experiments ([`sim`]).
 //!

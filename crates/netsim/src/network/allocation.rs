@@ -193,14 +193,9 @@ impl Network {
         // Flow-state bookkeeping. Pass-through merge points (DPS
         // intermediate hops) arbitrate with the same rate-scaled priorities
         // as everywhere else: in hardware the priority travels with the
-        // packet (PVC's priority reuse), so they skip the energy cost of the
-        // query/update but still account the bandwidth, which keeps
-        // preemption decisions meaningful.
+        // packet (PVC's priority reuse), and they still account the
+        // bandwidth, which keeps preemption decisions meaningful.
         qos.on_packet_forwarded(req.flow, u32::from(req.len));
-        if !req.passthrough {
-            self.stats.energy.flow_table_queries += 1;
-            self.stats.energy.flow_table_updates += 1;
-        }
         Verdict::Granted(widx)
     }
 }

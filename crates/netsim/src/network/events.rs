@@ -88,7 +88,6 @@ impl Network {
                 router_state.accept_head(in_port as usize, vc.index(), packet, len);
                 mark_router(&mut self.routing_work, router);
                 mark_router(&mut self.alloc_work, router);
-                self.stats.energy.buffer_writes += 1;
             }
             Event::BodyToRouter {
                 router,
@@ -109,7 +108,6 @@ impl Network {
                     reason = "a body flit follows its head into the VC the head claimed, which exists (grown on the head's arrival under unlimited buffering)"
                 )]
                 port.vcs[vc.index()].accept_body(packet);
-                self.stats.energy.buffer_writes += 1;
             }
             Event::FlitToSink {
                 sink,

@@ -215,11 +215,8 @@ impl Network {
         vc.flits_sent += 1;
 
         self.profile.flits_launched += 1;
-        self.stats.energy.buffer_reads += 1;
-        self.stats.energy.link_flit_hops += u64::from(transfer.wire_delay);
         if !passthrough {
             *xbar_used |= 1 << group;
-            self.stats.energy.xbar_flits += 1;
         }
 
         let due = now + Cycle::from(transfer.wire_delay);

@@ -180,7 +180,6 @@ impl Network {
                 router.inputs[in_port].vcs[vc].accept_body(transfer.packet);
             }
             transfer.flits_sent += 1;
-            stats.energy.buffer_writes += 1;
             if transfer.flits_sent >= transfer.len {
                 source.active = None;
             }

@@ -202,11 +202,6 @@ fn multi_flit_packets_account_all_flits() {
     let stats = net.into_stats();
     assert_eq!(stats.delivered_packets, 10);
     assert_eq!(stats.delivered_flits, 40);
-    // Every flit is written once at the injection port, once at the
-    // downstream router; read twice (once per launch).
-    assert_eq!(stats.energy.buffer_writes, 80);
-    assert_eq!(stats.energy.buffer_reads, 80);
-    assert_eq!(stats.energy.xbar_flits, 80);
 }
 
 /// Three-router spec where router 0 drives a MECS-style multidrop channel
@@ -345,9 +340,6 @@ fn multidrop_channels_deliver_to_the_right_drop_off_point() {
     // travelled exactly one hop (to node 1) or two hop-equivalents (to
     // node 2), so total useful hops are 20*1 + 20*2.
     assert_eq!(stats.useful_hops, 60);
-    // The farther drop-off point pays the longer wire: total link
-    // flit-hops are 20*1 + 20*2 as well.
-    assert_eq!(stats.energy.link_flit_hops, 60);
 }
 
 #[test]

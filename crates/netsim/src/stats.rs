@@ -1,5 +1,5 @@
-//! Simulation statistics: latency, throughput, fairness inputs, preemption
-//! behaviour, and energy-relevant event counts.
+//! Simulation statistics: latency, throughput, fairness inputs and
+//! preemption behaviour.
 
 use crate::ids::{Cycle, FlowId};
 use serde::{Deserialize, Serialize};
@@ -86,25 +86,6 @@ pub struct FlowStats {
     /// Histogram of measured round-trip latencies (same samples as
     /// `rt_latency_sum`/`rt_samples`). Empty unless histograms are on.
     pub rt_hist: Hist64,
-}
-
-/// Counts of energy-relevant micro-events, used by the power model to derive
-/// simulation-driven energy estimates.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EnergyCounters {
-    /// Flits written into router input buffers.
-    pub buffer_writes: u64,
-    /// Flits read out of router input buffers.
-    pub buffer_reads: u64,
-    /// Flits traversing a router crossbar (pass-through hops excluded).
-    pub xbar_flits: u64,
-    /// Flow-state table queries (one per packet arbitration at a QOS router).
-    pub flow_table_queries: u64,
-    /// Flow-state table updates (one per packet forwarded at a QOS router).
-    pub flow_table_updates: u64,
-    /// Flit-hops on links, weighted by the wire span in router-to-router
-    /// units.
-    pub link_flit_hops: u64,
 }
 
 /// Aggregate behaviour of the DRAM-backed memory controllers (zero when the
@@ -212,14 +193,12 @@ impl FaultStats {
 /// and the engine-equivalence tests compare entire `NetStats` values between
 /// the optimized and reference engines with `==`.
 // The `Eq` derives here and on every nested counter struct (`FlowStats`,
-// `EnergyCounters`, `DramStats`, `FaultStats`) are what keep it so: a float
+// `DramStats`, `FaultStats`) are what keep it so: a float
 // field anywhere in the accounting does not compile.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetStats {
     /// Per-flow counters, indexed by flow id.
     pub flows: Vec<FlowStats>,
-    /// Energy-relevant event counters.
-    pub energy: EnergyCounters,
     /// DRAM controller counters (zero without a DRAM model).
     pub dram: DramStats,
     /// Injected-fault counters (zero without a fault plan).

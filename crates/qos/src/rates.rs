@@ -10,17 +10,15 @@ use std::fmt;
 use taqos_netsim::closed_loop::rate_weight;
 use taqos_netsim::FlowId;
 
-/// Why a rate programme was rejected. Produced by the fallible constructors
-/// ([`RateAllocation::try_from_rates`], [`RateAllocation::try_from_weights`])
-/// and by [`RateAllocation::validate_for`] — the typed alternative to the
-/// panicking constructors, for callers (hypervisors, experiment drivers)
-/// that take rate programmes as input rather than computing them.
+/// Why a rate programme was rejected by [`RateAllocation::try_from_rates`],
+/// the typed alternative to the panicking constructor, for callers that take
+/// rate programmes as input rather than computing them. A programme handed
+/// to a running network is checked by
+/// `taqos_netsim::network::Network::schedule_reprogram` instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RateError {
     /// The programme names no flows at all.
     Empty,
-    /// Integer weights summing to zero: no flow would ever be served.
-    ZeroTotalWeight,
     /// A rate that is zero, negative, NaN or infinite.
     NonPositiveRate {
         /// Offending flow index.
@@ -28,49 +26,18 @@ pub enum RateError {
         /// The rejected rate.
         rate: f64,
     },
-    /// The programme covers a flow the network does not have.
-    UnknownFlow {
-        /// Number of flows the programme covers.
-        flows: usize,
-        /// Number of flows the network actually has.
-        num_flows: usize,
-    },
-    /// The per-frame reserved quotas implied by the rates exceed the frame
-    /// itself: the sum of rates is above 1, so the "guaranteed" flits could
-    /// not all be injected within one frame.
-    ExceedsFrameCapacity {
-        /// Sum of the programmed rates.
-        total_rate: f64,
-        /// Frame length the programme was validated against.
-        frame_len: u64,
-    },
 }
 
 impl fmt::Display for RateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RateError::Empty => write!(f, "a rate allocation needs at least one flow"),
-            RateError::ZeroTotalWeight => write!(f, "rate weights must not all be zero"),
             RateError::NonPositiveRate { flow, rate } => {
                 write!(
                     f,
                     "rate of flow {flow} must be positive and finite, got {rate}"
                 )
             }
-            RateError::UnknownFlow { flows, num_flows } => {
-                write!(
-                    f,
-                    "rate programme covers {flows} flows but the network has {num_flows}"
-                )
-            }
-            RateError::ExceedsFrameCapacity {
-                total_rate,
-                frame_len,
-            } => write!(
-                f,
-                "programmed rates sum to {total_rate} > 1: the reserved quotas would exceed \
-                 the {frame_len}-cycle frame"
-            ),
         }
     }
 }
@@ -123,51 +90,6 @@ impl RateAllocation {
             }
         }
         Ok(RateAllocation { rates })
-    }
-
-    /// Builds an allocation proportional to integer weights. A weight of zero
-    /// is a legal *input* here (the flow simply gets no share), but all-zero
-    /// weights are rejected as [`RateError::ZeroTotalWeight`] — and since a
-    /// zero share cannot be expressed as a positive rate, any individual
-    /// zero weight is reported as [`RateError::NonPositiveRate`].
-    pub fn try_from_weights(weights: &[u32]) -> Result<Self, RateError> {
-        if weights.is_empty() {
-            return Err(RateError::Empty);
-        }
-        let total: u64 = weights.iter().map(|&w| u64::from(w)).sum();
-        if total == 0 {
-            return Err(RateError::ZeroTotalWeight);
-        }
-        if let Some(flow) = weights.iter().position(|&w| w == 0) {
-            return Err(RateError::NonPositiveRate { flow, rate: 0.0 });
-        }
-        Ok(RateAllocation {
-            rates: weights
-                .iter()
-                .map(|&w| f64::from(w) / total as f64)
-                .collect(),
-        })
-    }
-
-    /// Validates this allocation as a programme for a network of `num_flows`
-    /// flows with `frame_len`-cycle frames: the flow counts must match, and
-    /// the rates must not promise more reserved bandwidth than one frame
-    /// holds (sum of rates at most 1, with a little float headroom).
-    pub fn validate_for(&self, num_flows: usize, frame_len: u64) -> Result<(), RateError> {
-        if self.rates.len() != num_flows {
-            return Err(RateError::UnknownFlow {
-                flows: self.rates.len(),
-                num_flows,
-            });
-        }
-        let total_rate: f64 = self.rates.iter().sum();
-        if total_rate > 1.0 + 1e-9 {
-            return Err(RateError::ExceedsFrameCapacity {
-                total_rate,
-                frame_len,
-            });
-        }
-        Ok(())
     }
 
     /// Number of flows covered by the allocation.
@@ -237,13 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn weights_are_normalised() {
-        let alloc = RateAllocation::try_from_weights(&[1, 3]).expect("valid weights");
-        assert!((alloc.rate(FlowId(0)) - 0.25).abs() < 1e-12);
-        assert!((alloc.rate(FlowId(1)) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
     fn priority_weights_are_scaled_rates_floored_at_one() {
         let alloc = RateAllocation::from_rates(vec![0.25, 0.75, 1e-9]);
         assert_eq!(alloc.priority_weights(), vec![256, 768, 1]);
@@ -279,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn try_constructors_reject_bad_programmes_with_typed_errors() {
+    fn try_from_rates_rejects_bad_programmes_with_typed_errors() {
         assert_eq!(
             RateAllocation::try_from_rates(Vec::new()),
             Err(RateError::Empty)
@@ -295,45 +210,11 @@ mod tests {
             RateAllocation::try_from_rates(vec![f64::NAN]),
             Err(RateError::NonPositiveRate { flow: 0, .. })
         ));
-        assert_eq!(RateAllocation::try_from_weights(&[]), Err(RateError::Empty));
-        assert_eq!(
-            RateAllocation::try_from_weights(&[0, 0]),
-            Err(RateError::ZeroTotalWeight)
-        );
-        assert_eq!(
-            RateAllocation::try_from_weights(&[2, 0, 1]),
-            Err(RateError::NonPositiveRate { flow: 1, rate: 0.0 })
-        );
-        let good = RateAllocation::try_from_weights(&[1, 3]).expect("valid weights");
-        assert_eq!(good, RateAllocation::from_rates(vec![0.25, 0.75]));
         assert_eq!(
             RateAllocation::try_from_rates(vec![0.25, 0.75]).expect("valid rates"),
             RateAllocation::from_rates(vec![0.25, 0.75])
         );
-    }
-
-    #[test]
-    fn validate_for_checks_flow_count_and_frame_capacity() {
-        let alloc = RateAllocation::equal(4);
-        assert_eq!(alloc.validate_for(4, 50_000), Ok(()));
-        assert_eq!(
-            alloc.validate_for(8, 50_000),
-            Err(RateError::UnknownFlow {
-                flows: 4,
-                num_flows: 8
-            })
-        );
-        let over = RateAllocation::from_rates(vec![0.8, 0.7]);
-        assert!(matches!(
-            over.validate_for(2, 50_000),
-            Err(RateError::ExceedsFrameCapacity {
-                frame_len: 50_000,
-                ..
-            })
-        ));
         // Errors render as readable diagnostics.
-        let err = over.validate_for(2, 50_000).unwrap_err();
-        assert!(err.to_string().contains("exceed"));
         assert!(RateError::Empty.to_string().contains("at least one flow"));
     }
 }

@@ -509,34 +509,118 @@ mod tests {
 
     #[test]
     fn jsonl_lines_are_wellformed_and_tagged() {
+        // One event of each of the nine kinds, with its exported tag.
+        let (flow, packet) = (3, 7);
+        let events = [
+            (
+                TraceEvent::Inject {
+                    cycle: 10,
+                    flow,
+                    packet,
+                    node: 1,
+                },
+                "inject",
+            ),
+            (
+                TraceEvent::Grant {
+                    cycle: 11,
+                    flow,
+                    packet,
+                    router: 4,
+                    out_port: 2,
+                },
+                "grant",
+            ),
+            (
+                TraceEvent::Preempt {
+                    cycle: 12,
+                    flow,
+                    packet,
+                    router: 4,
+                },
+                "preempt",
+            ),
+            (
+                TraceEvent::Nack {
+                    cycle: 13,
+                    flow,
+                    packet,
+                },
+                "nack",
+            ),
+            (
+                TraceEvent::DramService {
+                    cycle: 20,
+                    flow,
+                    mc: 0,
+                    bank: 2,
+                    latency: 48,
+                    row_hit: false,
+                },
+                "dram_service",
+            ),
+            (
+                TraceEvent::Deliver {
+                    cycle: 30,
+                    flow,
+                    packet,
+                    birth: 10,
+                },
+                "deliver",
+            ),
+            (
+                TraceEvent::Timeout {
+                    cycle: 40,
+                    flow,
+                    seq: 5,
+                },
+                "timeout",
+            ),
+            (
+                TraceEvent::Retry {
+                    cycle: 41,
+                    flow,
+                    seq: 5,
+                },
+                "retry",
+            ),
+            (
+                TraceEvent::FaultTransition {
+                    cycle: 50,
+                    active: 1,
+                },
+                "fault_transition",
+            ),
+        ];
         let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&TraceEvent::Inject {
-            cycle: 10,
-            flow: 3,
-            packet: 7,
-            node: 1,
-        });
-        sink.record(&TraceEvent::DramService {
-            cycle: 20,
-            flow: 3,
-            mc: 0,
-            bank: 2,
-            latency: 48,
-            row_hit: false,
-        });
+        for (event, _) in &events {
+            sink.record(event);
+        }
         sink.finish().expect("flush");
-        assert_eq!(sink.events, 2);
+        assert_eq!(sink.events, 9);
         let text = String::from_utf8(sink.writer).expect("utf8");
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), events.len());
         assert_eq!(
             lines[0],
             "{\"kind\":\"inject\",\"cycle\":10,\"flow\":3,\"packet\":7,\"node\":1}"
         );
-        assert!(lines[1].contains("\"kind\":\"dram_service\""));
-        assert!(lines[1].contains("\"row_hit\":false"));
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
+        assert!(lines[4].contains("\"row_hit\":false"));
+        assert!(lines[8].contains("\"active\":1"));
+        for (line, (event, kind)) in lines.iter().zip(&events) {
+            assert!(
+                line.starts_with('{') && line.ends_with('}') && line.matches('{').count() == 1,
+                "{line}"
+            );
+            assert!(line.starts_with(&format!(
+                "{{\"kind\":\"{kind}\",\"cycle\":{},",
+                event.cycle()
+            )));
+            assert_eq!(
+                line.contains(&format!("\"flow\":{flow},")),
+                event.flow().is_some(),
+                "{line}"
+            );
         }
     }
 

@@ -4,9 +4,9 @@
 //! builders in [`crate::column`] model only the QOS-protected shared column
 //! of that chip. This module builds a full two-dimensional mesh
 //! [`NetworkSpec`] — XY dimension-order routed, one terminal injector and one
-//! ejection sink per node — so chip-scale workloads (and the
-//! `bench_netsim` throughput harness's `mesh_8x8` case) can run on the same
-//! generic router engine.
+//! ejection sink per node — so chip-scale workloads (and the repo
+//! benchmark's `mesh_open_8x8` workload) can run on the same generic router
+//! engine.
 
 use serde::{Deserialize, Serialize};
 use taqos_netsim::spec::{

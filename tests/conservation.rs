@@ -130,15 +130,3 @@ fn different_seeds_change_the_schedule_but_not_the_totals() {
         (b.latency_sum, b.completion_cycle)
     );
 }
-
-#[test]
-fn energy_event_counters_are_consistent_with_delivered_traffic() {
-    let stats = closed_run(ColumnTopology::MeshX1, "per-flow", 3_000, 5);
-    // Every delivered flit was written into at least one buffer (injection)
-    // and read out at least once; crossbar traversals happen at every
-    // non-pass-through hop.
-    assert!(stats.energy.buffer_writes >= stats.delivered_flits);
-    assert!(stats.energy.buffer_reads >= stats.delivered_flits);
-    assert!(stats.energy.xbar_flits >= stats.delivered_flits);
-    assert!(stats.energy.flow_table_updates >= stats.delivered_packets);
-}

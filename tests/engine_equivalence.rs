@@ -7,8 +7,8 @@
 //! full scans; like the optimized engine it makes only a handful of
 //! allocations per 10 000 steady-state cycles, see `tests/footprint.rs`).
 //! These tests compare entire
-//! [`NetStats`] values with `==` — every counter, per-flow vector and energy
-//! figure must match exactly, on every topology family, with and without
+//! [`NetStats`] values with `==` — every counter, per-flow vector and
+//! histogram must match exactly, on every topology family, with and without
 //! preemption in play.
 
 use taqos::prelude::*;
@@ -54,14 +54,10 @@ fn closed_stats(topology: ColumnTopology, engine: EngineKind, seed: u64) -> NetS
 
 /// The slab/wheel/scratch-buffer engine produces statistics identical to the
 /// reference (seed-semantics) engine on an open-loop uniform-random run, for
-/// the mesh, MECS and DPS topology families.
+/// all five column topologies (mesh x1/x2/x4, MECS, DPS).
 #[test]
 fn open_loop_stats_match_reference_engine() {
-    for topology in [
-        ColumnTopology::MeshX1,
-        ColumnTopology::Mecs,
-        ColumnTopology::Dps,
-    ] {
+    for topology in ColumnTopology::all() {
         let optimized = open_loop_stats(topology, EngineKind::Optimized, 42);
         let reference = open_loop_stats(topology, EngineKind::Reference, 42);
         assert_eq!(optimized, reference, "engines diverged on {topology}");
