@@ -1,19 +1,10 @@
-//! Chip-scale experiment harness: the closed-loop isolation study, the
-//! DRAM-backed latency-under-load curve, the heterogeneous MLP-mix
-//! divergence sweep, the multi-column scaling study, the
-//! degradation-under-faults sweep, and the QOS area report, all on the
-//! hybrid chip fabric.
-//!
-//! ```text
-//! cargo run --release -p taqos-bench --bin chip_scale
-//! cargo run --release -p taqos-bench --bin chip_scale -- --quick
-//! cargo run --release -p taqos-bench --bin chip_scale -- --only load
-//! ```
-//!
-//! `--only {isolation|load|mix|scaling|faults|area}` restricts the run to
-//! one experiment; `--quick` uses the shortened configurations throughout.
+//! Chip-scale experiments on the hybrid chip fabric: the closed-loop
+//! isolation study, the DRAM-backed latency-under-load curve, the
+//! heterogeneous MLP-mix divergence sweep, the multi-column scaling study,
+//! the degradation-under-faults sweep, and the QOS area report.
 
-use taqos_bench::{cell, rule, CliArgs};
+use std::fmt::{self, Write};
+
 use taqos_core::experiment::chip_scale::{
     chip_isolation, chip_qos_area, degradation_under_faults, latency_under_load,
     mlp_mix_divergence, multi_column_scaling, ChipIsolationConfig, ColumnScalingConfig,
@@ -21,6 +12,8 @@ use taqos_core::experiment::chip_scale::{
 };
 use taqos_netsim::closed_loop::DramConfig;
 use taqos_topology::chip::ChipConfig;
+
+use crate::{rule, Profile};
 
 fn fmt_latency(value: Option<f64>) -> String {
     match value {
@@ -36,45 +29,42 @@ fn fmt_ratio(value: Option<f64>) -> String {
     }
 }
 
-fn outcome_row(label: &str, outcome: &DomainOutcome) {
-    println!(
+fn outcome_row(out: &mut String, label: &str, outcome: &DomainOutcome) -> fmt::Result {
+    writeln!(
+        out,
         "  {label:<14} rt latency {:>9}   round trips {:>8}   throughput {:>7.3} rt/cycle",
         fmt_latency(outcome.avg_round_trip),
         outcome.round_trips,
         outcome.throughput,
-    );
+    )
 }
 
-fn run_isolation(quick: bool) {
-    let config = if quick {
-        ChipIsolationConfig::quick()
-    } else {
-        ChipIsolationConfig::default()
-    }
-    .with_dram(DramConfig::paper());
-    println!(
+fn render_isolation(out: &mut String, profile: Profile) -> fmt::Result {
+    let config = profile
+        .pick(ChipIsolationConfig::quick(), ChipIsolationConfig::default())
+        .with_dram(DramConfig::paper());
+    writeln!(
+        out,
         "chip isolation (victim MLP {}, hog MLP {}, DRAM-backed controller):",
         config.victim_mlp, config.hog_mlp
-    );
+    )?;
     let result = chip_isolation(&config);
-    outcome_row("solo", &result.solo);
-    outcome_row("protected", &result.protected);
-    outcome_row("unprotected", &result.unprotected);
-    outcome_row("hog(prot.)", &result.protected_hog);
-    println!(
+    outcome_row(out, "solo", &result.solo)?;
+    outcome_row(out, "protected", &result.protected)?;
+    outcome_row(out, "unprotected", &result.unprotected)?;
+    outcome_row(out, "hog(prot.)", &result.protected_hog)?;
+    writeln!(
+        out,
         "  victim slowdown vs solo: protected {} / unprotected {}",
         fmt_ratio(result.protected_slowdown()),
         fmt_ratio(result.unprotected_slowdown()),
-    );
+    )
 }
 
-fn run_load(quick: bool) {
-    let config = if quick {
-        LatencyLoadConfig::quick()
-    } else {
-        LatencyLoadConfig::default()
-    };
-    println!(
+fn render_load(out: &mut String, profile: Profile) -> fmt::Result {
+    let config = profile.pick(LatencyLoadConfig::quick(), LatencyLoadConfig::default());
+    writeln!(
+        out,
         "latency under load (8x8 chip, DRAM {} banks, hit/miss {}/{} cycles, queue {}, \
          schedulers {:?}):",
         config.dram.banks,
@@ -82,9 +72,10 @@ fn run_load(quick: bool) {
         config.dram.row_miss_latency,
         config.dram.queue_depth,
         config.schedulers,
-    );
-    println!("{}", rule(110));
-    println!(
+    )?;
+    writeln!(out, "{}", rule(110))?;
+    writeln!(
+        out,
         "{:>18} {:>5} {:>12} {:>12} {:>12} {:>10} {:>10} {:>9} {:>10}",
         "scheduler",
         "mlp",
@@ -95,14 +86,15 @@ fn run_load(quick: bool) {
         "rejected",
         "evicted",
         "max queue"
-    );
-    println!("{}", rule(110));
+    )?;
+    writeln!(out, "{}", rule(110))?;
     for p in latency_under_load(&config) {
-        println!(
-            "{:>18} {:>5} {} {:>12} {:>12} {:>10} {:>10} {:>9} {:>10}",
+        writeln!(
+            out,
+            "{:>18} {:>5} {:>12.4} {:>12} {:>12} {:>10} {:>10} {:>9} {:>10}",
             format!("{:?}", p.scheduler),
             p.mlp,
-            cell(p.throughput, 12, 4),
+            p.throughput,
             fmt_latency(p.avg_round_trip),
             fmt_latency(p.avg_queue_wait),
             p.row_hit_rate
@@ -111,23 +103,21 @@ fn run_load(quick: bool) {
             p.rejected_requests,
             p.evicted_requests,
             p.max_queue_occupancy,
-        );
+        )?;
     }
-    println!("{}", rule(110));
+    writeln!(out, "{}", rule(110))
 }
 
-fn run_mix(quick: bool) {
-    let config = if quick {
-        MlpMixConfig::quick()
-    } else {
-        MlpMixConfig::default()
-    };
-    println!(
+fn render_mix(out: &mut String, profile: Profile) -> fmt::Result {
+    let config = profile.pick(MlpMixConfig::quick(), MlpMixConfig::default());
+    writeln!(
+        out,
         "MLP-mix divergence (victim MLP {}, DRAM-backed controller, schedulers {:?}):",
         config.victim_mlp, config.schedulers,
-    );
-    println!("{}", rule(98));
-    println!(
+    )?;
+    writeln!(out, "{}", rule(98))?;
+    writeln!(
+        out,
         "{:>18} {:>8} {:>14} {:>14} {:>16} {:>16}",
         "scheduler",
         "hog mlp",
@@ -135,10 +125,11 @@ fn run_mix(quick: bool) {
         "unprotected rt",
         "prot. slowdown",
         "unprot. slowdown"
-    );
-    println!("{}", rule(98));
+    )?;
+    writeln!(out, "{}", rule(98))?;
     for p in mlp_mix_divergence(&config) {
-        println!(
+        writeln!(
+            out,
             "{:>18} {:>8} {:>14} {:>14} {:>16} {:>16}",
             format!("{:?}", p.scheduler),
             p.hog_mlp,
@@ -146,39 +137,35 @@ fn run_mix(quick: bool) {
             fmt_latency(p.unprotected.avg_round_trip),
             fmt_ratio(p.protected_slowdown()),
             fmt_ratio(p.unprotected_slowdown()),
-        );
+        )?;
     }
-    println!("{}", rule(98));
+    writeln!(out, "{}", rule(98))
 }
 
-fn run_scaling(quick: bool) {
-    let config = if quick {
-        ColumnScalingConfig::quick()
-    } else {
-        ColumnScalingConfig::default()
-    };
-    println!(
+fn render_scaling(out: &mut String, profile: Profile) -> fmt::Result {
+    let config = profile.pick(ColumnScalingConfig::quick(), ColumnScalingConfig::default());
+    writeln!(
+        out,
         "multi-column scaling ({}x{} chip, MLP {}):",
         config.width, config.height, config.mlp
-    );
+    )?;
     for p in multi_column_scaling(&config) {
-        println!(
+        writeln!(
+            out,
             "  columns {:>2}   requesters {:>4}   throughput {:>7.3} rt/cycle   rt latency {:>9}",
             p.columns,
             p.requesters,
             p.throughput,
             fmt_latency(p.avg_round_trip),
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn run_faults(quick: bool) {
-    let config = if quick {
-        DegradationConfig::quick()
-    } else {
-        DegradationConfig::default()
-    };
-    println!(
+fn render_faults(out: &mut String, profile: Profile) -> fmt::Result {
+    let config = profile.pick(DegradationConfig::quick(), DegradationConfig::default());
+    writeln!(
+        out,
         "degradation under faults (victim MLP {}, hog MLP {}, {} ppm corruption per fault, \
          retry deadline {} x{}):",
         config.victim_mlp,
@@ -186,9 +173,10 @@ fn run_faults(quick: bool) {
         config.corruption_ppm_per_fault,
         config.retry.deadline,
         config.retry.max_attempts,
-    );
-    println!("{}", rule(104));
-    println!(
+    )?;
+    writeln!(out, "{}", rule(104))?;
+    writeln!(
+        out,
         "{:>7} {:>14} {:>12} {:>16} {:>14} {:>8} {:>9} {:>8}",
         "faults",
         "protected rt",
@@ -198,10 +186,11 @@ fn run_faults(quick: bool) {
         "drops",
         "timeouts",
         "retries"
-    );
-    println!("{}", rule(104));
+    )?;
+    writeln!(out, "{}", rule(104))?;
     for p in degradation_under_faults(&config) {
-        println!(
+        writeln!(
+            out,
             "{:>7} {:>14} {:>12} {:>16} {:>14} {:>8} {:>9} {:>8}",
             p.faults,
             fmt_latency(p.protected.avg_round_trip),
@@ -211,51 +200,29 @@ fn run_faults(quick: bool) {
             p.protected_fault_drops,
             p.protected_request_timeouts,
             p.protected_request_retries,
-        );
+        )?;
     }
-    println!("{}", rule(104));
+    writeln!(out, "{}", rule(104))
 }
 
-fn run_area() {
+fn render_area(out: &mut String) -> fmt::Result {
     let report = chip_qos_area(&ChipConfig::paper_8x8().build());
-    println!("QOS area (8x8 chip, 32 nm):");
-    println!(
+    writeln!(out, "QOS area (8x8 chip, 32 nm):")?;
+    writeln!(
+        out,
         "  per router {:.4} mm2   chip-wide {:.3} mm2   column-confined {:.3} mm2   saving {:.1}%",
         report.per_router_mm2,
         report.chip_wide_mm2,
         report.column_confined_mm2,
         100.0 * report.saving_fraction,
-    );
+    )
 }
 
-fn main() {
-    let args = CliArgs::from_env();
-    let quick = args.has_flag("quick");
-    let only = args.value("only");
-    const EXPERIMENTS: [&str; 6] = ["isolation", "load", "mix", "scaling", "faults", "area"];
-    if let Some(only) = only {
-        if !EXPERIMENTS.contains(&only) {
-            eprintln!("unknown experiment --only {only}; expected one of {EXPERIMENTS:?}");
-            std::process::exit(2);
-        }
-    }
-    let want = |name: &str| only.is_none_or(|o| o == name);
-    if want("isolation") {
-        run_isolation(quick);
-    }
-    if want("load") {
-        run_load(quick);
-    }
-    if want("mix") {
-        run_mix(quick);
-    }
-    if want("scaling") {
-        run_scaling(quick);
-    }
-    if want("faults") {
-        run_faults(quick);
-    }
-    if want("area") {
-        run_area();
-    }
+pub(crate) fn render(out: &mut String, profile: Profile) -> fmt::Result {
+    render_isolation(out, profile)?;
+    render_load(out, profile)?;
+    render_mix(out, profile)?;
+    render_scaling(out, profile)?;
+    render_faults(out, profile)?;
+    render_area(out)
 }

@@ -1,159 +1,88 @@
-//! # taqos-bench — benchmark harness for the paper's tables and figures
+//! # taqos-bench — the paper's tables and figures as one registry
 //!
-//! One binary per table/figure regenerates the corresponding rows or series:
-//!
-//! | Binary | Paper artefact |
-//! |---|---|
-//! | `table1`          | Table 1 — simulated configurations |
-//! | `fig3_area`       | Figure 3 — router area overhead |
-//! | `fig4_latency`    | Figure 4 — latency/throughput on uniform random & tornado |
-//! | `table2_fairness` | Table 2 — relative throughput under the hotspot |
-//! | `fig5_preemption` | Figure 5 — preempted packets & replayed hops |
-//! | `fig6_slowdown`   | Figure 6 — slowdown & throughput deviation |
-//! | `fig7_energy`     | Figure 7 — router energy per flit by hop type |
-//! | `sla`             | Differentiated service — delivered vs programmed shares |
-//! | `ablations`       | PVC parameter ablations |
-//! | `chip_scale`      | Chip-scale experiments — isolation, latency under load, MLP-mix divergence, column scaling, QOS area |
-//!
-//! Every binary accepts `--quick` to run a shortened configuration (smaller
-//! warm-up and measurement windows) and prints plain-text tables to stdout.
-//! Engine performance is measured by the standalone `benchmark/` package.
+//! [`PROGRAMS`] lists every paper program: one entry per panel, each a name
+//! and a function that runs its `taqos_core::experiment` calls and renders
+//! the plain-text table. The render functions live in one module per
+//! experiment module (`latency` renders Figure 4, `preemption` Figures 5
+//! and 6, and so on), plus `table1`. The `paper` binary runs entries by name
+//! (`paper <name>… | all [--quick]`), and the root test `tests/golden.rs`
+//! runs every entry at [`Profile::Quick`] against its committed
+//! `tests/golden/<name>.txt`. Engine performance is measured by the
+//! standalone `benchmark/` package.
 
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
+use std::fmt;
 
-/// Minimal command-line option parser for the harness binaries: recognises
-/// `--flag` switches and `--key value` pairs.
-#[derive(Debug, Clone, Default)]
-pub struct CliArgs {
-    flags: Vec<String>,
-    values: BTreeMap<String, String>,
+use taqos_core::experiment::latency::SweepPattern::{Tornado, UniformRandom};
+use taqos_core::experiment::preemption::AdversarialWorkload::{Workload1, Workload2};
+
+use energy_area::{fig3, fig7};
+use preemption::{fig5, fig6};
+
+mod ablation;
+mod chip_scale;
+mod differentiated;
+mod energy_area;
+mod fairness;
+mod latency;
+mod preemption;
+mod table1;
+
+/// How long a program simulates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Profile {
+    /// Shortened warm-up and measurement windows; what the golden files pin.
+    Quick,
+    /// The default configurations the paper's numbers come from.
+    Full,
 }
 
-impl CliArgs {
-    /// Parses the given iterator of arguments (excluding the program name).
-    pub(crate) fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let mut parsed = CliArgs::default();
-        let mut iter = args.into_iter().peekable();
-        while let Some(arg) = iter.next() {
-            let Some(name) = arg.strip_prefix("--") else {
-                continue;
-            };
-            let takes_value = iter
-                .peek()
-                .map(|next| !next.starts_with("--"))
-                .unwrap_or(false);
-            if takes_value {
-                let value = iter.next().expect("peeked value exists");
-                parsed.values.insert(name.to_string(), value);
-            } else {
-                parsed.flags.push(name.to_string());
-            }
-        }
-        parsed
-    }
-
-    /// Parses the process arguments.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Whether `--name` was passed as a switch.
-    pub fn has_flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
-    }
-
-    /// The value of `--name value`, if present.
-    pub fn value(&self, name: &str) -> Option<&str> {
-        self.values.get(name).map(String::as_str)
-    }
-
-    /// The value of `--name value` parsed as the requested type, or the
-    /// provided default when the option is absent.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the flag when a value is present but does
-    /// not parse (`--cycles 10k`): falling back to the default there would
-    /// silently run a different experiment from the one asked for.
-    pub(crate) fn parsed_or<T: std::str::FromStr>(
-        &self,
-        name: &str,
-        default: T,
-    ) -> Result<T, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| {
-                format!(
-                    "--{name}: cannot parse `{raw}` as {}",
-                    std::any::type_name::<T>()
-                )
-            }),
+impl Profile {
+    /// `quick` under [`Profile::Quick`], `full` under [`Profile::Full`].
+    fn pick<T>(self, quick: T, full: T) -> T {
+        match self {
+            Profile::Quick => quick,
+            Profile::Full => full,
         }
     }
-
-    /// `parsed_or` for the harness binaries' `main`: an unparseable value
-    /// prints the error and exits with status 2.
-    pub fn value_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.parsed_or(name, default).unwrap_or_else(|message| {
-            eprintln!("error: {message}");
-            std::process::exit(2)
-        })
-    }
 }
 
-/// Formats a floating point value with a fixed number of decimals, right
-/// aligned in a column of the given width.
-pub fn cell(value: f64, width: usize, decimals: usize) -> String {
-    format!("{value:>width$.decimals$}")
+/// One paper program: a name and the function that renders its output.
+#[derive(Debug, Clone, Copy)]
+pub struct Program {
+    /// The name `paper` selects it by and its golden file is called after.
+    pub name: &'static str,
+    /// Runs the experiments and returns the rendered tables.
+    pub run: fn(Profile) -> String,
 }
 
-/// Prints a horizontal rule of the given width.
-pub fn rule(width: usize) -> String {
+/// Every paper program, in the order `paper all` runs them.
+#[rustfmt::skip]
+pub static PROGRAMS: &[Program] = &[
+    Program { name: "table1", run: |_| render(table1::render) },
+    Program { name: "fig3_area", run: |_| render(fig3) },
+    Program { name: "fig4_latency", run: |p| render(|o| latency::render(o, p, UniformRandom)) },
+    Program { name: "fig4_latency-tornado", run: |p| render(|o| latency::render(o, p, Tornado)) },
+    Program { name: "table2_fairness", run: |p| render(|o| fairness::render(o, p)) },
+    Program { name: "fig5_preemption", run: |p| render(|o| fig5(o, p, Workload1)) },
+    Program { name: "fig5_preemption-workload2", run: |p| render(|o| fig5(o, p, Workload2)) },
+    Program { name: "fig6_slowdown", run: |p| render(|o| fig6(o, p, Workload1)) },
+    Program { name: "fig6_slowdown-workload2", run: |p| render(|o| fig6(o, p, Workload2)) },
+    Program { name: "fig7_energy", run: |_| render(fig7) },
+    Program { name: "sla", run: |p| render(|o| differentiated::render(o, p)) },
+    Program { name: "ablations", run: |p| render(|o| ablation::render(o, p)) },
+    Program { name: "chip_scale", run: |p| render(|o| chip_scale::render(o, p)) },
+];
+
+/// Runs one program body into a fresh `String`.
+fn render(body: impl FnOnce(&mut String) -> fmt::Result) -> String {
+    let mut out = String::new();
+    body(&mut out).expect("writing to a String cannot fail");
+    out
+}
+
+/// A horizontal rule of the given width.
+fn rule(width: usize) -> String {
     "-".repeat(width)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn args(list: &[&str]) -> CliArgs {
-        CliArgs::parse(list.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn parses_flags_and_values() {
-        let a = args(&["--quick", "--pattern", "tornado", "--workload", "2"]);
-        assert!(a.has_flag("quick"));
-        assert!(!a.has_flag("slow"));
-        assert_eq!(a.value("pattern"), Some("tornado"));
-        assert_eq!(a.value_or("workload", 1u32), 2);
-        assert_eq!(a.value_or("missing", 7u32), 7);
-    }
-
-    #[test]
-    fn unparseable_value_is_an_error_naming_the_flag() {
-        let a = args(&["--cycles", "10k", "--rate", "0.08"]);
-        let err = a
-            .parsed_or("cycles", 200_000u64)
-            .expect_err("`10k` is not a cycle count");
-        assert!(err.contains("--cycles") && err.contains("10k"), "{err}");
-        assert_eq!(a.parsed_or("rate", 0.5f64), Ok(0.08));
-        assert_eq!(a.parsed_or("missing", 7u32), Ok(7));
-    }
-
-    #[test]
-    fn trailing_flag_is_not_a_value() {
-        let a = args(&["--pattern", "--quick"]);
-        assert!(a.has_flag("pattern"));
-        assert!(a.has_flag("quick"));
-        assert_eq!(a.value("pattern"), None);
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(cell(3.456, 8, 2), "    3.46");
-        assert_eq!(rule(4), "----");
-    }
 }

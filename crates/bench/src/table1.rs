@@ -1,33 +1,48 @@
-//! Regenerates Table 1: the simulated shared-region configurations.
+//! Table 1: the simulated shared-region configurations.
 
-use taqos_bench::rule;
+use std::fmt::{self, Write};
+
 use taqos_topology::column::{ColumnConfig, ColumnTopology};
 use taqos_topology::properties::bisection_bandwidth_bytes;
 
-fn main() {
+use crate::rule;
+
+pub(crate) fn render(out: &mut String) -> fmt::Result {
     let config = ColumnConfig::paper();
-    println!("Table 1: Shared region topology details");
-    println!("{}", rule(78));
-    println!(
+    writeln!(out, "Table 1: Shared region topology details")?;
+    writeln!(out, "{}", rule(78))?;
+    writeln!(
+        out,
         "Network        : {} nodes (one column), {}-byte links, 1-cycle wire delay,",
         config.nodes, config.flit_bytes
-    );
-    println!("                 DOR routing, virtual cut-through flow control");
-    println!("QOS            : Preemptive Virtual Clock (50K-cycle frame)");
-    println!("Benchmarks     : hotspot, uniform random, tornado; 1- and 4-flit packets");
-    println!(
+    )?;
+    writeln!(
+        out,
+        "                 DOR routing, virtual cut-through flow control"
+    )?;
+    writeln!(
+        out,
+        "QOS            : Preemptive Virtual Clock (50K-cycle frame)"
+    )?;
+    writeln!(
+        out,
+        "Benchmarks     : hotspot, uniform random, tornado; 1- and 4-flit packets"
+    )?;
+    writeln!(
+        out,
         "Injectors      : {} per node ({} terminal + {} row inputs), {} flows total",
         config.injectors_per_node(),
         1,
         config.row_inputs_east + config.row_inputs_west,
         config.num_flows()
-    );
-    println!("{}", rule(78));
-    println!(
+    )?;
+    writeln!(out, "{}", rule(78))?;
+    writeln!(
+        out,
         "{:<10} {:>8} {:>10} {:>12} {:>14} {:>16}",
         "topology", "VCs/port", "flits/VC", "VA latency", "pipeline", "bisection B/cyc"
-    );
-    println!("{}", rule(78));
+    )?;
+    writeln!(out, "{}", rule(78))?;
     for topology in ColumnTopology::all() {
         let p = topology.params();
         let pipeline = match topology {
@@ -35,7 +50,8 @@ fn main() {
             ColumnTopology::Dps => "VA,XT (+1c mid)",
             _ => "VA,XT",
         };
-        println!(
+        writeln!(
+            out,
             "{:<10} {:>8} {:>10} {:>12} {:>14} {:>16}",
             topology.name(),
             p.network_vcs,
@@ -43,8 +59,11 @@ fn main() {
             p.va_latency,
             pipeline,
             bisection_bandwidth_bytes(topology, &config)
-        );
+        )?;
     }
-    println!("{}", rule(78));
-    println!("common         : 1 injection VC, 2 ejection VCs, 1 reserved VC per network port");
+    writeln!(out, "{}", rule(78))?;
+    writeln!(
+        out,
+        "common         : 1 injection VC, 2 ejection VCs, 1 reserved VC per network port"
+    )
 }

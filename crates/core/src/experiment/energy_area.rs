@@ -3,8 +3,8 @@
 //! Both figures are analytical: they depend only on the topology geometry and
 //! the 32 nm technology parameters, not on a simulation run. The functions
 //! here assemble the per-topology, per-component breakdowns in the exact
-//! shape the paper plots them; the `taqos-bench` binaries print them as
-//! tables.
+//! shape the paper plots them; the `taqos-bench` paper programs print them
+//! as tables.
 
 use serde::{Deserialize, Serialize};
 use taqos_power::area::{AreaModel, RouterArea};

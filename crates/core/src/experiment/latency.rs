@@ -135,19 +135,6 @@ pub fn latency_sweep(
     })
 }
 
-/// Estimates the saturation throughput of a topology under a pattern: the
-/// highest offered load whose average latency stays below `latency_cap`
-/// cycles. Used for the saturation comparisons quoted in §5.2.
-pub fn saturation_rate(points: &[LatencyPoint], latency_cap: f64) -> f64 {
-    let mut best = 0.0;
-    for p in points {
-        if p.avg_latency > 0.0 && p.avg_latency <= latency_cap && p.injection_rate > best {
-            best = p.injection_rate;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,24 +195,5 @@ mod tests {
         assert_eq!(points[0].topology, ColumnTopology::MeshX1);
         assert!((points[0].injection_rate - 0.01).abs() < 1e-12);
         assert_eq!(points[3].topology, ColumnTopology::Dps);
-    }
-
-    #[test]
-    fn saturation_rate_picks_highest_uncongested_point() {
-        let mk = |rate, lat| LatencyPoint {
-            topology: ColumnTopology::MeshX1,
-            injection_rate: rate,
-            avg_latency: lat,
-            accepted_flits_per_cycle: rate,
-            preempted_packet_fraction: 0.0,
-            wasted_hop_fraction: 0.0,
-        };
-        let points = vec![
-            mk(0.01, 12.0),
-            mk(0.05, 20.0),
-            mk(0.08, 90.0),
-            mk(0.1, 400.0),
-        ];
-        assert!((saturation_rate(&points, 60.0) - 0.05).abs() < 1e-12);
     }
 }

@@ -16,7 +16,7 @@
 //! | Adversarial battery, weighted VMs & live migration (§4.3 extended) | [`adversarial`] |
 //!
 //! The experiment functions are deterministic given their seed and are reused
-//! by the `taqos-bench` binaries that print the paper-style tables.
+//! by the `taqos-bench` paper programs that print the paper-style tables.
 
 pub mod ablation;
 pub mod adversarial;

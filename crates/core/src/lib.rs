@@ -76,8 +76,7 @@ pub mod prelude {
         hotspot_fairness, table2, FairnessConfig, FairnessPolicy, FairnessResult,
     };
     pub use crate::experiment::latency::{
-        latency_point, latency_sweep, paper_rates, saturation_rate, LatencyPoint, SweepConfig,
-        SweepPattern,
+        latency_point, latency_sweep, paper_rates, LatencyPoint, SweepConfig, SweepPattern,
     };
     pub use crate::experiment::preemption::{
         preemption_figure, preemption_impact, AdversarialConfig, AdversarialWorkload,

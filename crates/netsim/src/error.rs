@@ -27,11 +27,48 @@ impl fmt::Display for SpecError {
 
 impl Error for SpecError {}
 
+/// Why [`crate::network::Network::schedule_reprogram`] rejected a rate
+/// programme.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ReprogramError {
+    /// The policy has no frames, so there is no rollover to anchor the
+    /// change to.
+    NoFrames,
+    /// The programme does not give exactly one rate per flow.
+    FlowCount {
+        /// Rates in the programme.
+        supplied: usize,
+        /// Flows in the network.
+        flows: usize,
+    },
+    /// A rate that is zero, negative, NaN or infinite.
+    NonPositiveRate {
+        /// Offending flow index.
+        flow: usize,
+        /// The rejected rate.
+        rate: f64,
+    },
+}
+
+impl fmt::Display for ReprogramError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::NoFrames => write!(f, "the policy has no frame rollover to anchor it to"),
+            Self::FlowCount { supplied, flows } => write!(f, "{supplied} rates for {flows} flows"),
+            Self::NonPositiveRate { flow, rate } => write!(f, "flow {flow} has rate {rate}"),
+        }
+    }
+}
+
+impl Error for ReprogramError {}
+
 /// Error returned by the simulation driver.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The network specification failed validation.
     Spec(SpecError),
+    /// A mid-run rate reprogramming was rejected.
+    Reprogram(ReprogramError),
     /// A closed-loop simulation did not finish within the configured cycle
     /// budget (likely livelock or an unreachable destination).
     Timeout {
@@ -65,6 +102,7 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::Spec(e) => write!(f, "{e}"),
+            SimError::Reprogram(e) => write!(f, "invalid rate reprogramming: {e}"),
             SimError::Timeout {
                 cycles,
                 live_packets,
@@ -89,6 +127,7 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::Spec(e) => Some(e),
+            SimError::Reprogram(e) => Some(e),
             SimError::Timeout { .. } | SimError::NoForwardProgress { .. } => None,
         }
     }

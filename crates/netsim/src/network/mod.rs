@@ -62,7 +62,7 @@ pub use engine::EngineProfile;
 
 use crate::closed_loop::{ClosedLoopSpec, ClosedLoopState};
 use crate::config::SimConfig;
-use crate::error::SimError;
+use crate::error::{ReprogramError, SimError};
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultPlan, FaultState};
 use crate::ids::{Cycle, FlowId, PacketId};
@@ -450,26 +450,30 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns an error if the policy has no frames (nothing to anchor the
-    /// change to), the rate count does not match the flow count, or any rate
-    /// is non-finite or not positive.
+    /// Returns [`SimError::Reprogram`] with [`ReprogramError::NoFrames`] if
+    /// the policy has no frames (nothing to anchor the change to),
+    /// [`ReprogramError::FlowCount`] if the rate count does not match the
+    /// flow count, or [`ReprogramError::NonPositiveRate`] for the first rate
+    /// that is non-finite or not positive.
     pub fn schedule_reprogram(&mut self, at: Cycle, rates: Vec<f64>) -> Result<(), SimError> {
         if self.frame_len.is_none_or(|f| f == 0) {
-            return Err(SimError::Spec(crate::error::SpecError::new(
-                "rate reprogramming needs a frame-based policy to anchor the change to",
-            )));
+            return Err(SimError::Reprogram(ReprogramError::NoFrames));
         }
         if rates.len() != self.spec.num_flows() {
-            return Err(SimError::Spec(crate::error::SpecError::new(format!(
-                "{} rates supplied for {} flows",
-                rates.len(),
-                self.spec.num_flows()
-            ))));
+            return Err(SimError::Reprogram(ReprogramError::FlowCount {
+                supplied: rates.len(),
+                flows: self.spec.num_flows(),
+            }));
         }
-        if rates.iter().any(|r| !r.is_finite() || *r <= 0.0) {
-            return Err(SimError::Spec(crate::error::SpecError::new(
-                "rates must be finite and positive",
-            )));
+        if let Some((flow, &rate)) = rates
+            .iter()
+            .enumerate()
+            .find(|(_, r)| !r.is_finite() || **r <= 0.0)
+        {
+            return Err(SimError::Reprogram(ReprogramError::NonPositiveRate {
+                flow,
+                rate,
+            }));
         }
         #[expect(
             clippy::indexing_slicing,

@@ -14,6 +14,7 @@ use taqos::prelude::*;
 use taqos::traffic::workloads;
 use taqos_netsim::closed_loop::{PhaseChange, PhaseSchedule, PhasedWorkload};
 use taqos_netsim::config::EngineKind;
+use taqos_netsim::error::ReprogramError;
 use taqos_netsim::sim::run_open_loop;
 use taqos_netsim::stats::NetStats;
 use taqos_qos::pvc::{PvcConfig, PvcPolicy};
@@ -424,26 +425,38 @@ fn bad_rate_programmes_are_rejected_with_typed_errors() {
     let mut network = sim
         .build_closed_loop(sim.default_policy(), workloads::mlp_closed_loop(&plan))
         .expect("chip builds");
-    match network.schedule_reprogram(100, vec![0.5; n - 1]) {
-        Err(SimError::Spec(e)) => assert!(
-            e.to_string()
-                .contains(&format!("{} rates supplied for {n} flows", n - 1)),
-            "{e}"
-        ),
-        other => panic!("expected a flow-count rejection, got {other:?}"),
+    assert_eq!(
+        network.schedule_reprogram(100, vec![0.5; n - 1]),
+        Err(SimError::Reprogram(ReprogramError::FlowCount {
+            supplied: n - 1,
+            flows: n
+        }))
+    );
+    let mut rates = vec![0.5; n];
+    rates[3] = 0.0;
+    assert_eq!(
+        network.schedule_reprogram(100, rates),
+        Err(SimError::Reprogram(ReprogramError::NonPositiveRate {
+            flow: 3,
+            rate: 0.0
+        }))
+    );
+    match network.schedule_reprogram(100, vec![f64::NAN; n]) {
+        Err(SimError::Reprogram(ReprogramError::NonPositiveRate { flow, rate })) => {
+            assert_eq!(flow, 0);
+            assert!(rate.is_nan());
+        }
+        other => panic!("expected NonPositiveRate, got {other:?}"),
     }
-    assert!(network.schedule_reprogram(100, vec![0.0; n]).is_err());
-    assert!(network.schedule_reprogram(100, vec![f64::NAN; n]).is_err());
     assert!(network
         .schedule_reprogram(100, vec![1.0 / n as f64; n])
         .is_ok());
     let mut no_frames = sim
         .build_closed_loop(ChipPolicy::NoQos, workloads::mlp_closed_loop(&plan))
         .expect("bare chip builds");
-    assert!(
-        no_frames
-            .schedule_reprogram(100, vec![1.0 / n as f64; n])
-            .is_err(),
+    assert_eq!(
+        no_frames.schedule_reprogram(100, vec![1.0 / n as f64; n]),
+        Err(SimError::Reprogram(ReprogramError::NoFrames)),
         "a frameless policy has no rollover to anchor a rate change to"
     );
 }
