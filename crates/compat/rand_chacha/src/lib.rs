@@ -2,13 +2,14 @@
 //! the `rand_chacha::ChaCha8Rng` name used throughout the TAQOS traffic
 //! generators.
 //!
-//! This is a genuine ChaCha8 core (Bernstein's ChaCha with 8 rounds, the IETF
-//! 32-bit-counter layout), not a toy LCG: traffic quality matters for the
+//! This is a genuine ChaCha8 core (Bernstein's ChaCha with 8 rounds, the
+//! original layout: a 64-bit block counter in words 12-13 and a zero 64-bit
+//! nonce in words 14-15), not a toy LCG: traffic quality matters for the
 //! paper's load sweeps, and ChaCha has no detectable statistical structure at
-//! the sample counts the simulator draws. The word stream differs from the
-//! upstream `rand_chacha` crate (which serves words in a different order),
-//! but all TAQOS determinism guarantees are per-seed within this workspace,
-//! so only internal reproducibility matters.
+//! the sample counts the simulator draws. The words are served in keystream
+//! order, little-endian; a known-answer test pins the published zero-key
+//! block. All TAQOS determinism guarantees are per-seed within this
+//! workspace, so only internal reproducibility matters.
 
 use rand::{RngCore, SeedableRng};
 
@@ -123,6 +124,22 @@ impl SeedableRng for ChaCha8Rng {
 mod tests {
     use super::*;
     use rand::Rng;
+
+    #[test]
+    fn zero_key_matches_the_published_chacha8_keystream() {
+        // Keystream block 0 of ChaCha8 with a 256-bit zero key and a zero
+        // IV: test case TC1 of draft-strombergson-chacha-test-vectors.
+        const BLOCK_0: &str = "3e00ef2f895f40d67f5bb8e81f09a5a1\
+                               2c840ec3ce9a7f3b181be188ef711a1e\
+                               984ce172b9216f419f445367456d5619\
+                               314a42a3da86b001387bfdb80e0cfe42";
+        let mut rng = ChaCha8Rng::from_seed([0; 32]);
+        let keystream: String = (0..BLOCK_WORDS)
+            .flat_map(|_| rng.next_u32().to_le_bytes())
+            .map(|byte| format!("{byte:02x}"))
+            .collect();
+        assert_eq!(keystream, BLOCK_0);
+    }
 
     #[test]
     fn deterministic_per_seed() {

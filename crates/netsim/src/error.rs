@@ -48,6 +48,12 @@ pub enum ReprogramError {
         /// The rejected rate.
         rate: f64,
     },
+    /// The rates sum above 1 (beyond [`crate::qos::RATE_SUM_TOLERANCE`]):
+    /// the programme promises more bandwidth than the link has.
+    Oversubscribed {
+        /// Sum of the rates.
+        total: f64,
+    },
 }
 
 impl fmt::Display for ReprogramError {
@@ -56,6 +62,7 @@ impl fmt::Display for ReprogramError {
             Self::NoFrames => write!(f, "the policy has no frame rollover to anchor it to"),
             Self::FlowCount { supplied, flows } => write!(f, "{supplied} rates for {flows} flows"),
             Self::NonPositiveRate { flow, rate } => write!(f, "flow {flow} has rate {rate}"),
+            Self::Oversubscribed { total } => write!(f, "the rates sum to {total}, above 1"),
         }
     }
 }

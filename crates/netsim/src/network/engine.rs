@@ -270,7 +270,7 @@ fn retire_request(router: &mut RouterState, out: OutPortId, in_port: usize, vc: 
 
 impl Network {
     /// Work-proportional visiting: only the awake sources (ascending, the
-    /// polling order), after firing the due timers of sleeping requesters. A
+    /// polling order), after firing the due timers of sleeping sources. A
     /// skipped visit is provably a no-op — the sleep predicate, the wake
     /// sites and the timers are tabulated in docs/ARCHITECTURE.md.
     pub(super) fn sources_optimized(&mut self) {
@@ -293,16 +293,16 @@ impl Network {
             });
             // Sleep iff the next visit is provably a no-op: nothing streams
             // or can start injecting, the generation side is quiet — an
-            // open-loop source only once its generator is exhausted, so a
-            // live one is polled every cycle and its RNG stream is
-            // untouched; a requester only with its window closed — and no
+            // open-loop source until its generator's next firing (which
+            // took the draws of the cycles it skips, so its stream is
+            // untouched); a requester only with its window closed — and no
             // time threshold is already due. The wake sites and the timer
             // re-open exactly these conditions.
             #[expect(
                 clippy::indexing_slicing,
                 reason = "si is a set bit of source_work, which is sized to the sources"
             )]
-            let source = &self.sources[si];
+            let source = &mut self.sources[si];
             let mut cl = self.closed_loop.as_mut();
             if !source.is_dormant(cl.as_ref().is_some_and(|cl| cl.replies.has_pending(si))) {
                 continue;
@@ -312,8 +312,11 @@ impl Network {
                     Some(at) => at,
                     None => continue,
                 },
-                None if source.generator.exhausted() => WakeTimers::NEVER,
-                None => continue,
+                None => match source.generator.next_fire(self.now + 1) {
+                    Some(at) if at > self.now + 1 => at,
+                    Some(_) => continue,
+                    None => WakeTimers::NEVER,
+                },
             };
             if wake_at > self.now {
                 unmark_router(&mut self.source_work, si);

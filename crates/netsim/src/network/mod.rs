@@ -68,7 +68,7 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::ids::{Cycle, FlowId, PacketId};
 use crate::packet::{PacketGenerator, PacketStore};
 use crate::port::{Feeder, TargetCreditState};
-use crate::qos::{QosPolicy, RouterQos};
+use crate::qos::{QosPolicy, RouterQos, RATE_SUM_TOLERANCE};
 use crate::router::{ArbRequest, RouterState};
 use crate::sink::SinkState;
 use crate::source::{SourceState, WakeTimers};
@@ -453,8 +453,9 @@ impl Network {
     /// Returns [`SimError::Reprogram`] with [`ReprogramError::NoFrames`] if
     /// the policy has no frames (nothing to anchor the change to),
     /// [`ReprogramError::FlowCount`] if the rate count does not match the
-    /// flow count, or [`ReprogramError::NonPositiveRate`] for the first rate
-    /// that is non-finite or not positive.
+    /// flow count, [`ReprogramError::NonPositiveRate`] for the first rate
+    /// that is non-finite or not positive, or
+    /// [`ReprogramError::Oversubscribed`] if the rates sum above 1.
     pub fn schedule_reprogram(&mut self, at: Cycle, rates: Vec<f64>) -> Result<(), SimError> {
         if self.frame_len.is_none_or(|f| f == 0) {
             return Err(SimError::Reprogram(ReprogramError::NoFrames));
@@ -473,6 +474,12 @@ impl Network {
             return Err(SimError::Reprogram(ReprogramError::NonPositiveRate {
                 flow,
                 rate,
+            }));
+        }
+        let total: f64 = rates.iter().sum();
+        if total > 1.0 + RATE_SUM_TOLERANCE {
+            return Err(SimError::Reprogram(ReprogramError::Oversubscribed {
+                total,
             }));
         }
         #[expect(

@@ -36,6 +36,10 @@ impl PacketGenerator for BurstGenerator {
         })
     }
 
+    fn next_fire(&mut self, from: Cycle) -> Option<Cycle> {
+        (self.remaining > 0).then(|| from.next_multiple_of(self.gap))
+    }
+
     fn exhausted(&self) -> bool {
         self.remaining == 0
     }
@@ -957,22 +961,30 @@ fn a_reprogram_landing_wakes_every_sleeper() {
 }
 
 #[test]
-fn an_open_loop_source_never_sleeps_while_its_generator_is_live() {
-    // Five packets, one every 50 cycles: idle 49 cycles of 50, yet polled
-    // on every one of them (a skipped poll would shift an RNG stream).
-    let mut net = build_chain(5, 50, 1);
-    while !net.sources[0].generator.exhausted() {
-        net.step();
-        assert_eq!(net.engine_profile().sources_visited, net.now());
-        let live = !net.sources[0].generator.exhausted();
-        assert!(!live || awake_sources(&net) == 1, "cycle {}", net.now());
+fn an_open_loop_source_sleeps_between_its_generator_firings() {
+    // Five two-flit packets, one every 50 cycles. The optimized engine
+    // visits the source only on a firing cycle, while a flit streams, or
+    // when a wake (its timer, an ACK) lands; every statistic matches the
+    // polling reference's on every cycle.
+    let (mut optimized, mut reference) = chain_pair(&chain_spec(), 5, 50, 2);
+    // Counted from zero: construction's wake makes the first visit.
+    let mut before = EngineProfile::default();
+    while optimized.now() < 400 {
+        let streaming = optimized.sources[0].active.is_some();
+        step_both(&mut optimized, &mut reference);
+        let (now, after) = (optimized.now(), optimized.engine_profile());
+        if after.sources_visited > before.sources_visited {
+            let firing = now.is_multiple_of(50) && now <= 250;
+            let woken = after.source_wakes > before.source_wakes;
+            assert!(firing || streaming || woken, "idle visit at cycle {now}");
+        }
+        before = after;
     }
-    run_to_quiescence(&mut net, 200);
-    // Exhausted and drained: now it sleeps, and stays asleep.
-    let visited = net.engine_profile().sources_visited;
-    net.run_for(200);
-    assert_eq!(net.engine_profile().sources_visited, visited);
-    assert_eq!(net.stats().delivered_packets, 5);
+    assert_eq!(optimized.stats().delivered_packets, 5);
+    assert_eq!(reference.engine_profile().sources_visited, 400);
+    // The first visit, then per packet: the firing, the second flit, and
+    // the wakes of the returning credit and of the ACK.
+    assert_eq!(before.sources_visited, 1 + 5 * 4, "{before:?}");
 }
 
 // ---- Routing and launch worklists: lock-step ----------------------------

@@ -153,21 +153,35 @@ pub struct GeneratedPacket {
 /// Source-side traffic generator.
 ///
 /// One generator is attached to every injector (source) in the network. The
-/// network polls it once per cycle; a generator may produce at most one
-/// packet per cycle (the injection port bandwidth is one flit per cycle, so
-/// higher generation rates would only grow the source queue).
+/// network polls it at most once per cycle, skipping the cycles before the
+/// one [`Self::next_fire`] names; a generator may produce at most one packet
+/// per cycle (the injection port bandwidth is one flit per cycle, so higher
+/// generation rates would only grow the source queue).
 ///
 /// Implementations live in the `taqos-traffic` crate; the trait is defined
 /// here so the simulator substrate has no dependency on traffic generation.
 pub trait PacketGenerator: Send {
-    /// Called once per cycle. Returns a packet description if the source
-    /// produces a packet this cycle.
+    /// Called at most once per cycle, with `now` increasing. Returns a packet
+    /// description if the source produces a packet this cycle. Takes no
+    /// draw for a cycle already drawn by [`Self::next_fire`]: such a call
+    /// fires only on the cycle `next_fire` returned.
     ///
     /// May also be called after the generator is exhausted; implementations
     /// must then return `None` without side effects (in particular without
     /// consuming entropy), so the simulator can use a single call per cycle
     /// for both generation and idle detection.
     fn generate(&mut self, now: Cycle) -> Option<GeneratedPacket>;
+
+    /// Returns the earliest cycle at or after `from` at which
+    /// [`Self::generate`] may produce a packet, or `None` if it never will.
+    /// A generator that draws at random may take the draws of the cycles it
+    /// skips ahead of time; `generate` then consumes them in the same order
+    /// a per-cycle poll would have. The answer may be early (a cycle whose
+    /// `generate` returns `None`), never late. The default asks to be polled
+    /// every cycle (`Some(from)`) until the generator is exhausted.
+    fn next_fire(&mut self, from: Cycle) -> Option<Cycle> {
+        (!self.exhausted()).then_some(from)
+    }
 
     /// Returns `true` once the generator will never produce another packet.
     ///

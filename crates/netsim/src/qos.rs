@@ -10,6 +10,12 @@
 use crate::ids::{Cycle, FlowId, PacketId};
 use crate::spec::RouterSpec;
 
+/// How far above 1 the rates of a programme may sum and still be accepted:
+/// rates are fractions of link bandwidth, and normalising weights by their
+/// sum rounds to a total a few ulps off 1 in either direction. Anything
+/// further above 1 oversubscribes the link.
+pub const RATE_SUM_TOLERANCE: f64 = 1e-9;
+
 /// Per-router QOS state and decision logic.
 ///
 /// One instance exists per router; it owns whatever per-flow state the policy

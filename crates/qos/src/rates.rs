@@ -8,6 +8,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use taqos_netsim::closed_loop::rate_weight;
+use taqos_netsim::qos::RATE_SUM_TOLERANCE;
 use taqos_netsim::FlowId;
 
 /// Why a rate programme was rejected by [`RateAllocation::try_from_rates`],
@@ -26,6 +27,13 @@ pub enum RateError {
         /// The rejected rate.
         rate: f64,
     },
+    /// The rates sum above 1 (beyond [`RATE_SUM_TOLERANCE`]): the
+    /// allocation promises more bandwidth, and more reserved flits per
+    /// frame, than the link has.
+    Oversubscribed {
+        /// Sum of the rates.
+        total: f64,
+    },
 }
 
 impl fmt::Display for RateError {
@@ -37,6 +45,9 @@ impl fmt::Display for RateError {
                     f,
                     "rate of flow {flow} must be positive and finite, got {rate}"
                 )
+            }
+            RateError::Oversubscribed { total } => {
+                write!(f, "rates must sum to at most 1, got {total}")
             }
         }
     }
@@ -71,8 +82,8 @@ impl RateAllocation {
     ///
     /// # Panics
     ///
-    /// Panics if `rates` is empty or any rate is not strictly positive and
-    /// finite.
+    /// Panics if `rates` is empty, any rate is not strictly positive and
+    /// finite, or the rates sum above 1.
     pub fn from_rates(rates: Vec<f64>) -> Self {
         Self::try_from_rates(rates).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -88,6 +99,10 @@ impl RateAllocation {
             if !rate.is_finite() || rate <= 0.0 {
                 return Err(RateError::NonPositiveRate { flow, rate });
             }
+        }
+        let total: f64 = rates.iter().sum();
+        if total > 1.0 + RATE_SUM_TOLERANCE {
+            return Err(RateError::Oversubscribed { total });
         }
         Ok(RateAllocation { rates })
     }
@@ -210,6 +225,10 @@ mod tests {
             RateAllocation::try_from_rates(vec![f64::NAN]),
             Err(RateError::NonPositiveRate { flow: 0, .. })
         ));
+        // Normalised rates may sum a few ulps above 1 and are accepted.
+        let ninths = vec![1.0 / 9.0; 9];
+        assert!(ninths.iter().sum::<f64>() > 1.0);
+        assert!(RateAllocation::try_from_rates(ninths).is_ok());
         assert_eq!(
             RateAllocation::try_from_rates(vec![0.25, 0.75]).expect("valid rates"),
             RateAllocation::from_rates(vec![0.25, 0.75])

@@ -50,7 +50,19 @@ pub struct SyntheticGenerator {
     budget: Option<u64>,
     generated: u64,
     rng: ChaCha8Rng,
+    /// First cycle whose firing draw has not been taken yet. `next_fire`
+    /// takes the draws of the cycles it skips; `generate` at an earlier
+    /// cycle takes none, so every draw is consumed in per-cycle order.
+    ahead: Cycle,
+    /// The cycle of a firing draw `next_fire` already took; `generate` draws
+    /// its class and destination on that cycle.
+    fires_at: Option<Cycle>,
 }
+
+/// The most cycles one `next_fire` call draws ahead. With no firing among
+/// them it answers with the first undrawn cycle, so a rate near 2⁻⁵³ costs
+/// one early wake per horizon instead of an unbounded loop.
+const DRAW_AHEAD_CYCLES: Cycle = 4_096;
 
 fn fire_threshold(injection: &BernoulliInjection) -> Option<u64> {
     let p = injection.packet_probability();
@@ -58,11 +70,11 @@ fn fire_threshold(injection: &BernoulliInjection) -> Option<u64> {
 }
 
 impl SyntheticGenerator {
-    /// Creates an open-loop generator (no packet budget).
-    pub(crate) fn open_loop(
+    fn new(
         rate_flits_per_cycle: f64,
         mix: PacketSizeMix,
         pattern: DestinationPattern,
+        budget: Option<u64>,
         seed: u64,
     ) -> Self {
         let injection = BernoulliInjection::new(rate_flits_per_cycle, mix);
@@ -70,10 +82,22 @@ impl SyntheticGenerator {
             fire_threshold: fire_threshold(&injection),
             injection,
             pattern,
-            budget: None,
+            budget,
             generated: 0,
             rng: ChaCha8Rng::seed_from_u64(seed),
+            ahead: 0,
+            fires_at: None,
         }
+    }
+
+    /// Creates an open-loop generator (no packet budget).
+    pub(crate) fn open_loop(
+        rate_flits_per_cycle: f64,
+        mix: PacketSizeMix,
+        pattern: DestinationPattern,
+        seed: u64,
+    ) -> Self {
+        Self::new(rate_flits_per_cycle, mix, pattern, None, seed)
     }
 
     /// Creates a closed-workload generator that stops after `budget` packets.
@@ -84,20 +108,12 @@ impl SyntheticGenerator {
         budget: u64,
         seed: u64,
     ) -> Self {
-        let injection = BernoulliInjection::new(rate_flits_per_cycle, mix);
-        SyntheticGenerator {
-            fire_threshold: fire_threshold(&injection),
-            injection,
-            pattern,
-            budget: Some(budget),
-            generated: 0,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-        }
+        Self::new(rate_flits_per_cycle, mix, pattern, Some(budget), seed)
     }
 }
 
 impl PacketGenerator for SyntheticGenerator {
-    fn generate(&mut self, _now: Cycle) -> Option<GeneratedPacket> {
+    fn generate(&mut self, now: Cycle) -> Option<GeneratedPacket> {
         // Same draw sequence as `BernoulliInjection::fires`, with the
         // comparison precomputed as an integer threshold (see
         // `fire_threshold`; no RNG consumption at probability zero).
@@ -105,9 +121,19 @@ impl PacketGenerator for SyntheticGenerator {
         if self.exhausted() {
             return None;
         }
-        match self.fire_threshold {
-            Some(threshold) if (self.rng.next_u64() >> 11) < threshold => {}
-            _ => return None,
+        if now < self.ahead {
+            // Drawn by `next_fire`: only its firing cycle fires.
+            if self.fires_at != Some(now) {
+                return None;
+            }
+            self.fires_at = None;
+        } else {
+            debug_assert!(self.fires_at.is_none(), "a drawn firing was skipped");
+            self.ahead = now + 1;
+            match self.fire_threshold {
+                Some(threshold) if (self.rng.next_u64() >> 11) < threshold => {}
+                _ => return None,
+            }
         }
         let class = self.injection.mix.draw(&mut self.rng);
         let dst = self.pattern.draw(&mut self.rng);
@@ -117,6 +143,31 @@ impl PacketGenerator for SyntheticGenerator {
             len_flits: class.default_len_flits(),
             class,
         })
+    }
+
+    fn next_fire(&mut self, from: Cycle) -> Option<Cycle> {
+        use rand::RngCore;
+        if self.exhausted() {
+            return None;
+        }
+        let threshold = self.fire_threshold?;
+        if let Some(at) = self.fires_at {
+            debug_assert!(at >= from, "a drawn firing was skipped");
+            return Some(at);
+        }
+        // Cycles before `ahead` are drawn and quiet; cycles before `from`
+        // are never polled, so they take no draw.
+        let start = self.ahead.max(from);
+        let horizon = start + DRAW_AHEAD_CYCLES;
+        for cycle in start..horizon {
+            if (self.rng.next_u64() >> 11) < threshold {
+                self.ahead = cycle + 1;
+                self.fires_at = Some(cycle);
+                return Some(cycle);
+            }
+        }
+        self.ahead = horizon;
+        Some(horizon)
     }
 
     fn exhausted(&self) -> bool {
@@ -181,6 +232,88 @@ mod tests {
         assert_eq!(g.generated, 10);
         assert!(g.exhausted());
         assert!(g.generate(2_000).is_none());
+    }
+
+    /// Twin generators: one polled every cycle, the other driven only by
+    /// `next_fire` and `generate` on the cycles it names, plus early polls
+    /// at seeded random cycles before each; both must log the same packets
+    /// on the same cycles.
+    fn assert_draw_ahead_matches_polling(
+        rate: f64,
+        mix: PacketSizeMix,
+        budget: Option<u64>,
+        horizon: Cycle,
+    ) {
+        use rand::Rng;
+        let make = || {
+            let dests = (0..8).map(NodeId).collect();
+            let pattern = DestinationPattern::UniformRandom(dests);
+            SyntheticGenerator::new(rate, mix, pattern, budget, 11)
+        };
+        let mut polled = make();
+        let expected: Vec<_> = (0..horizon)
+            .filter_map(|now| polled.generate(now).map(|p| (now, p)))
+            .collect();
+
+        let mut driven = make();
+        let mut early = ChaCha8Rng::seed_from_u64(rate.to_bits());
+        let mut log = Vec::new();
+        let mut from = 0;
+        while let Some(at) = driven.next_fire(from).filter(|&at| at < horizon) {
+            assert!(at >= from, "next_fire({from}) answered {at}");
+            let mut polls: Vec<Cycle> = (0..early.gen_range(0..3))
+                .filter(|_| at > from)
+                .map(|_| early.gen_range(from..at))
+                .collect();
+            polls.sort_unstable();
+            polls.dedup();
+            for now in polls {
+                assert_eq!(driven.generate(now), None, "early poll at {now}");
+            }
+            log.extend(driven.generate(at).map(|p| (at, p)));
+            from = at + 1;
+        }
+        let case = format!("rate {rate}, {mix:?}, budget {budget:?}");
+        assert_eq!(log, expected, "{case}");
+        assert_eq!(driven.exhausted(), polled.exhausted(), "{case}");
+    }
+
+    #[test]
+    fn drawing_ahead_leaves_the_stream_unchanged() {
+        let mixes = [PacketSizeMix::paper(), PacketSizeMix::requests_only()];
+        for rate in [0.0, 2f64.powi(-40), 0.01, 0.08, 0.3, 1.0] {
+            for mix in mixes {
+                for budget in [None, Some(5)] {
+                    assert_draw_ahead_matches_polling(rate, mix, budget, 20_000);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn next_fire_is_bounded_and_never_for_silent_generators() {
+        let open = |rate| {
+            let pattern = DestinationPattern::Fixed(NodeId(0));
+            SyntheticGenerator::new(rate, PacketSizeMix::paper(), pattern, None, 3)
+        };
+        // No firing within the horizon: a wake at its end. Asking again
+        // draws on from the first undrawn cycle.
+        let mut rare = open(2f64.powi(-40));
+        assert_eq!(rare.next_fire(0), Some(DRAW_AHEAD_CYCLES));
+        assert_eq!(rare.generate(DRAW_AHEAD_CYCLES - 1), None);
+        assert_eq!(rare.next_fire(10), Some(2 * DRAW_AHEAD_CYCLES));
+        // Rate zero and a spent budget never fire.
+        assert_eq!(open(0.0).next_fire(0), None);
+        let mut spent = SyntheticGenerator::with_budget(
+            1.0,
+            PacketSizeMix::requests_only(),
+            DestinationPattern::Fixed(NodeId(0)),
+            1,
+            3,
+        );
+        assert_eq!(spent.next_fire(7), Some(7));
+        assert!(spent.generate(7).is_some());
+        assert_eq!(spent.next_fire(8), None);
     }
 
     #[test]

@@ -402,10 +402,10 @@ fn inter_domain_routing_keeps_engines_equal() {
     );
 }
 
-/// Every bad rate programme is a typed error, not a panic: empty
-/// allocations and non-positive rates at construction, and engine-level
-/// reprogrammings that cover the wrong number of flows, are malformed or
-/// have no frame to anchor to.
+/// Every bad rate programme is a typed error, not a panic: empty,
+/// non-positive and oversubscribed allocations at construction, and
+/// engine-level reprogrammings that cover the wrong number of flows, are
+/// malformed, sum above 1 or have no frame to anchor to.
 #[test]
 fn bad_rate_programmes_are_rejected_with_typed_errors() {
     assert_eq!(
@@ -416,6 +416,10 @@ fn bad_rate_programmes_are_rejected_with_typed_errors() {
         RateError::NonPositiveRate { flow, .. } => assert_eq!(flow, 1),
         other => panic!("expected NonPositiveRate, got {other:?}"),
     }
+    assert_eq!(
+        RateAllocation::try_from_rates(vec![0.8, 0.8]).unwrap_err(),
+        RateError::Oversubscribed { total: 1.6 }
+    );
 
     // Engine-level: a reprogram must cover every flow with positive finite
     // rates and needs a frame-based policy to anchor to.
@@ -447,6 +451,14 @@ fn bad_rate_programmes_are_rejected_with_typed_errors() {
             assert!(rate.is_nan());
         }
         other => panic!("expected NonPositiveRate, got {other:?}"),
+    }
+    let mut oversubscribed = vec![0.1 / n as f64; n];
+    oversubscribed[..2].copy_from_slice(&[0.8, 0.8]);
+    match network.schedule_reprogram(100, oversubscribed) {
+        Err(SimError::Reprogram(ReprogramError::Oversubscribed { total })) => {
+            assert!(total > 1.6, "{total}");
+        }
+        other => panic!("expected Oversubscribed, got {other:?}"),
     }
     assert!(network
         .schedule_reprogram(100, vec![1.0 / n as f64; n])
