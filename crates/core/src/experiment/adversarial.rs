@@ -31,10 +31,9 @@ use crate::chip_sim::{ChipPolicy, ChipSim};
 use crate::experiment::{domain_outcome, histograms_on, share_error};
 use serde::{Deserialize, Serialize};
 use taqos_netsim::closed_loop::{DramBackpressure, DramConfig, DramScheduler};
-use taqos_netsim::prelude::Hist64;
 use taqos_netsim::sim::{run_open_loop, OpenLoopConfig};
 use taqos_netsim::stats::NetStats;
-use taqos_netsim::{Cycle, FlowId};
+use taqos_netsim::{Cycle, FlowId, Hist64};
 use taqos_topology::grid::Coord;
 use taqos_traffic::injection::PacketSizeMix;
 use taqos_traffic::workloads::{self, MlpPlan, NodePlan};
@@ -194,7 +193,7 @@ fn run_attack(
 /// open-loop traffic, contending virtual-channel and switch allocation where
 /// the row's express channels merge into the column. The victim asks for a
 /// modest 3% of link bandwidth from the far end of the same row.
-pub fn row_flood(config: &AttackConfig) -> AttackReport {
+pub(crate) fn row_flood(config: &AttackConfig) -> AttackReport {
     let sim = config.sim();
     let row = config.height / 2;
     let victim = Coord::new(0, row);
@@ -229,7 +228,7 @@ pub fn row_flood(config: &AttackConfig) -> AttackReport {
 /// controller with a deep MLP window (controllers answer instantly, so the
 /// column's PVC arbitration is the contended resource). The victim keeps a
 /// single outstanding request.
-pub fn incast_mob(config: &AttackConfig) -> AttackReport {
+pub(crate) fn incast_mob(config: &AttackConfig) -> AttackReport {
     let sim = config.sim();
     let row = config.height / 2;
     let victim = Coord::new(0, row);
@@ -246,7 +245,7 @@ pub fn incast_mob(config: &AttackConfig) -> AttackReport {
 /// — the victim's rare requests are NACKed into fabric retries by the storm.
 /// Under QOS, priority admission evicts the hogs' over-budget requests
 /// instead, and the fabric-side PVC throttles the storm before the queue.
-pub fn queue_storm(config: &AttackConfig) -> AttackReport {
+pub(crate) fn queue_storm(config: &AttackConfig) -> AttackReport {
     let base = config.sim();
     let row = config.height / 2;
     let victim = Coord::new(0, row);
@@ -290,7 +289,7 @@ pub fn queue_storm(config: &AttackConfig) -> AttackReport {
 /// effective age cap, row hits always win and the victim's row misses starve.
 /// The protected run keeps the paper's priority-weighted age cap (and PVC on
 /// the fabric), bounding how long row locality may defer the victim.
-pub fn open_row_squatter(config: &AttackConfig) -> AttackReport {
+pub(crate) fn open_row_squatter(config: &AttackConfig) -> AttackReport {
     let base = config.sim();
     let row = config.height / 2;
     let victim = Coord::new(0, row);

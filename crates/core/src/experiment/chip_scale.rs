@@ -51,10 +51,10 @@ use crate::experiment::{domain_outcome, histograms_on, parallel_map};
 use serde::{Deserialize, Serialize};
 use taqos_netsim::closed_loop::{DramConfig, DramScheduler, RetryPolicy};
 use taqos_netsim::fault::{FaultEvent, FaultKind, FaultPlan};
-use taqos_netsim::ids::Direction;
 use taqos_netsim::sim::{run_open_loop, OpenLoopConfig};
 use taqos_netsim::spec::{NetworkSpec, OutputKind};
 use taqos_netsim::stats::NetStats;
+use taqos_netsim::Direction;
 use taqos_power::area::AreaModel;
 use taqos_topology::chip::{ChipConfig, ChipSpec};
 use taqos_topology::grid::Coord;

@@ -26,9 +26,15 @@
 //! drivers, [`run_open_loop`] (warm-up, measurement window, drain) or
 //! [`run_closed`] (a fixed workload run to completion).
 //!
+//! [`run_open_loop`]: taqos_netsim::sim::run_open_loop
+//! [`run_closed`]: taqos_netsim::sim::run_closed
+//!
 //! ```rust
-//! use taqos_core::prelude::*;
-//! use taqos_traffic::prelude::*;
+//! use taqos_core::shared_region::SharedRegionSim;
+//! use taqos_netsim::sim::{run_open_loop, OpenLoopConfig};
+//! use taqos_topology::column::ColumnTopology;
+//! use taqos_traffic::injection::PacketSizeMix;
+//! use taqos_traffic::workloads::uniform_random;
 //!
 //! // Simulate the DPS shared region under uniform-random traffic with PVC.
 //! let sim = SharedRegionSim::new(ColumnTopology::Dps);
@@ -46,45 +52,3 @@ pub mod chip;
 pub mod chip_sim;
 pub mod experiment;
 pub mod shared_region;
-
-/// Convenient re-exports of the most commonly used items.
-pub mod prelude {
-    pub use crate::chip::{
-        ChipError, Domain, DomainId, Hypervisor, Placement, TopologyAwareChip, VmSpec,
-    };
-    pub use crate::chip_sim::{ChipPolicy, ChipSim};
-    pub use crate::experiment::ablation::{
-        frame_length_sweep, reserved_quota_ablation, vc_count_sweep, QuotaAblation,
-    };
-    pub use crate::experiment::adversarial::{
-        attack_battery, incast_mob, migration_experiment, open_row_squatter, queue_storm,
-        row_flood, weighted_vm_experiment, ArbitrationPoint, AttackConfig, AttackReport,
-        MigrationConfig, MigrationResult, WeightedVmConfig, WeightedVmResult,
-    };
-    pub use crate::experiment::chip_scale::{
-        chip_fault_bench_plan, chip_isolation, chip_qos_area, degradation_under_faults,
-        latency_under_load, mlp_mix_divergence, multi_column_scaling, ChipIsolationConfig,
-        ChipIsolationResult, ColumnScalingConfig, ColumnScalingPoint, DegradationConfig,
-        DegradationPoint, DomainOutcome, LatencyLoadConfig, LoadPoint, MixPoint, MlpMixConfig,
-        QosAreaReport,
-    };
-    pub use crate::experiment::differentiated::{sla_experiment, SlaConfig, SlaResult};
-    pub use crate::experiment::energy_area::{
-        area_report, energy_report, AreaReport, EnergyReport,
-    };
-    pub use crate::experiment::fairness::{
-        hotspot_fairness, table2, FairnessConfig, FairnessPolicy, FairnessResult,
-    };
-    pub use crate::experiment::latency::{
-        latency_point, latency_sweep, paper_rates, LatencyPoint, SweepConfig, SweepPattern,
-    };
-    pub use crate::experiment::preemption::{
-        preemption_figure, preemption_impact, AdversarialConfig, AdversarialWorkload,
-        PreemptionImpact,
-    };
-    pub use crate::shared_region::SharedRegionSim;
-    pub use taqos_netsim::sim::{run_closed, run_open_loop, OpenLoopConfig};
-    pub use taqos_topology::column::{ColumnConfig, ColumnTopology};
-}
-
-pub use prelude::*;

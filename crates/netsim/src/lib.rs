@@ -8,10 +8,8 @@
 //!
 //! * packets and flits with request/reply classes ([`packet`]),
 //! * virtual channels, credit-based **virtual cut-through** flow control,
-//!   crossbar port sharing and router pipelines ([`vc`], [`port`],
-//!   [`router`], [`network`]),
-//! * traffic sources with retransmission windows and ejection sinks
-//!   ([`source`], [`sink`]),
+//!   crossbar port sharing and router pipelines ([`network`]),
+//! * traffic sources with retransmission windows and ejection sinks,
 //! * closed-loop request/reply traffic with per-node memory-level-
 //!   parallelism windows, priority-ordered controller reply ports, and an
 //!   optional DRAM service-time model at the controllers — address-
@@ -32,7 +30,15 @@
 //! ## Example
 //!
 //! ```rust
-//! use taqos_netsim::prelude::*;
+//! use taqos_netsim::network::Network;
+//! use taqos_netsim::packet::{IdleGenerator, PacketGenerator};
+//! use taqos_netsim::qos::FifoPolicy;
+//! use taqos_netsim::sim::{run_open_loop, OpenLoopConfig};
+//! use taqos_netsim::spec::{
+//!     InputPortSpec, NetworkSpec, OutputPortSpec, RouteTable, RouterSpec, SinkSpec, SourceSpec,
+//!     TargetEndpoint, TargetSpec, VcConfig,
+//! };
+//! use taqos_netsim::{Direction, FlowId, InPortId, NodeId, OutPortId, SimConfig};
 //!
 //! // A two-node chain: node 0's terminal sends to node 1's sink.
 //! let r0 = RouterSpec {
@@ -90,44 +96,24 @@
 pub mod closed_loop;
 pub mod config;
 pub mod error;
-pub mod event;
+mod event;
 pub mod fault;
-pub mod ids;
+mod ids;
 pub mod network;
 pub mod packet;
-pub mod port;
+mod port;
 pub mod qos;
-pub mod router;
+mod router;
 pub mod sim;
-pub mod sink;
-pub mod source;
+mod sink;
+mod source;
 pub mod spec;
 pub mod stats;
-pub mod vc;
+mod vc;
 
-/// Convenient re-exports of the most commonly used types.
-pub mod prelude {
-    pub use crate::closed_loop::{
-        BurstTrain, ClosedLoopSpec, DramBackpressure, DramConfig, PhaseChange, PhaseSchedule,
-        PhasedWorkload, RequesterSpec, RetryPolicy,
-    };
-    pub use crate::config::{SimConfig, TelemetryConfig};
-    pub use crate::error::{NetsimError, SimError, SpecError};
-    pub use crate::fault::{FaultEvent, FaultKind, FaultPlan};
-    pub use crate::ids::{Cycle, Direction, FlowId, InPortId, NodeId, OutPortId, PacketId, VcId};
-    pub use crate::network::{EngineProfile, Network};
-    pub use crate::packet::{GeneratedPacket, IdleGenerator, Packet, PacketClass, PacketGenerator};
-    pub use crate::qos::{FifoPolicy, QosPolicy, RouterQos};
-    pub use crate::sim::{run_closed, run_open_loop, OpenLoopConfig};
-    pub use crate::spec::{
-        InputKind, InputPortSpec, NetworkSpec, OutputKind, OutputPortSpec, RouteTable, RouterSpec,
-        SinkSpec, SourceSpec, TargetEndpoint, TargetSpec, VcConfig,
-    };
-    pub use crate::stats::{FlowStats, NetStats, ThroughputSummary};
-    pub use taqos_telemetry::{
-        ChromeTraceSink, FrameSeries, FrameSnapshot, Hist64, JsonlSink, SharedMemorySink,
-        TraceEvent, TraceSink,
-    };
-}
-
-pub use prelude::*;
+pub use config::{SimConfig, TelemetryConfig};
+pub use ids::{Cycle, Direction, FlowId, InPortId, NodeId, OutPortId, PacketId, VcId};
+pub use taqos_telemetry::{
+    ChromeTraceSink, FrameSeries, FrameSnapshot, Hist64, JsonlSink, SharedMemorySink, TraceEvent,
+    TraceSink,
+};

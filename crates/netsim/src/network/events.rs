@@ -5,11 +5,11 @@
 
 use super::{mark_router, Network};
 use crate::closed_loop::{Arrival, McEffect, McRequest, Offer};
-use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::ids::{Cycle, FlowId, NodeId, PacketId, VcId};
 use crate::packet::{Packet, PacketClass};
 use crate::vc::VcState;
+use crate::SimConfig;
 use taqos_telemetry::TraceEvent;
 
 /// Schedules the return of a sink's ejection-slot credit to the output port

@@ -5,11 +5,11 @@
 //! (`engine.rs`).
 
 use super::{mark_router, Network};
-use crate::config::SimConfig;
 use crate::event::Event;
 use crate::ids::{Cycle, VcId};
 use crate::port::Feeder;
 use crate::spec::{NetworkSpec, RouterSpec, TargetEndpoint};
+use crate::SimConfig;
 
 /// Outputs whose head transfer is still in the router pipeline, bucketed by
 /// the cycle it may launch (`Transfer::launch_start`): one slot per cycle of

@@ -61,7 +61,6 @@ mod sources;
 pub use engine::EngineProfile;
 
 use crate::closed_loop::{ClosedLoopSpec, ClosedLoopState};
-use crate::config::SimConfig;
 use crate::error::{ReprogramError, SimError};
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultPlan, FaultState};
@@ -74,6 +73,7 @@ use crate::sink::SinkState;
 use crate::source::{SourceState, WakeTimers};
 use crate::spec::{NetworkSpec, TargetEndpoint};
 use crate::stats::NetStats;
+use crate::SimConfig;
 use taqos_telemetry::{FrameSampler, TraceEvent, TraceHook, TraceSink};
 
 /// Sets router `ri`'s bit in a phase activity mask (see
@@ -161,7 +161,7 @@ pub struct Network {
     /// Consulted by the livelock watchdog ([`Self::check_progress`]).
     last_progress: Cycle,
     /// Per-frame time-series sampler, present when
-    /// [`crate::config::TelemetryConfig::frame_len`] is non-zero.
+    /// [`crate::TelemetryConfig::frame_len`] is non-zero.
     sampler: Option<FrameSampler>,
     /// Flit-level trace hook; [`TraceHook::Off`] unless a sink was installed
     /// with [`Self::with_trace_sink`].

@@ -10,11 +10,11 @@
     clippy::unimplemented
 )]
 
-use crate::config::SimConfig;
 use crate::event::Event;
 use crate::ids::{Cycle, FlowId, InPortId, PacketId, VcId};
 use crate::spec::{InputPortSpec, OutputPortSpec, TargetEndpoint};
 use crate::vc::VcState;
+use crate::SimConfig;
 
 /// Runtime state of one input port: its virtual channels.
 #[derive(Debug, Clone)]

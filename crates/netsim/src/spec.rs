@@ -918,7 +918,7 @@ mod tests {
             spec,
             Box::new(crate::qos::FifoPolicy::new()),
             vec![Box::new(crate::packet::IdleGenerator)],
-            crate::config::SimConfig::default(),
+            crate::SimConfig::default(),
         );
         assert_eq!(built.err(), Some(crate::error::SimError::Spec(err)));
     }
@@ -943,7 +943,7 @@ mod tests {
                 spec,
                 Box::new(crate::qos::FifoPolicy::new()),
                 vec![Box::new(crate::packet::IdleGenerator)],
-                crate::config::SimConfig::default(),
+                crate::SimConfig::default(),
             );
             assert_eq!(built.err(), Some(crate::error::SimError::Spec(err)));
         }

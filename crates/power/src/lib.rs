@@ -13,8 +13,9 @@
 //! ## Example
 //!
 //! ```rust
-//! use taqos_power::prelude::*;
-//! use taqos_topology::{ColumnConfig, ColumnTopology};
+//! use taqos_power::area::AreaModel;
+//! use taqos_power::energy::EnergyModel;
+//! use taqos_topology::column::{ColumnConfig, ColumnTopology};
 //!
 //! let config = ColumnConfig::paper();
 //! let area = AreaModel::nm32().topology_area(ColumnTopology::Dps, &config);
@@ -30,12 +31,3 @@
 pub mod area;
 pub mod energy;
 pub mod model;
-
-/// Convenient re-exports of the most commonly used items.
-pub mod prelude {
-    pub use crate::area::{AreaModel, RouterArea};
-    pub use crate::energy::{EnergyModel, HopEnergy, HopKind};
-    pub use crate::model::TechnologyParams;
-}
-
-pub use prelude::*;

@@ -83,7 +83,7 @@ pub fn jain_index(values: &[f64]) -> f64 {
 /// Entries with a zero expected value yield a deviation of 0.0 when the
 /// observation is also zero and +∞-clamped-to-1.0 otherwise (a fully
 /// unexpected allocation).
-pub fn relative_deviations(observed: &[f64], expected: &[f64]) -> Vec<f64> {
+pub(crate) fn relative_deviations(observed: &[f64], expected: &[f64]) -> Vec<f64> {
     assert_eq!(
         observed.len(),
         expected.len(),

@@ -22,8 +22,10 @@
 //! ## Example
 //!
 //! ```rust
-//! use taqos_qos::prelude::*;
 //! use taqos_netsim::FlowId;
+//! use taqos_netsim::qos::QosPolicy;
+//! use taqos_qos::fairness::max_min_fair_shares;
+//! use taqos_qos::pvc::PvcPolicy;
 //!
 //! // The paper's configuration: 50K-cycle frames, equal rates for 64 flows.
 //! let pvc = PvcPolicy::equal_rates(64);
@@ -43,17 +45,3 @@ pub mod per_flow;
 pub mod pvc;
 pub mod rates;
 pub mod scoped;
-
-/// Convenient re-exports of the most commonly used items.
-pub mod prelude {
-    pub use crate::fairness::{
-        jain_index, max_min_fair_shares, relative_deviations, DeviationSummary,
-    };
-    pub use crate::per_flow::{PerFlowConfig, PerFlowQueuedPolicy};
-    pub use crate::pvc::{PvcConfig, PvcPolicy, PvcRouterQos};
-    pub use crate::rates::{RateAllocation, RateError};
-    pub use crate::scoped::ScopedQosPolicy;
-    pub use taqos_netsim::qos::{FifoPolicy, QosPolicy, RouterQos};
-}
-
-pub use prelude::*;

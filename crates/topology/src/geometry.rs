@@ -53,7 +53,7 @@ pub fn router_geometry(topology: ColumnTopology, config: &ColumnConfig) -> Route
 }
 
 /// Derives the average router geometry from an already-built specification.
-pub fn geometry_from_spec(
+pub(crate) fn geometry_from_spec(
     topology: ColumnTopology,
     config: &ColumnConfig,
     spec: &NetworkSpec,

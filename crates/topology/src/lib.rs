@@ -26,7 +26,8 @@
 //! ## Example
 //!
 //! ```rust
-//! use taqos_topology::prelude::*;
+//! use taqos_topology::column::{ColumnConfig, ColumnTopology};
+//! use taqos_topology::properties::bisection_bandwidth_bytes;
 //!
 //! let config = ColumnConfig::paper();
 //! let spec = ColumnTopology::Dps.build(&config);
@@ -35,8 +36,8 @@
 //!
 //! // MECS, DPS and mesh x4 have equal bisection bandwidth.
 //! assert_eq!(
-//!     bisection_channels(ColumnTopology::Dps, 8),
-//!     bisection_channels(ColumnTopology::MeshX4, 8),
+//!     bisection_bandwidth_bytes(ColumnTopology::Dps, &config),
+//!     bisection_bandwidth_bytes(ColumnTopology::MeshX4, &config),
 //! );
 //! ```
 
@@ -50,19 +51,3 @@ pub mod grid;
 pub mod mesh2d;
 pub mod properties;
 pub mod reroute;
-
-/// Convenient re-exports of the most commonly used items.
-pub mod prelude {
-    pub use crate::chip::{ChipConfig, ChipSpec};
-    pub use crate::column::{ColumnConfig, ColumnTopology, TopologyParams};
-    pub use crate::geometry::{geometry_from_spec, router_geometry, RouterGeometry};
-    pub use crate::grid::{ChipGrid, Coord};
-    pub use crate::mesh2d::Mesh2dConfig;
-    pub use crate::properties::{
-        bisection_bandwidth_bytes, bisection_channels, tornado_avg_hops, uniform_random_avg_hops,
-        zero_load_latency, zero_load_latency_tornado, zero_load_latency_uniform,
-    };
-    pub use crate::reroute::{failover_controller, reroute_around_faults, RerouteSummary};
-}
-
-pub use prelude::*;

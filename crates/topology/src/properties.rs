@@ -13,7 +13,7 @@ use crate::column::{ColumnConfig, ColumnTopology};
 /// Mesh xK contributes `2·K` channels; MECS and DPS each contribute `n`
 /// channels, which is why MECS, DPS and mesh x4 have equal bisection
 /// bandwidth for the paper's 8-node column.
-pub fn bisection_channels(topology: ColumnTopology, nodes: usize) -> usize {
+pub(crate) fn bisection_channels(topology: ColumnTopology, nodes: usize) -> usize {
     match topology {
         ColumnTopology::MeshX1 => 2,
         ColumnTopology::MeshX2 => 4,
@@ -55,7 +55,7 @@ pub fn zero_load_latency(topology: ColumnTopology, hops: u32) -> u32 {
 
 /// Average hop distance of uniform-random traffic over `n` destinations laid
 /// out on a line (self-traffic excluded).
-pub fn uniform_random_avg_hops(n: usize) -> f64 {
+pub(crate) fn uniform_random_avg_hops(n: usize) -> f64 {
     if n < 2 {
         return 0.0;
     }

@@ -31,8 +31,8 @@
 //! bypass routing tables entirely and are out of scope for this pass.
 
 use std::collections::{BTreeSet, VecDeque};
-use taqos_netsim::ids::NodeId;
 use taqos_netsim::spec::{NetworkSpec, TargetEndpoint};
+use taqos_netsim::NodeId;
 
 /// Outcome of a [`reroute_around_faults`] pass.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -147,7 +147,7 @@ pub fn reroute_around_faults(
                 continue;
             }
             // Every live out port whose next hop lies on a shortest path.
-            let candidates: Vec<taqos_netsim::ids::OutPortId> = spec.routers[ri]
+            let candidates: Vec<taqos_netsim::OutPortId> = spec.routers[ri]
                 .outputs
                 .iter()
                 .enumerate()
@@ -158,7 +158,7 @@ pub fn reroute_around_faults(
                         TargetEndpoint::Router { router: next, .. }
                             if !router_dead[next] && dist[next] == dist[ri] - 1 =>
                         {
-                            Some(taqos_netsim::ids::OutPortId(oi))
+                            Some(taqos_netsim::OutPortId(oi))
                         }
                         _ => None,
                     }
@@ -202,7 +202,7 @@ pub fn failover_controller(
 mod tests {
     use super::*;
     use crate::mesh2d::Mesh2dConfig;
-    use taqos_netsim::ids::OutPortId;
+    use taqos_netsim::OutPortId;
 
     #[test]
     fn fault_free_reroute_is_a_noop() {
@@ -226,7 +226,7 @@ mod tests {
     }
 
     /// Index of the output port of `spec.routers[router]` sending in `dir`.
-    fn network_out(spec: &NetworkSpec, router: usize, dir: taqos_netsim::ids::Direction) -> usize {
+    fn network_out(spec: &NetworkSpec, router: usize, dir: taqos_netsim::Direction) -> usize {
         spec.routers[router]
             .outputs
             .iter()
@@ -242,7 +242,7 @@ mod tests {
         let mut spec = config.build();
         // Kill the eastbound link out of node (0,0): routes from router 0
         // to every node east of it must detour (south first).
-        let east = network_out(&spec, 0, taqos_netsim::ids::Direction::East);
+        let east = network_out(&spec, 0, taqos_netsim::Direction::East);
         let original_entry = spec.routers[0]
             .route_table
             .get(config.node_at(7, 0))

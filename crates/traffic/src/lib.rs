@@ -17,8 +17,9 @@
 //! ## Example
 //!
 //! ```rust
-//! use taqos_traffic::prelude::*;
-//! use taqos_topology::ColumnConfig;
+//! use taqos_topology::column::ColumnConfig;
+//! use taqos_traffic::injection::PacketSizeMix;
+//! use taqos_traffic::workloads::uniform_random;
 //!
 //! let config = ColumnConfig::paper();
 //! let generators = uniform_random(&config, 0.10, PacketSizeMix::paper(), 42);
@@ -32,16 +33,3 @@ pub mod generators;
 pub mod injection;
 pub mod patterns;
 pub mod workloads;
-
-/// Convenient re-exports of the most commonly used items.
-pub mod prelude {
-    pub use crate::generators::{DestinationPattern, SyntheticGenerator};
-    pub use crate::injection::{BernoulliInjection, PacketSizeMix};
-    pub use crate::patterns::Permutation;
-    pub use crate::workloads::{
-        hotspot, idle, packet_budget, permutation, tornado, uniform_random, workload1,
-        workload1_demands, workload2, workload2_demands, GeneratorSet, WORKLOAD1_RATES,
-    };
-}
-
-pub use prelude::*;

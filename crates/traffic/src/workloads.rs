@@ -99,7 +99,7 @@ pub fn tornado(config: &ColumnConfig, rate: f64, mix: PacketSizeMix, seed: u64) 
 /// Permutation traffic: every injector at node `i` sends to the node given by
 /// the permutation (tornado, bit complement, bit reverse, shuffle,
 /// neighbour, ...).
-pub fn permutation(
+pub(crate) fn permutation(
     config: &ColumnConfig,
     pattern: crate::patterns::Permutation,
     rate: f64,
@@ -338,7 +338,7 @@ pub fn idle(config: &ColumnConfig) -> GeneratorSet {
 
 /// Number of packets a source offers when sending `rate` flits per cycle for
 /// `budget_cycles` cycles with the given size mix.
-pub fn packet_budget(rate: f64, mix: PacketSizeMix, budget_cycles: u64) -> u64 {
+pub(crate) fn packet_budget(rate: f64, mix: PacketSizeMix, budget_cycles: u64) -> u64 {
     ((rate * budget_cycles as f64) / mix.mean_len_flits())
         .round()
         .max(1.0) as u64

@@ -24,25 +24,38 @@
 //! cargo run --release --example denial_of_service
 //! ```
 
+use std::error::Error;
+use std::fmt::Write as _;
 use taqos::core::experiment::adversarial::{
     attack_battery, migration_experiment, weighted_vm_experiment, AttackConfig, MigrationConfig,
     WeightedVmConfig,
 };
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub(crate) fn main() -> Result<(), Box<dyn Error>> {
+    let mut out = String::new();
+    run(&mut out)?;
+    print!("{out}");
+    Ok(())
+}
+
+/// Runs the example, writing what `main` prints into `out`.
+pub(crate) fn run(out: &mut String) -> Result<(), Box<dyn Error>> {
     let config = AttackConfig::default();
-    println!(
+    writeln!(
+        out,
         "adversarial battery on the {}x{} chip ({} shared column(s)), {}-cycle window",
         config.width, config.height, config.columns, config.open_loop.measure
-    );
-    println!();
-    println!(
+    )?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "{:<20} {:<22} {:>16} {:>12} {:>14}",
         "attack", "arbitration point", "victim p99 no-QOS", "PVC bound", "victim service"
-    );
+    )?;
     let reports = attack_battery(&config);
     for report in &reports {
-        println!(
+        writeln!(
+            out,
             "{:<20} {:<22} {:>16} {:>12} {:>7} -> {:<5}",
             report.attack,
             report.point.label(),
@@ -50,9 +63,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.bound(),
             report.victim_service_unprotected,
             report.victim_service_pvc,
-        );
+        )?;
     }
-    println!();
+    writeln!(out)?;
     for report in &reports {
         assert!(
             report.holds(),
@@ -62,12 +75,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.victim_p99_unprotected
         );
     }
-    println!("every attack is held to its measured p99 bound by PVC.");
-    println!();
+    writeln!(
+        out,
+        "every attack is held to its measured p99 bound by PVC."
+    )?;
+    writeln!(out)?;
 
     // Heterogeneous tenants: service must track the programmed weights.
     let weighted = weighted_vm_experiment(&WeightedVmConfig::default());
-    println!("--- weighted VMs (hypervisor-programmed rates) ---");
+    writeln!(out, "--- weighted VMs (hypervisor-programmed rates) ---")?;
     for (i, ((&w, &rt), (delivered, programmed))) in weighted
         .vm_weights
         .iter()
@@ -80,33 +96,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .enumerate()
     {
-        println!(
+        writeln!(
+            out,
             "vm{i} weight {w}: {rt} round trips, {:.1}% of service (programmed {:.1}%)",
             100.0 * delivered,
             100.0 * programmed
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "worst share error {:.1}% — memory service tracks the programmed weights.",
         100.0 * weighted.worst_share_error
-    );
+    )?;
     assert!(weighted.worst_share_error < 0.35);
-    println!();
+    writeln!(out)?;
 
     // Live migration under attack: the bound holds through the transition.
     let migration = migration_experiment(&MigrationConfig::default());
-    println!("--- live migration away from a hog, mid-run ---");
-    println!(
+    writeln!(out, "--- live migration away from a hog, mid-run ---")?;
+    writeln!(
+        out,
         "old site completed {} round trips and drained to {} in flight; \
          new site completed {} round trips.",
         migration.old_site_round_trips,
         migration.old_site_in_flight,
         migration.new_site_round_trips
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "victim p99 through the transition: {} cycles; conservation held: {}.",
         migration.victim_p99, migration.conserved
-    );
+    )?;
     assert!(migration.conserved, "request conservation must hold");
     assert_eq!(migration.old_site_in_flight, 0, "old site must drain");
     assert!(migration.old_site_round_trips > 0 && migration.new_site_round_trips > 0);

@@ -11,18 +11,37 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use taqos::prelude::*;
+use std::error::Error;
+use std::fmt::Write as _;
+use taqos::core::shared_region::SharedRegionSim;
+use taqos::netsim::qos::QosPolicy;
+use taqos::netsim::sim::{run_open_loop, OpenLoopConfig};
+use taqos::netsim::stats::ThroughputSummary;
+use taqos::netsim::FlowId;
+use taqos::topology::column::ColumnTopology;
+use taqos::topology::properties::zero_load_latency_uniform;
+use taqos::traffic::injection::PacketSizeMix;
+use taqos::traffic::workloads::uniform_random;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub(crate) fn main() -> Result<(), Box<dyn Error>> {
+    let mut out = String::new();
+    run(&mut out)?;
+    print!("{out}");
+    Ok(())
+}
+
+/// Runs the example, writing what `main` prints into `out`.
+pub(crate) fn run(out: &mut String) -> Result<(), Box<dyn Error>> {
     // The shared region: one column of the 8x8 grid, DPS topology,
     // the paper's Table 1 parameters.
     let sim = SharedRegionSim::new(ColumnTopology::Dps);
-    println!(
+    writeln!(
+        out,
         "topology        : {} ({} nodes, {} injectors)",
         sim.topology(),
         sim.column().nodes,
         sim.column().num_flows()
-    );
+    )?;
 
     // Every injector offers 5% of link bandwidth, an even mix of 1-flit
     // requests and 4-flit replies, to destinations drawn uniformly at random.
@@ -30,12 +49,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Preemptive Virtual Clock with equal rates for all 64 flows.
     let policy = sim.default_policy();
-    println!(
+    writeln!(
+        out,
         "QOS policy      : {} (frame {} cycles, reserved quota {} flits/frame)",
         policy.name(),
         policy.frame_len().unwrap_or(0),
         policy.reserved_quota(FlowId(0)).unwrap_or(0)
-    );
+    )?;
 
     // Warm up, measure, drain.
     let network = sim.build(Box::new(policy), generators)?;
@@ -48,37 +68,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     );
 
-    println!(
+    writeln!(
+        out,
         "delivered       : {} packets ({} flits)",
         stats.delivered_packets, stats.delivered_flits
-    );
-    println!("avg latency     : {:.1} cycles", stats.avg_latency());
-    println!("max latency     : {} cycles", stats.max_latency);
-    println!(
+    )?;
+    writeln!(out, "avg latency     : {:.1} cycles", stats.avg_latency())?;
+    writeln!(out, "max latency     : {} cycles", stats.max_latency)?;
+    writeln!(
+        out,
         "throughput      : {:.2} flits/cycle accepted by the column",
         stats.accepted_throughput()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "preemptions     : {:.3}% of packets",
         stats.preempted_packet_fraction() * 100.0
-    );
+    )?;
 
     // Per-flow fairness of the delivered throughput.
     let per_flow = stats.measured_flits_per_flow();
     let summary = ThroughputSummary::from_observations(&per_flow).expect("flows exist");
-    println!(
+    writeln!(
+        out,
         "per-flow flits  : mean {:.0}, min {:.0} ({:.1}% of mean), max {:.0} ({:.1}% of mean)",
         summary.mean,
         summary.min,
         summary.min_pct_of_mean(),
         summary.max,
         summary.max_pct_of_mean()
-    );
+    )?;
 
     // Zero-load sanity check against the analytic model.
-    println!(
+    writeln!(
+        out,
         "zero-load check : analytic {:.1} cycles at the average distance",
         zero_load_latency_uniform(ColumnTopology::Dps, sim.column().nodes)
-    );
+    )?;
     Ok(())
 }

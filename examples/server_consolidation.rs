@@ -19,38 +19,57 @@
 //! cargo run --release --example server_consolidation
 //! ```
 
-use taqos::prelude::*;
+use std::error::Error;
+use std::fmt::Write as _;
+use taqos::core::chip::{Hypervisor, TopologyAwareChip, VmSpec};
+use taqos::core::shared_region::SharedRegionSim;
+use taqos::netsim::sim::{run_open_loop, OpenLoopConfig};
+use taqos::netsim::NodeId;
 use taqos::qos::pvc::{PvcConfig, PvcPolicy};
+use taqos::topology::column::{ColumnConfig, ColumnTopology};
+use taqos::traffic::injection::PacketSizeMix;
+use taqos::traffic::workloads::hotspot;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub(crate) fn main() -> Result<(), Box<dyn Error>> {
+    let mut out = String::new();
+    run(&mut out)?;
+    print!("{out}");
+    Ok(())
+}
+
+/// Runs the example, writing what `main` prints into `out`.
+pub(crate) fn run(out: &mut String) -> Result<(), Box<dyn Error>> {
     // --- Chip-level: place the tenants -------------------------------------
     let chip = TopologyAwareChip::paper_default();
-    println!(
+    writeln!(
+        out,
         "chip            : {}x{} nodes, {} tiles, {:.1}% of routers need QOS hardware",
         chip.grid().width,
         chip.grid().height,
         chip.grid().tiles(),
         chip.qos_router_fraction() * 100.0
-    );
+    )?;
     let mut hypervisor = Hypervisor::new(chip);
 
     let premium = hypervisor.launch_vm(&VmSpec::new("premium-db", 32, 8))?;
     let standard = hypervisor.launch_vm(&VmSpec::new("web-frontend", 24, 3))?;
     let batch = hypervisor.launch_vm(&VmSpec::new("batch-analytics", 16, 1))?;
     for placement in hypervisor.placements() {
-        println!(
+        writeln!(
+            out,
             "tenant {:<16}: {} threads on {} nodes (weight {})",
             placement.vm,
             placement.total_threads(),
             placement.threads_per_node.len(),
             placement.weight
-        );
+        )?;
     }
     assert!(hypervisor.co_scheduling_respected());
-    println!(
+    writeln!(
+        out,
         "domains         : {:?} are convex and disjoint",
         [premium, standard, batch].map(|d| d.0)
-    );
+    )?;
 
     // --- Program the shared column and simulate it -------------------------
     let column = ColumnConfig::paper();
@@ -72,8 +91,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Report per-row memory bandwidth ------------------------------------
-    println!();
-    println!("memory bandwidth delivered per chip row (flits during the measurement window):");
+    writeln!(out)?;
+    writeln!(
+        out,
+        "memory bandwidth delivered per chip row (flits during the measurement window):"
+    )?;
     let per_flow = stats.measured_flits_per_flow();
     for row in 0..column.nodes {
         let row_flits: u64 = (0..column.injectors_per_node())
@@ -92,13 +114,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
             .map(|p| p.vm.as_str())
             .unwrap_or("(unallocated)");
-        println!(
+        writeln!(
+            out,
             "  row {row}: {row_flits:>6} flits  (programmed rate {:.4}, tenant: {owner})",
             rate
-        );
+        )?;
     }
-    println!();
-    println!("higher-weight tenants receive proportionally more of the contended memory port,");
-    println!("while no row is starved — the guarantee PVC provides inside the shared region.");
+    writeln!(out)?;
+    writeln!(
+        out,
+        "higher-weight tenants receive proportionally more of the contended memory port,"
+    )?;
+    writeln!(
+        out,
+        "while no row is starved — the guarantee PVC provides inside the shared region."
+    )?;
     Ok(())
 }

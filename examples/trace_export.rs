@@ -17,7 +17,10 @@
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufWriter;
-use taqos::prelude::*;
+use taqos::core::chip_sim::ChipSim;
+use taqos::netsim::{SimConfig, TelemetryConfig};
+use taqos::telemetry::{ChromeTraceSink, JsonlSink, TraceSink};
+use taqos::traffic::injection::PacketSizeMix;
 use taqos::traffic::workloads::per_node_fixed;
 
 const CYCLES: u64 = 20_000;

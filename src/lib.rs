@@ -19,7 +19,12 @@
 //! ## Quick start
 //!
 //! ```rust
-//! use taqos::prelude::*;
+//! use taqos::core::shared_region::SharedRegionSim;
+//! use taqos::netsim::sim::{run_open_loop, OpenLoopConfig};
+//! use taqos::netsim::NodeId;
+//! use taqos::topology::column::ColumnTopology;
+//! use taqos::traffic::injection::PacketSizeMix;
+//! use taqos::traffic::workloads::hotspot;
 //!
 //! // Simulate the paper's new DPS topology under hotspot traffic with PVC.
 //! let sim = SharedRegionSim::new(ColumnTopology::Dps);
@@ -39,13 +44,3 @@ pub use taqos_qos as qos;
 pub use taqos_telemetry as telemetry;
 pub use taqos_topology as topology;
 pub use taqos_traffic as traffic;
-
-/// One-stop re-exports for examples and applications.
-pub mod prelude {
-    pub use taqos_core::prelude::*;
-    pub use taqos_netsim::prelude::*;
-    pub use taqos_power::prelude::*;
-    pub use taqos_qos::prelude::*;
-    pub use taqos_topology::prelude::*;
-    pub use taqos_traffic::prelude::*;
-}

@@ -10,16 +10,18 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use taqos::prelude::*;
+use taqos::core::chip_sim::{ChipPolicy, ChipSim};
+use taqos::netsim::closed_loop::{PhaseChange, PhaseSchedule, PhasedWorkload};
+use taqos::netsim::config::EngineKind;
+use taqos::netsim::error::{ReprogramError, SimError};
+use taqos::netsim::sim::{run_open_loop, OpenLoopConfig};
+use taqos::netsim::stats::NetStats;
+use taqos::netsim::{Cycle, FlowId, SimConfig, TelemetryConfig};
+use taqos::qos::pvc::{PvcConfig, PvcPolicy};
+use taqos::qos::rates::{RateAllocation, RateError};
+use taqos::topology::grid::Coord;
+use taqos::traffic::injection::PacketSizeMix;
 use taqos::traffic::workloads;
-use taqos_netsim::closed_loop::{PhaseChange, PhaseSchedule, PhasedWorkload};
-use taqos_netsim::config::EngineKind;
-use taqos_netsim::error::ReprogramError;
-use taqos_netsim::sim::run_open_loop;
-use taqos_netsim::stats::NetStats;
-use taqos_qos::pvc::{PvcConfig, PvcPolicy};
-use taqos_qos::rates::{RateAllocation, RateError};
-use taqos_topology::grid::Coord;
 
 /// One random round of the sweep: a random small chip, a random weight mix
 /// programmed into short-frame PVC, random phase schedules over the
@@ -35,7 +37,7 @@ fn adversarial_round(seed: u64, engine: EngineKind) -> NetStats {
     let mut sim = ChipSim::multi_column(width as u16, height as u16, 1);
     if rng.gen_bool(0.4) {
         sim = sim.with_dram(
-            taqos_netsim::closed_loop::DramConfig::paper()
+            taqos::netsim::closed_loop::DramConfig::paper()
                 .with_queue_depth(rng.gen_range(2usize..6)),
         );
     }

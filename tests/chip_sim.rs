@@ -15,10 +15,21 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
-use taqos::prelude::*;
+use taqos::core::chip_sim::{ChipPolicy, ChipSim};
+use taqos::core::experiment::chip_scale::{
+    chip_isolation, multi_column_scaling, ChipIsolationConfig, ColumnScalingConfig,
+};
+use taqos::netsim::config::EngineKind;
+use taqos::netsim::sim::{run_closed, run_open_loop, OpenLoopConfig};
+use taqos::netsim::spec::{NetworkSpec, OutputKind, TargetEndpoint};
+use taqos::netsim::stats::NetStats;
+use taqos::netsim::{NodeId, SimConfig};
+use taqos::qos::pvc::{PvcConfig, PvcPolicy};
+use taqos::qos::rates::RateAllocation;
+use taqos::topology::chip::ChipConfig;
+use taqos::topology::column::{ColumnConfig, ColumnTopology};
+use taqos::traffic::injection::PacketSizeMix;
 use taqos::traffic::workloads;
-use taqos_netsim::config::EngineKind;
-use taqos_netsim::spec::{OutputKind, TargetEndpoint};
 
 fn paper_chip_sim(engine: EngineKind) -> ChipSim {
     ChipSim::paper_default().with_sim_config(SimConfig::default().with_engine(engine))
@@ -272,16 +283,16 @@ fn bounded_closed_loop_conserves_round_trips() {
 
 fn dram_closed_loop_chip_stats(
     engine: EngineKind,
-    backpressure: taqos_netsim::closed_loop::DramBackpressure,
-    scheduler: taqos_netsim::closed_loop::DramScheduler,
-    page_policy: taqos_netsim::closed_loop::PagePolicy,
+    backpressure: taqos::netsim::closed_loop::DramBackpressure,
+    scheduler: taqos::netsim::closed_loop::DramScheduler,
+    page_policy: taqos::netsim::closed_loop::PagePolicy,
 ) -> NetStats {
     let sim = paper_chip_sim(engine);
     // A shallow queue under a deep window drives the controllers into
     // backpressure, so the equivalence check covers the NACK/stall/eviction
     // paths, the bank timelines and the reply-release machinery.
     let dram = sim
-        .topology_dram(taqos_netsim::closed_loop::DramConfig::paper())
+        .topology_dram(taqos::netsim::closed_loop::DramConfig::paper())
         .with_queue_depth(8)
         .with_backpressure(backpressure)
         .with_scheduler(scheduler)
@@ -297,7 +308,7 @@ fn dram_closed_loop_chip_stats(
 /// engines, deterministically, in both backpressure modes.
 #[test]
 fn chip_dram_closed_loop_stats_match_reference_engine() {
-    use taqos_netsim::closed_loop::{DramBackpressure, DramConfig};
+    use taqos::netsim::closed_loop::{DramBackpressure, DramConfig};
     let defaults = DramConfig::paper();
     for backpressure in [DramBackpressure::Nack, DramBackpressure::Stall] {
         let stats = |engine| {
@@ -341,7 +352,7 @@ fn chip_dram_closed_loop_stats_match_reference_engine() {
 /// the new `DramStats` fields) on both engines.
 #[test]
 fn chip_dram_scheduler_flavours_match_reference_engine() {
-    use taqos_netsim::closed_loop::{DramBackpressure, DramScheduler, PagePolicy};
+    use taqos::netsim::closed_loop::{DramBackpressure, DramScheduler, PagePolicy};
     for (scheduler, page_policy) in [
         (DramScheduler::Fcfs, PagePolicy::Closed),
         (DramScheduler::PriorityAdmission, PagePolicy::Open),
@@ -385,7 +396,7 @@ fn chip_dram_scheduler_flavours_match_reference_engine() {
 /// mapping managed 6.5%, and round trips nearly double.
 #[test]
 fn fcfs_open_page_reproduces_the_pr4_stats_exactly() {
-    use taqos_netsim::closed_loop::{DramBackpressure, DramConfig, DramScheduler, PagePolicy};
+    use taqos::netsim::closed_loop::{DramBackpressure, DramConfig, DramScheduler, PagePolicy};
     let defaults = DramConfig::paper();
     assert_eq!(defaults.scheduler, DramScheduler::Fcfs);
     assert_eq!(defaults.page_policy, PagePolicy::Open);
@@ -506,7 +517,7 @@ fn fabric_routes_match_architectural_rules_for_every_pair() {
 /// rejection cannot reach a workload this repository runs.
 #[test]
 fn every_shipped_builder_stays_within_the_router_port_bounds() {
-    use taqos_topology::mesh2d::Mesh2dConfig;
+    use taqos::topology::mesh2d::Mesh2dConfig;
 
     let mut specs: Vec<NetworkSpec> = ColumnTopology::all()
         .into_iter()

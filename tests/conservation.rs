@@ -5,9 +5,15 @@
 //! delivered exactly once (after any number of preemption-induced
 //! retransmissions), and identical seeds give identical results.
 
-use taqos::prelude::*;
+use taqos::core::shared_region::SharedRegionSim;
+use taqos::netsim::qos::{FifoPolicy, QosPolicy};
+use taqos::netsim::sim::run_closed;
+use taqos::netsim::stats::NetStats;
+use taqos::netsim::{Cycle, NodeId};
 use taqos::qos::per_flow::PerFlowQueuedPolicy;
 use taqos::qos::pvc::PvcPolicy;
+use taqos::topology::column::{ColumnConfig, ColumnTopology};
+use taqos::traffic::injection::PacketSizeMix;
 use taqos::traffic::workloads;
 
 fn closed_run(

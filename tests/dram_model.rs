@@ -10,12 +10,16 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use taqos::prelude::*;
-use taqos::traffic::workloads;
-use taqos_core::experiment::chip_scale::{
-    latency_under_load, mlp_mix_divergence, LatencyLoadConfig, LoadPoint, MixPoint, MlpMixConfig,
+use taqos::core::chip::TopologyAwareChip;
+use taqos::core::chip_sim::ChipSim;
+use taqos::core::experiment::chip_scale::{
+    chip_isolation, latency_under_load, mlp_mix_divergence, LatencyLoadConfig, LoadPoint, MixPoint,
+    MlpMixConfig,
 };
-use taqos_netsim::closed_loop::{DramBackpressure, DramConfig, DramScheduler, PagePolicy};
+use taqos::netsim::closed_loop::{DramBackpressure, DramConfig, DramScheduler, PagePolicy};
+use taqos::netsim::FlowId;
+use taqos::topology::grid::Coord;
+use taqos::traffic::workloads;
 
 /// Seeded property sweep: on random chip shapes with random DRAM
 /// configurations driven to saturation through deep MLP windows against
@@ -457,7 +461,7 @@ fn priority_admission_evicts_hogs_and_routes_nacks_to_their_sources() {
 /// bounded slowdown while the unprotected victim starves or collapses.
 #[test]
 fn dram_backed_isolation_keeps_the_headline() {
-    let config = taqos_core::experiment::chip_scale::ChipIsolationConfig::quick()
+    let config = taqos::core::experiment::chip_scale::ChipIsolationConfig::quick()
         .with_dram(DramConfig::paper());
     let result = chip_isolation(&config);
     assert!(!result.solo.starved());

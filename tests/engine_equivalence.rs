@@ -11,12 +11,19 @@
 //! histogram must match exactly, on every topology family, with and without
 //! preemption in play.
 
-use taqos::prelude::*;
+use taqos::core::shared_region::SharedRegionSim;
+use taqos::netsim::config::EngineKind;
+use taqos::netsim::network::{EngineProfile, Network};
+use taqos::netsim::qos::QosPolicy;
+use taqos::netsim::sim::{run_closed, run_open_loop, OpenLoopConfig};
+use taqos::netsim::spec::{InputKind, InputPortSpec, NetworkSpec};
+use taqos::netsim::stats::NetStats;
+use taqos::netsim::{FlowId, NodeId, SimConfig, TelemetryConfig};
+use taqos::qos::pvc::PvcPolicy;
+use taqos::topology::column::ColumnTopology;
+use taqos::topology::mesh2d::Mesh2dConfig;
+use taqos::traffic::injection::PacketSizeMix;
 use taqos::traffic::workloads;
-use taqos_netsim::config::EngineKind;
-use taqos_netsim::network::{EngineProfile, Network};
-use taqos_qos::pvc::PvcPolicy;
-use taqos_topology::mesh2d::Mesh2dConfig;
 
 fn open_loop_stats(topology: ColumnTopology, engine: EngineKind, seed: u64) -> NetStats {
     let sim =
@@ -129,10 +136,10 @@ fn mesh2d_stats_match_reference_engine() {
 }
 
 fn faulted_chip_stats(engine: EngineKind) -> NetStats {
-    use taqos_core::experiment::chip_scale::chip_fault_bench_plan;
-    use taqos_netsim::closed_loop::RetryPolicy;
+    use taqos::core::experiment::chip_scale::chip_fault_bench_plan;
+    use taqos::netsim::closed_loop::RetryPolicy;
 
-    let sim = taqos_core::chip_sim::ChipSim::paper_default()
+    let sim = taqos::core::chip_sim::ChipSim::paper_default()
         .with_sim_config(SimConfig::default().with_engine(engine));
     let plan = chip_fault_bench_plan(&sim, 21);
     let sim = sim.with_fault_plan(plan);
@@ -193,9 +200,9 @@ impl SweepRng {
 /// per-case cycle budget. Returns the statistics and the longest router
 /// pipeline latency of the case.
 fn sweep_case_stats(case_seed: u64, engine: EngineKind) -> (NetStats, u32) {
-    use taqos_core::chip_sim::ChipSim;
-    use taqos_core::experiment::chip_scale::chip_fault_bench_plan;
-    use taqos_netsim::closed_loop::{
+    use taqos::core::chip_sim::ChipSim;
+    use taqos::core::experiment::chip_scale::chip_fault_bench_plan;
+    use taqos::netsim::closed_loop::{
         DramBackpressure, DramConfig, DramScheduler, PagePolicy, RetryPolicy,
     };
 
@@ -259,12 +266,12 @@ fn sweep_case_stats(case_seed: u64, engine: EngineKind) -> (NetStats, u32) {
 /// slots; here it waits up to 12 of 16, queued transfers leave the pipeline
 /// long after the head retires, and every router has its own latency.
 fn build_with_drawn_latencies(
-    sim: &taqos_core::chip_sim::ChipSim,
-    mut spec: taqos_netsim::closed_loop::ClosedLoopSpec,
+    sim: &taqos::core::chip_sim::ChipSim,
+    mut spec: taqos::netsim::closed_loop::ClosedLoopSpec,
     engine: EngineKind,
     rng: &mut SweepRng,
 ) -> Network {
-    use taqos_qos::scoped::ScopedQosPolicy;
+    use taqos::qos::scoped::ScopedQosPolicy;
 
     let mut chip = sim.build_spec();
     for router in &mut chip.spec.routers {
@@ -293,7 +300,7 @@ fn build_with_drawn_latencies(
 /// ports behind the bottleneck grow VCs on demand. Frames sample router
 /// occupancy every 100 cycles. Returns the spec with the statistics.
 fn unlimited_line_stats(engine: EngineKind) -> (NetworkSpec, NetStats) {
-    use taqos_qos::per_flow::PerFlowQueuedPolicy;
+    use taqos::qos::per_flow::PerFlowQueuedPolicy;
 
     let config = Mesh2dConfig {
         width: 8,
@@ -421,8 +428,8 @@ fn same_seed_runs_are_bit_identical() {
 /// accounting is caught, not just a wholesale collapse.
 #[test]
 fn dram_row_locality_stats_are_pinned_on_both_engines() {
-    use taqos_core::chip_sim::ChipSim;
-    use taqos_netsim::closed_loop::DramConfig;
+    use taqos::core::chip_sim::ChipSim;
+    use taqos::netsim::closed_loop::DramConfig;
 
     let mut pinned = Vec::new();
     for engine in [EngineKind::Optimized, EngineKind::Reference] {
@@ -479,8 +486,8 @@ fn dram_row_locality_stats_are_pinned_on_both_engines() {
 /// time, so the optimized engine's wake-ups (events and the three timers)
 /// carry the run.
 fn idle_heavy_case_stats(case_seed: u64, engine: EngineKind) -> NetStats {
-    use taqos_core::chip_sim::ChipSim;
-    use taqos_netsim::closed_loop::{DramConfig, RetryPolicy};
+    use taqos::core::chip_sim::ChipSim;
+    use taqos::netsim::closed_loop::{DramConfig, RetryPolicy};
 
     let mut rng = SweepRng(case_seed.wrapping_mul(0xD6E8_FEB8_6659_FD93) | 1);
     let (width, height, columns) = [(6, 6, 1), (8, 8, 1), (10, 8, 2)][rng.pick(3) as usize];
@@ -567,8 +574,8 @@ fn idle_heavy_sweep_matches_reference_engine() {
 /// 400 of every 1000 cycles, one MLP-1 victim) on the paper chip: mostly
 /// idle, one hotspot.
 fn incast_chip(engine: EngineKind, cycles: u64) -> Network {
-    use taqos_core::chip_sim::ChipSim;
-    use taqos_topology::grid::Coord;
+    use taqos::core::chip_sim::ChipSim;
+    use taqos::topology::grid::Coord;
 
     let sim = ChipSim::paper_default().with_sim_config(SimConfig::default().with_engine(engine));
     let (plan, hogs) = sim.incast_plan(Coord::new(0, 4));

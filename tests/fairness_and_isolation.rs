@@ -1,8 +1,8 @@
 //! Cross-crate integration tests for hotspot fairness (Table 2) and the
 //! performance-isolation claims of the architecture.
 
-use taqos::prelude::*;
-use taqos_core::experiment::fairness::{hotspot_fairness, FairnessConfig, FairnessPolicy};
+use taqos::core::experiment::fairness::{hotspot_fairness, FairnessConfig, FairnessPolicy};
+use taqos::topology::column::ColumnTopology;
 
 fn quick_config() -> FairnessConfig {
     FairnessConfig {

@@ -10,15 +10,19 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use taqos::prelude::*;
+use taqos::core::chip_sim::ChipSim;
+use taqos::core::experiment::chip_scale::{degradation_under_faults, DegradationConfig};
+use taqos::core::shared_region::SharedRegionSim;
+use taqos::netsim::closed_loop::{DramBackpressure, DramConfig, RetryPolicy};
+use taqos::netsim::config::EngineKind;
+use taqos::netsim::error::SimError;
+use taqos::netsim::fault::{FaultEvent, FaultKind, FaultPlan};
+use taqos::netsim::sim::run_closed;
+use taqos::netsim::stats::NetStats;
+use taqos::netsim::{Cycle, SimConfig};
+use taqos::topology::column::ColumnTopology;
+use taqos::traffic::injection::PacketSizeMix;
 use taqos::traffic::workloads;
-use taqos_core::experiment::chip_scale::{degradation_under_faults, DegradationConfig};
-use taqos_netsim::closed_loop::{DramBackpressure, DramConfig, RetryPolicy};
-use taqos_netsim::config::EngineKind;
-use taqos_netsim::error::SimError;
-use taqos_netsim::fault::{FaultEvent, FaultKind, FaultPlan};
-use taqos_netsim::sim::run_closed;
-use taqos_netsim::stats::NetStats;
 
 /// One random round of the property sweep: a random small chip, a random
 /// fault mix, optionally DRAM-backed controllers, and a bounded closed loop
@@ -237,7 +241,7 @@ fn invalid_fault_and_retry_configurations_are_rejected() {
 /// retry layer: every request is dropped at launch until its fault
 /// retransmit budget runs out, the abandoned window slots are never
 /// reclaimed, and the fabric wedges with live packets parked forever.
-fn wedged_chip(watchdog: Cycle) -> taqos_netsim::network::Network {
+fn wedged_chip(watchdog: Cycle) -> taqos::netsim::network::Network {
     let sim = ChipSim::multi_column(4, 4, 1)
         .with_sim_config(SimConfig::default().with_progress_watchdog(watchdog));
     let fabric = sim.build_spec();

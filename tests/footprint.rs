@@ -9,16 +9,17 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use taqos_core::chip_sim::ChipSim;
-use taqos_core::experiment::chip_scale::chip_fault_bench_plan;
-use taqos_netsim::closed_loop::{DramConfig, DramScheduler, RetryPolicy};
-use taqos_netsim::config::EngineKind;
-use taqos_netsim::{Network, SimConfig};
-use taqos_qos::pvc::PvcPolicy;
-use taqos_topology::grid::Coord;
-use taqos_topology::mesh2d::Mesh2dConfig;
-use taqos_traffic::injection::PacketSizeMix;
-use taqos_traffic::workloads;
+use taqos::core::chip_sim::ChipSim;
+use taqos::core::experiment::chip_scale::chip_fault_bench_plan;
+use taqos::netsim::closed_loop::{DramConfig, DramScheduler, RetryPolicy};
+use taqos::netsim::config::EngineKind;
+use taqos::netsim::network::Network;
+use taqos::netsim::SimConfig;
+use taqos::qos::pvc::PvcPolicy;
+use taqos::topology::grid::Coord;
+use taqos::topology::mesh2d::Mesh2dConfig;
+use taqos::traffic::injection::PacketSizeMix;
+use taqos::traffic::workloads;
 
 thread_local! {
     /// This thread's calls to `alloc`/`realloc`, the bytes it holds live now

@@ -1,6 +1,6 @@
 //! Golden outputs of the paper programs: every entry of
-//! `taqos_bench::PROGRAMS` at `Profile::Quick`, run in process, and the
-//! stdout of four examples. Each prints byte-identical output run to run,
+//! `taqos_bench::PROGRAMS` at `Profile::Quick` and the stdout of four
+//! examples, all run in process. Each prints byte-identical output run to run,
 //! so any difference from the committed `tests/golden/<name>.txt` is a
 //! behaviour change.
 //!
@@ -11,16 +11,23 @@
 //! UPDATE_GOLDEN=1 cargo test -q
 //! ```
 //!
-//! The examples run from the binaries `cargo test` builds next to this
-//! test (`<target>/<profile>/examples/`). `cargo test --test golden` alone
-//! does not build them: it runs whatever example binaries an earlier plain
-//! `cargo test` left there.
+//! Each golden example is compiled into this test as a module: its `run`
+//! writes into a `String` what its `main` prints.
 
 use std::collections::BTreeSet;
+use std::error::Error;
 use std::path::PathBuf;
-use std::process::Command;
 
 use taqos_bench::{Profile, PROGRAMS};
+
+#[path = "../examples/denial_of_service.rs"]
+mod denial_of_service;
+#[path = "../examples/quickstart.rs"]
+mod quickstart;
+#[path = "../examples/server_consolidation.rs"]
+mod server_consolidation;
+#[path = "../examples/topology_explorer.rs"]
+mod topology_explorer;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -67,35 +74,25 @@ fn check_program(name: &str) {
     check(name, &(program.run)(Profile::Quick));
 }
 
-fn check_example(name: &str) {
-    let examples = std::env::current_exe()
-        .expect("test binary path")
-        .parent()
-        .and_then(|deps| deps.parent())
-        .expect("test binaries live in <target>/<profile>/deps")
-        .join("examples");
-    let binary = examples.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
-    let output = Command::new(&binary).output().unwrap_or_else(|e| {
-        panic!(
-            "{name}: cannot run {} ({e}); `cargo test` builds the examples, \
-             `cargo test --test golden` alone does not",
-            binary.display()
-        )
-    });
-    assert!(output.status.success(), "{name}: {}", output.status);
-    check(
-        name,
-        &String::from_utf8(output.stdout).expect("examples print UTF-8"),
-    );
+/// Runs one example's `run` in process. Its `main` is only taken as a
+/// value, which is what keeps `dead_code` quiet about it in this crate.
+fn check_example(
+    name: &str,
+    _main: fn() -> Result<(), Box<dyn Error>>,
+    run: impl FnOnce(&mut String) -> Result<(), Box<dyn Error>>,
+) {
+    let mut out = String::new();
+    run(&mut out).unwrap_or_else(|e| panic!("{name}: {e}"));
+    check(name, &out);
 }
 
 macro_rules! golden {
-    ($check:ident, $list:ident: $($test:ident => $name:literal,)*) => {
+    ($check:ident, $list:ident: $($test:ident => $name:literal $(($($arg:expr),*))?,)*) => {
         const $list: &[&str] = &[$($name),*];
         $(
             #[test]
             fn $test() {
-                $check($name);
+                $check($name $($(, $arg)*)?);
             }
         )*
     };
@@ -118,10 +115,16 @@ golden! { check_program, PROGRAM_TESTS:
 }
 
 golden! { check_example, EXAMPLE_TESTS:
-    example_quickstart => "quickstart",
-    example_topology_explorer => "topology_explorer",
-    example_denial_of_service => "denial_of_service",
-    example_server_consolidation => "server_consolidation",
+    example_quickstart => "quickstart" (quickstart::main, quickstart::run),
+    example_topology_explorer => "topology_explorer" (
+        topology_explorer::main,
+        |out| topology_explorer::run(out, topology_explorer::DEFAULT_RATE_PCT)
+    ),
+    example_denial_of_service => "denial_of_service" (denial_of_service::main, denial_of_service::run),
+    example_server_consolidation => "server_consolidation" (
+        server_consolidation::main,
+        server_consolidation::run
+    ),
 }
 
 /// Every registry entry has a test above, and every committed golden file

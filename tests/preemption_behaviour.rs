@@ -1,10 +1,12 @@
 //! Cross-crate integration tests for the adversarial preemption experiments
 //! (the qualitative shape of Figures 5 and 6).
 
-use taqos::prelude::*;
-use taqos_core::experiment::preemption::{
+use taqos::core::experiment::preemption::{
     preemption_impact, AdversarialConfig, AdversarialWorkload,
 };
+use taqos::core::shared_region::SharedRegionSim;
+use taqos::netsim::sim::run_closed;
+use taqos::topology::column::ColumnTopology;
 
 fn quick_config() -> AdversarialConfig {
     AdversarialConfig {

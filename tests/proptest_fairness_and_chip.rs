@@ -8,8 +8,10 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
-use taqos::prelude::*;
+use taqos::core::chip::{Hypervisor, TopologyAwareChip, VmSpec};
 use taqos::qos::fairness::{jain_index, max_min_fair_shares};
+use taqos::topology::column::ColumnConfig;
+use taqos::topology::grid::{ChipGrid, Coord};
 
 fn vec_f64(
     rng: &mut ChaCha8Rng,

@@ -9,8 +9,15 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use taqos::prelude::*;
+use taqos::core::shared_region::SharedRegionSim;
+use taqos::netsim::packet::IdleGenerator;
+use taqos::netsim::sim::run_closed;
+use taqos::netsim::NodeId;
+use taqos::topology::column::{ColumnConfig, ColumnTopology};
+use taqos::topology::properties::zero_load_latency;
 use taqos::traffic::generators::{DestinationPattern, SyntheticGenerator};
+use taqos::traffic::injection::PacketSizeMix;
+use taqos::traffic::workloads::GeneratorSet;
 
 const TOPOLOGIES: [ColumnTopology; 5] = [
     ColumnTopology::MeshX1,

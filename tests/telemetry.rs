@@ -17,13 +17,20 @@
 //!   export is structurally sound (balanced async begin/end pairs per packet
 //!   id, duration-carrying DRAM spans) so Perfetto can nest it.
 
-use taqos::prelude::*;
+use taqos::core::shared_region::SharedRegionSim;
+use taqos::netsim::closed_loop::DramConfig;
+use taqos::netsim::config::EngineKind;
+use taqos::netsim::network::Network;
+use taqos::netsim::qos::QosPolicy;
+use taqos::netsim::sim::{run_open_loop, OpenLoopConfig};
+use taqos::netsim::stats::NetStats;
+use taqos::netsim::{SimConfig, TelemetryConfig};
+use taqos::qos::pvc::PvcPolicy;
+use taqos::telemetry::{ChromeTraceSink, Hist64, SharedMemorySink, TraceEvent};
+use taqos::topology::column::ColumnTopology;
+use taqos::topology::mesh2d::Mesh2dConfig;
+use taqos::traffic::injection::PacketSizeMix;
 use taqos::traffic::workloads;
-use taqos_netsim::config::{EngineKind, TelemetryConfig};
-use taqos_netsim::network::Network;
-use taqos_netsim::{ChromeTraceSink, SharedMemorySink, TraceEvent};
-use taqos_qos::pvc::PvcPolicy;
-use taqos_topology::mesh2d::Mesh2dConfig;
 
 const FRAME_LEN: u64 = 250;
 
@@ -53,7 +60,7 @@ fn open_loop_stats(
 }
 
 fn closed_chip_stats(engine: EngineKind, telemetry: TelemetryConfig) -> NetStats {
-    let sim = taqos_core::chip_sim::ChipSim::paper_default().with_sim_config(
+    let sim = taqos::core::chip_sim::ChipSim::paper_default().with_sim_config(
         SimConfig::default()
             .with_engine(engine)
             .with_telemetry(telemetry),
@@ -282,7 +289,7 @@ fn chrome_trace_nests_packet_lifetimes() {
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join("chip.trace.json");
 
-    let sim = taqos_core::chip_sim::ChipSim::paper_default().with_dram(DramConfig::paper());
+    let sim = taqos::core::chip_sim::ChipSim::paper_default().with_dram(DramConfig::paper());
     let plan = sim.nearest_mc_mlp_plan(4);
     let file = std::io::BufWriter::new(std::fs::File::create(&path).expect("create trace"));
     let mut network = sim
